@@ -33,12 +33,14 @@ for kind in ALL_KINDS:
     print(f"  {kind.name}: {series.values.size} samples on the 5 Hz grid, peak-to-peak {100 * rel:.1f}% of mean")
 
 # -------------------------------------------- spectral estimates + fusion
-analysis = pipeline.analyze_record(record, t=0.13)
-window_10 = analysis.estimates[10]
+analysis = pipeline.analyze_record(record)
+table = analysis.estimates
 print("\nwindow 10 per-variation estimates:")
-for est in window_10:
-    print(f"  {est.kind.name}: rr={est.rr:.2f} breaths/min, noise index {est.ni:.2f}, valid={est.valid}")
+for kind, rr, ni in zip(ALL_KINDS, table.rr[10], table.ni[10]):
+    print(f"  {kind.name}: rr={rr:.2f} breaths/min, noise index {ni:.2f}, passes t=0.13: {ni >= 0.13}")
+reasons, counts = np.unique(table.reason, return_counts=True)
+print("estimate table reasons: " + ", ".join(f"{r}={c}" for r, c in zip(reasons, counts)))
 
-fusions = pipeline.fuse_all(analysis, method="cif", t=0.13)
-result = evaluation.score_subject(fusions, reference, analysis.grid, record.id, "CIF", 0.13)
+fusion = pipeline.fuse_estimates(table, method="cif", t=0.13)
+result = evaluation.score_subject(fusion, reference, analysis.grid, record.id, "CIF", 0.13)
 print(f"\nCIF at t=0.13 over {analysis.grid.count} windows: RMSE {result.rmse:.3f} breaths/min, retention {result.retention:.3f}")

@@ -18,9 +18,9 @@ for seed in (1, 2, 3):
         noise_sd=0.1, seed=seed,
     )
     record, reference = signal_io.synthesize(spec)
-    analysis = pipeline.analyze_record(record, t=0.13)
+    analysis = pipeline.analyze_record(record)
     for method in ("cif", "sf3", "sf5"):
-        fusions = pipeline.fuse_all(analysis, method, t=0.13)
-        res = evaluation.score_subject(fusions, reference, analysis.grid, f"s{seed}", method.upper(), 0.13)
+        fusion = pipeline.fuse_estimates(analysis.estimates, method, t=0.13)
+        res = evaluation.score_subject(fusion, reference, analysis.grid, f"s{seed}", method.upper(), 0.13)
         rmse = f"{res.rmse:.3f}" if res.rmse is not None else "  n/a"
         print(f"{'s' + str(seed):>8} {method.upper():>6} {rmse:>7} {res.retention:>10.3f}")

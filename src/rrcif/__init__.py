@@ -2,8 +2,9 @@
 
 Five respiratory-induced variation series (intensity, amplitude, frequency,
 width, slope) are extracted beat-by-beat, each rated spectrally with
-power-law background subtraction, gated by a noise index, and fused per
-window with covariance intersection. Smart Fusion baselines and a benchmark
+power-law background subtraction into one estimate table per record, and
+fused per window with covariance intersection of the estimates whose noise
+index passes the gate. Smart Fusion baselines and a benchmark
 evaluation harness are included.
 """
 
@@ -19,17 +20,15 @@ from .errors import (
 from .evaluation import (
     AgreementStats,
     SubjectResult,
-    SubjectWindows,
     SweepRow,
     agreement,
     reference_at,
-    score_at,
     score_subject,
     sweep,
     wilcoxon_signed_rank,
 )
-from .fusion import SF3, SF5, FusionResult, SfConfig, cif_fuse, cif_weights, fuse_window, smart_fusion
-from .pipeline import RecordAnalysis, analyze_record, fuse_all, fuse_estimates, subject_windows
+from .fusion import SF3, SF5, FusionResult, SfConfig, cif, cif_weights, smart_fusion
+from .pipeline import RecordAnalysis, analyze_record, fuse_estimates
 from .preprocess import Beat, bandpass, flag_artifacts, segment_beats
 from .riv import ALL_KINDS, RivKind, RivSeries, extract
 from .signal_io import (
@@ -46,12 +45,13 @@ from .signal_io import (
 )
 from .spectral import (
     DEFAULT_THRESHOLD,
+    REASONS,
+    EstimateTable,
     PowerSpectrum,
-    RrEstimate,
     WindowGrid,
     estimate_rr,
     fit_power_law,
-    gate,
+    rate_windows,
     window_spectrum,
 )
 

@@ -8,17 +8,14 @@ Subcommands:
   synth      write a synthetic recording and its reference
 
 Exit codes: 0 ok, 2 I/O or data errors, 64 usage errors. Output files start
-with a versioned provenance comment line. The RRCIF_THREADS environment
-variable caps the benchmark worker pool.
+with a versioned provenance comment line.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from importlib.metadata import PackageNotFoundError, version
 from pathlib import Path
 
@@ -27,7 +24,7 @@ import numpy as np
 from . import evaluation, pipeline, signal_io
 from .errors import RrcifError
 from .fusion import FusionResult
-from .riv import RivKind
+from .riv import ALL_KINDS, RivKind
 from .signal_io import ModDepths, SynthSpec
 from .spectral import DEFAULT_THRESHOLD, fit_power_law, window_spectrum
 
@@ -56,13 +53,14 @@ def _check_t(parser, t):
         parser.error(f"--t must lie in [0, 1], got {t}")
 
 
-def _write_estimates(path, fusions: list[FusionResult], grid, method, t):
+def _write_estimates(path, fusion: FusionResult, grid, method, t):
     lines = [_header(method, t), "window_start_s,rr_fusion,c_fusion,retained,contributors\n"]
-    for fusion, (start, _) in zip(fusions, grid.windows):
-        rr = f"{fusion.rr_fusion:.4f}" if fusion.rr_fusion is not None else ""
-        c = f"{fusion.c_fusion:.6g}" if fusion.c_fusion is not None else ""
-        names = "|".join(k.name for k in fusion.contributors)
-        lines.append(f"{start:.1f},{rr},{c},{int(fusion.retained)},{names}\n")
+    rows = zip(grid.windows, fusion.rr_fusion.tolist(), fusion.c_fusion.tolist(), fusion.retained, fusion.contributors)
+    for (start, _), rr, c, retained, contributors in rows:
+        rr = f"{rr:.4f}" if retained else ""
+        c = f"{c:.6g}" if retained and not np.isnan(c) else ""
+        names = "|".join(k.name for k, used in zip(ALL_KINDS, contributors) if used)
+        lines.append(f"{start:.1f},{rr},{c},{int(retained)},{names}\n")
     _emit(path, lines)
 
 
@@ -117,9 +115,9 @@ def _dump_spectrum(out_dir, analysis, window_index, kind_name):
 def _cmd_estimate(args, parser):
     _check_t(parser, args.t)
     record = signal_io.read_record(args.input)
-    analysis = pipeline.analyze_record(record, args.t)
-    fusions = pipeline.fuse_all(analysis, args.method, args.t)
-    _write_estimates(args.out, fusions, analysis.grid, args.method, args.t)
+    analysis = pipeline.analyze_record(record)
+    fusion = pipeline.fuse_estimates(analysis.estimates, args.method, args.t)
+    _write_estimates(args.out, fusion, analysis.grid, args.method, args.t)
     if args.dump_beats:
         _dump_beats(args.dump_beats, analysis.beats)
     if args.dump_riv:
@@ -153,40 +151,30 @@ def _load_dataset(directory):
     return pairs
 
 
-def _analyze_subjects(pairs, t):
-    """Analyze dataset pairs in a bounded worker pool; returns (subjects, skipped)."""
-    max_workers = int(os.environ.get("RRCIF_THREADS", "0")) or min(8, os.cpu_count() or 1)
+def _load_subject(record_path, ref_path):
+    if record_path.suffix.lower() == ".json":
+        record, reference = signal_io.read_record_json(record_path)
+        if reference is None:
+            raise RrcifError(f"{record_path}: JSON record has no embedded reference")
+        return record, reference
+    record = signal_io.read_record(record_path)
+    if ref_path is None:
+        raise RrcifError(f"{record_path}: no matching *_ref.csv reference")
+    return record, signal_io.read_reference(ref_path)
 
-    def load_and_analyze(pair):
-        record_path, ref_path = pair
-        if record_path.suffix.lower() == ".json":
-            record, reference = signal_io.read_record_json(record_path)
-            if reference is None:
-                raise RrcifError(f"{record_path}: JSON record has no embedded reference")
-        else:
-            record = signal_io.read_record(record_path)
-            if ref_path is None:
-                raise RrcifError(f"{record_path}: no matching *_ref.csv reference")
-            reference = signal_io.read_reference(ref_path)
-        return pipeline.subject_windows(record, reference, t)
 
+def _analyze_subjects(pairs):
+    """Analyze dataset pairs in turn; returns ((analysis, reference) list, skipped names)."""
     subjects, skipped = [], []
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        for pair, outcome in zip(pairs, pool.map(lambda p: _try(load_and_analyze, p), pairs)):
-            if isinstance(outcome, Exception):
-                print(f"warning: skipping {pair[0].name}: {outcome}", file=sys.stderr)
-                skipped.append(pair[0].name)
-            else:
-                subjects.append(outcome)
-    subjects.sort(key=lambda s: s.id)
+    for record_path, ref_path in pairs:
+        try:
+            record, reference = _load_subject(record_path, ref_path)
+            subjects.append((pipeline.analyze_record(record), reference))
+        except Exception as exc:  # noqa: BLE001 - one bad subject must not end the run
+            print(f"warning: skipping {record_path.name}: {exc}", file=sys.stderr)
+            skipped.append(record_path.name)
+    subjects.sort(key=lambda s: s[0].record_id)
     return subjects, skipped
-
-
-def _try(fn, arg):
-    try:
-        return fn(arg)
-    except Exception as exc:  # noqa: BLE001 - collected per subject
-        return exc
 
 
 def _cmd_benchmark(args, parser):
@@ -198,7 +186,7 @@ def _cmd_benchmark(args, parser):
     pairs = _load_dataset(args.dataset)
     if not pairs:
         raise RrcifError(f"{args.dataset}: no record files found")
-    subjects, skipped = _analyze_subjects(pairs, args.t)
+    subjects, skipped = _analyze_subjects(pairs)
     if not subjects:
         raise RrcifError(f"{args.dataset}: no subject could be analyzed")
 
@@ -207,13 +195,12 @@ def _cmd_benchmark(args, parser):
 
     results = {}
     for method in methods:
-        per_subject = []
-        for s in subjects:
-            fusions = pipeline.fuse_estimates(s.estimates, method, args.t)
-            per_subject.append(
-                evaluation.score_subject(fusions, s.reference, s.grid, s.id, method.upper(), args.t)
+        results[method] = [
+            evaluation.score_subject(
+                pipeline.fuse_estimates(a.estimates, method, args.t), ref, a.grid, a.record_id, method.upper(), args.t
             )
-        results[method] = per_subject
+            for a, ref in subjects
+        ]
 
     lines = [_header(",".join(methods), args.t), "id,method,t,rmse,retention\n"]
     for method in methods:
@@ -237,18 +224,17 @@ def _cmd_benchmark(args, parser):
             "retention_median": float(np.median([r.retention for r in results[method]])),
         }
     if len(subjects) >= 6:
-        n_comparisons = 3
         for metric, pick in (("rmse", lambda r: np.nan if r.rmse is None else r.rmse), ("retention", lambda r: r.retention)):
-            table = {}
+            raw = {}
             for i, m1 in enumerate(methods):
                 for m2 in methods[i + 1 :]:
                     x = np.array([pick(r) for r in results[m1]])
                     y = np.array([pick(r) for r in results[m2]])
                     keep = ~(np.isnan(x) | np.isnan(y))
                     if keep.sum() >= 6:
-                        p = evaluation.wilcoxon_signed_rank(x[keep], y[keep])
-                        table[f"{m1}_vs_{m2}"] = min(1.0, n_comparisons * p)
-            report["wilcoxon_bonferroni"][metric] = table
+                        raw[f"{m1}_vs_{m2}"] = evaluation.wilcoxon_signed_rank(x[keep], y[keep])
+            # Bonferroni over the pairs actually tested for this metric
+            report["wilcoxon_bonferroni"][metric] = {pair: min(1.0, len(raw) * p) for pair, p in raw.items()}
     if "cif" in methods:
         pooled = [pair for r in results["cif"] for pair in r.pairs]
         if len(pooled) >= 2:
@@ -279,7 +265,7 @@ def _cmd_sweep(args, parser):
     pairs = _load_dataset(args.dataset)
     if not pairs:
         raise RrcifError(f"{args.dataset}: no record files found")
-    subjects, _ = _analyze_subjects(pairs, t=0.0)
+    subjects, _ = _analyze_subjects(pairs)
     if not subjects:
         raise RrcifError(f"{args.dataset}: no subject could be analyzed")
     rows = evaluation.sweep(subjects, t_grid)

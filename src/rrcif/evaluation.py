@@ -10,14 +10,15 @@ statistics. Agreement statistics pool the retained windows of all subjects.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.stats import rankdata
 
-from .fusion import FusionResult, fuse_window
+from .fusion import FusionResult, cif
 from .signal_io import ReferenceRr
-from .spectral import RrEstimate, WindowGrid
+from .spectral import WindowGrid
 
 T_GRID_DEFAULT = tuple(round(0.01 * i, 2) for i in range(31))  # 0 .. 0.3
 LOA_FACTOR = 1.96
@@ -46,16 +47,6 @@ class AgreementStats:
 
 
 @dataclass(frozen=True)
-class SubjectWindows:
-    """Extracted per-window estimates for one subject, ready to re-fuse."""
-
-    id: str
-    estimates: list[list[RrEstimate]]
-    reference: ReferenceRr
-    grid: WindowGrid
-
-
-@dataclass(frozen=True)
 class SweepRow:
     t: float
     rmse_p25: float
@@ -74,8 +65,12 @@ def reference_at(reference: ReferenceRr, window: tuple[float, float]) -> float:
     return float(np.interp(center, reference.times_s, reference.rr))
 
 
+def _reference_rates(reference: ReferenceRr, grid: WindowGrid) -> np.ndarray:
+    return np.array([reference_at(reference, window) for window in grid.windows])
+
+
 def score_subject(
-    fusions: list[FusionResult],
+    fusion: FusionResult,
     reference: ReferenceRr,
     grid: WindowGrid,
     subject_id: str = "",
@@ -83,49 +78,40 @@ def score_subject(
     t: float = float("nan"),
 ) -> SubjectResult:
     """RMSE over retained windows and the retained fraction of all windows."""
-    windows = grid.windows
-    pairs = []
-    for fusion in fusions:
-        if fusion.retained:
-            ref = reference_at(reference, windows[fusion.window_index])
-            pairs.append((float(fusion.rr_fusion), ref))
-    retention = len(pairs) / len(windows) if windows else 0.0
-    rmse = None
-    if pairs:
-        err = np.array([est - ref for est, ref in pairs])
-        rmse = float(np.sqrt(np.mean(err**2)))
-    return SubjectResult(id=subject_id, method=method, t=t, rmse=rmse, retention=retention, pairs=pairs)
+    kept = np.asarray(fusion.retained, dtype=bool)
+    est = np.asarray(fusion.rr_fusion)[kept]
+    ref = _reference_rates(reference, grid)[kept]
+    retention = est.size / grid.count if grid.count else 0.0
+    rmse = float(np.sqrt(np.mean((est - ref) ** 2))) if est.size else None
+    return SubjectResult(
+        id=subject_id, method=method, t=t, rmse=rmse, retention=retention, pairs=list(zip(est.tolist(), ref.tolist()))
+    )
 
 
-def score_at(subject: SubjectWindows, t: float, method: str = "CIF") -> SubjectResult:
-    """Covariance-intersection score of pre-extracted estimates at gate t."""
-    fusions = [fuse_window(window_estimates, t) for window_estimates in subject.estimates]
-    return score_subject(fusions, subject.reference, subject.grid, subject.id, method, t)
+def sweep(subjects, t_grid=T_GRID_DEFAULT) -> list[SweepRow]:
+    """Across-subject RMSE quartiles and median retention per CIF threshold.
 
-
-def sweep(subjects: list[SubjectWindows], t_grid=T_GRID_DEFAULT) -> list[SweepRow]:
-    """Across-subject RMSE quartiles and median retention per threshold."""
+    `subjects` holds (RecordAnalysis, ReferenceRr) pairs; each subject is
+    fused at every threshold of `t_grid` in one call.
+    """
     if not subjects:
         raise ValueError("need at least one subject")
-    rows = []
-    for t in t_grid:
-        results = [score_at(s, t) for s in subjects]
-        rmses = np.array([r.rmse if r.rmse is not None else np.nan for r in results])
-        retentions = np.array([r.retention for r in results])
-        if np.all(np.isnan(rmses)):
-            p25 = med = p75 = float("nan")
-        else:
-            p25, med, p75 = (float(np.nanpercentile(rmses, q)) for q in (25, 50, 75))
-        rows.append(
-            SweepRow(
-                t=float(t),
-                rmse_p25=p25,
-                rmse_median=med,
-                rmse_p75=p75,
-                retention_median=float(np.median(retentions)),
-            )
-        )
-    return rows
+    t_grid = np.asarray(t_grid, dtype=float)
+    rmse, retention = [], []
+    for analysis, reference in subjects:
+        fused = cif(analysis.estimates.rr, analysis.estimates.ni, t_grid)
+        n_kept = fused.retained.sum(axis=-1)
+        sq_err = (fused.rr_fusion - _reference_rates(reference, analysis.grid)) ** 2
+        with np.errstate(invalid="ignore"):
+            rmse.append(np.sqrt(np.nansum(sq_err, axis=-1) / n_kept))
+        retention.append(n_kept / max(analysis.grid.count, 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # a threshold no subject retains gives NaN
+        quartiles = np.nanpercentile(rmse, (25, 50, 75), axis=0)
+    return [
+        SweepRow(t=float(t), rmse_p25=float(p25), rmse_median=float(med), rmse_p75=float(p75), retention_median=float(r))
+        for t, (p25, med, p75), r in zip(t_grid, quartiles.T, np.median(retention, axis=0))
+    ]
 
 
 def agreement(pairs) -> AgreementStats:

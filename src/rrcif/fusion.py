@@ -13,10 +13,15 @@ estimate follows from the convex information-space combination
     1/C_f = sum_i w_i / C_i,
     x_f   = C_f * sum_i w_i * x_i / C_i.
 
+This is the only place the noise-index gate is applied.
+
 Smart Fusion instead averages a fixed set of variations (RIIV/RIAV/RIFV for
-SF3, all five for SF5) and discards the window when any of them is missing,
-artifact-skipped, or when the sample standard deviation across them exceeds
-4 breaths/min. It applies no noise-index gating.
+SF3, all five for SF5) and discards the window when any of them is unrated,
+or when the sample standard deviation across them exceeds 4 breaths/min. It
+applies no noise-index gating.
+
+Both fuse over the last axis of (window, variation) arrays such as an
+:class:`EstimateTable`'s, where NaN marks an unrated pair.
 """
 
 from __future__ import annotations
@@ -46,101 +51,72 @@ SF5 = SfConfig(kinds=ALL_KINDS)
 
 @dataclass(frozen=True)
 class FusionResult:
-    """Fused rate for one window; ``retained`` False marks a gap."""
+    """Per-window arrays; ``retained`` False marks a gap, where the rate is NaN.
 
-    window_index: int
-    rr_fusion: float | None
-    c_fusion: float | None
-    weights: dict[RivKind, float]
-    contributors: tuple[RivKind, ...]
-    retained: bool
+    ``c_fusion`` is NaN for Smart Fusion; ``contributors`` flags the
+    variations fused in each window.
+    """
+
+    rr_fusion: np.ndarray
+    c_fusion: np.ndarray
+    contributors: np.ndarray
+    retained: np.ndarray
 
 
 def cif_weights(covariances) -> np.ndarray:
-    """Weights satisfying the equal-product condition and summing to one."""
+    """Weights over the last axis satisfying the equal-product condition and
+    summing to one; an infinite covariance gets zero weight."""
     c = np.asarray(covariances, dtype=float)
     if c.size < 1:
         raise ValueError("need at least one covariance")
     if np.any(c <= 0):
         raise ValueError(f"covariances must be positive, got {c}")
     inv = 1.0 / c
-    return inv / inv.sum()
+    return inv / inv.sum(axis=-1, keepdims=True)
 
 
-def cif_fuse(estimates) -> tuple[float, float]:
-    """Fuse (rate, noise index) pairs; returns (x_fusion, c_fusion).
+def cif(rr, ni, t) -> FusionResult:
+    """Covariance-intersection fusion of each row of (rate, noise index) pairs.
 
-    Covariances are 1 - ni floored at COVARIANCE_FLOOR. Raises
-    :class:`EmptyFusionError` on empty input so the caller records a gap.
+    A pair contributes when its noise index is at least t (NaN never does);
+    covariances are 1 - ni floored at COVARIANCE_FLOOR. `t` may be an array
+    of thresholds, which become the leading axes of the result. Raises
+    :class:`EmptyFusionError` when the rows hold no pairs at all.
     """
-    pairs = list(estimates)
-    if not pairs:
+    rr = np.asarray(rr, dtype=float)
+    ni = np.asarray(ni, dtype=float)
+    t = np.asarray(t, dtype=float)
+    if rr.shape[-1:] in ((), (0,)):
         raise EmptyFusionError("no estimates to fuse")
-    x = np.array([p[0] for p in pairs], dtype=float)
-    ni = np.array([p[1] for p in pairs], dtype=float)
+    if not np.all((t >= 0.0) & (t <= 1.0)):
+        raise ValueError(f"threshold t must lie in [0, 1], got {t}")
     if np.any((ni < 0) | (ni > 1)):
         raise ValueError("noise indices must lie in [0, 1]")
-    c = np.maximum(1.0 - ni, COVARIANCE_FLOOR)
-    w = cif_weights(c)
-    c_fusion = 1.0 / np.sum(w / c)
-    x_fusion = c_fusion * np.sum(w * x / c)
-    return float(x_fusion), float(c_fusion)
+    use = ni >= t.reshape(t.shape + (1,) * ni.ndim)
+    c = np.where(use, np.maximum(1.0 - ni, COVARIANCE_FLOOR), np.inf)
+    x = np.where(use, rr, 0.0)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        w = cif_weights(c)
+        c_fusion = 1.0 / np.sum(w / c, axis=-1)
+        x_fusion = c_fusion * np.sum(w * x / c, axis=-1)
+    return FusionResult(rr_fusion=x_fusion, c_fusion=c_fusion, contributors=use, retained=use.any(axis=-1))
 
 
-def fuse_window(estimates, t: float) -> FusionResult:
-    """Covariance-intersection fusion of one window's estimates at gate t.
-
-    An estimate contributes when it carries a rate and its noise index is at
-    least t; the gate is re-applied here so the same extracted estimates can
-    be fused at any threshold.
-    """
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"threshold t must lie in [0, 1], got {t}")
-    estimates = list(estimates)
-    window_index = estimates[0].window_index if estimates else -1
-    usable = [e for e in estimates if e.rr is not None and e.ni is not None and e.ni >= t]
-    if not usable:
-        return FusionResult(window_index, None, None, {}, (), retained=False)
-    c = np.maximum(1.0 - np.array([e.ni for e in usable]), COVARIANCE_FLOOR)
-    w = cif_weights(c)
-    c_fusion = 1.0 / np.sum(w / c)
-    x_fusion = c_fusion * np.sum(w * np.array([e.rr for e in usable]) / c)
-    return FusionResult(
-        window_index=window_index,
-        rr_fusion=float(x_fusion),
-        c_fusion=float(c_fusion),
-        weights={e.kind: float(wi) for e, wi in zip(usable, w)},
-        contributors=tuple(e.kind for e in usable),
-        retained=True,
-    )
-
-
-def smart_fusion(estimates, config: SfConfig) -> FusionResult:
+def smart_fusion(rr, config: SfConfig) -> FusionResult:
     """Smart Fusion baseline: mean of a fixed set, discarded on disagreement.
 
-    The window is dropped when any configured variation is missing or
-    artifact-skipped, or when the sample standard deviation (ddof=1) of the
-    configured rates exceeds the 4 breaths/min limit. Noise indices are
-    ignored.
+    A row is dropped when any configured variation is unrated, or when the
+    sample standard deviation (ddof=1) of the configured rates exceeds the
+    4 breaths/min limit. Noise indices are ignored.
     """
-    estimates = list(estimates)
-    window_index = estimates[0].window_index if estimates else -1
-    by_kind = {e.kind: e for e in estimates}
-    rates = []
-    for kind in config.kinds:
-        e = by_kind.get(kind)
-        if e is None or e.rr is None:
-            return FusionResult(window_index, None, None, {}, (), retained=False)
-        rates.append(e.rr)
-    rates = np.array(rates)
-    if float(np.std(rates, ddof=1)) > config.sd_limit:
-        return FusionResult(window_index, None, None, {}, (), retained=False)
-    share = 1.0 / len(config.kinds)
+    rr = np.asarray(rr, dtype=float)
+    member = np.array([kind in config.kinds for kind in ALL_KINDS])
+    rates = rr[..., member]
+    with np.errstate(invalid="ignore"):
+        retained = np.isfinite(rates).all(axis=-1) & ~(np.std(rates, axis=-1, ddof=1) > config.sd_limit)
     return FusionResult(
-        window_index=window_index,
-        rr_fusion=float(np.mean(rates)),
-        c_fusion=None,
-        weights={kind: share for kind in config.kinds},
-        contributors=tuple(config.kinds),
-        retained=True,
+        rr_fusion=np.where(retained, np.mean(rates, axis=-1), np.nan),
+        c_fusion=np.full(retained.shape, np.nan),
+        contributors=retained[..., None] & member,
+        retained=retained,
     )

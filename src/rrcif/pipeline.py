@@ -1,28 +1,18 @@
-"""End-to-end wiring: record -> beats -> variation series -> windowed
-estimates -> fused rates. All stages are pure, so different recordings can
-be processed in parallel.
+"""End-to-end wiring: record -> beats -> variation series -> estimate table
+-> fused rates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BoundsError
-from .evaluation import SubjectWindows
-from .fusion import SF3, SF5, FusionResult, fuse_window, smart_fusion
+import numpy as np
+
+from .fusion import SF3, SF5, FusionResult, cif, smart_fusion
 from .preprocess import Beat, bandpass, flag_artifacts, segment_beats
 from .riv import ALL_KINDS, RivKind, RivSeries, extract
-from .signal_io import PpgRecord, ReferenceRr
-from .spectral import (
-    DEFAULT_THRESHOLD,
-    RrEstimate,
-    WindowGrid,
-    artifact_estimate,
-    estimate_rr,
-    fit_power_law,
-    gate,
-    window_spectrum,
-)
+from .signal_io import PpgRecord
+from .spectral import DEFAULT_THRESHOLD, EstimateTable, WindowGrid, rate_windows
 
 METHODS = ("cif", "sf3", "sf5")
 
@@ -33,58 +23,34 @@ class RecordAnalysis:
 
     record_id: str
     grid: WindowGrid
-    estimates: list[list[RrEstimate]]
+    estimates: EstimateTable
     beats: list[Beat]
     rivs: dict[RivKind, RivSeries]
 
 
-def analyze_record(record: PpgRecord, t: float = DEFAULT_THRESHOLD) -> RecordAnalysis:
+def analyze_record(record: PpgRecord) -> RecordAnalysis:
     """Run preprocessing, variation extraction and spectral estimation.
 
-    Windows that an artifact touches, or that start before the first beat,
-    yield artifact placeholders; every other (window, variation) pair carries
-    a rate and noise index gated at `t`. Estimates keep their noise index, so
-    they can be re-fused at any other threshold later.
+    Every (window, variation) pair gets a rate and noise index, or NaN and
+    the reason it was not rated. No threshold is applied here, so the
+    estimates can be fused at any threshold later.
     """
     filtered = bandpass(record)
     beats = flag_artifacts(segment_beats(filtered), record=record)
     rivs = {kind: extract(beats, kind, t_end=record.duration_s) for kind in ALL_KINDS}
     grid = WindowGrid(duration_s=record.duration_s)
-
-    estimates: list[list[RrEstimate]] = []
-    for w_idx, window in enumerate(grid.windows):
-        per_window = []
-        for kind in ALL_KINDS:
-            try:
-                spectrum = window_spectrum(rivs[kind], window)
-            except BoundsError:
-                spectrum = None
-            if spectrum is None:
-                per_window.append(artifact_estimate(kind, w_idx))
-                continue
-            spectrum = fit_power_law(spectrum)
-            per_window.append(gate(estimate_rr(spectrum), t, kind, w_idx))
-        estimates.append(per_window)
+    columns = [rate_windows(rivs[kind], grid) for kind in ALL_KINDS]
+    rr, ni, reason = (np.stack(arrays, axis=-1) for arrays in zip(*columns))
+    estimates = EstimateTable(rr=rr, ni=ni, reason=reason)
     return RecordAnalysis(record_id=record.id, grid=grid, estimates=estimates, beats=beats, rivs=rivs)
 
 
-def fuse_estimates(estimates: list[list[RrEstimate]], method: str = "cif", t: float = DEFAULT_THRESHOLD) -> list[FusionResult]:
-    """Fuse per-window estimate lists with 'cif', 'sf3' or 'sf5'."""
+def fuse_estimates(estimates: EstimateTable, method: str = "cif", t: float = DEFAULT_THRESHOLD) -> FusionResult:
+    """Fuse every window of an estimate table with 'cif', 'sf3' or 'sf5'."""
     if method == "cif":
-        return [fuse_window(e, t) for e in estimates]
+        return cif(estimates.rr, estimates.ni, t)
     if method == "sf3":
-        return [smart_fusion(e, SF3) for e in estimates]
+        return smart_fusion(estimates.rr, SF3)
     if method == "sf5":
-        return [smart_fusion(e, SF5) for e in estimates]
+        return smart_fusion(estimates.rr, SF5)
     raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
-
-
-def fuse_all(analysis: RecordAnalysis, method: str = "cif", t: float = DEFAULT_THRESHOLD) -> list[FusionResult]:
-    """Fuse every window of an analyzed record with the chosen method."""
-    return fuse_estimates(analysis.estimates, method, t)
-
-
-def subject_windows(record: PpgRecord, reference: ReferenceRr, t: float = DEFAULT_THRESHOLD) -> SubjectWindows:
-    """Analyze a record and bundle it with its reference for scoring."""
-    analysis = analyze_record(record, t)
-    return SubjectWindows(id=record.id, estimates=analysis.estimates, reference=reference, grid=analysis.grid)

@@ -55,12 +55,19 @@ class Beat:
 
 
 def bandpass(record: PpgRecord) -> PpgRecord:
-    """Zero-phase 0.4-8 Hz band-pass; length preserved, DC removed."""
+    """Zero-phase 0.4-8 Hz band-pass; length preserved, DC removed.
+
+    Raises :class:`InsufficientSignalError` when the record is not longer
+    than the filter's edge padding.
+    """
     if record.fs < MIN_FS_HZ:
         raise UnsupportedRateError(f"fs {record.fs:g} Hz < {MIN_FS_HZ:g} Hz minimum")
     sos = sp_signal.butter(FILTER_ORDER, BAND_HZ, btype="bandpass", output="sos", fs=record.fs)
+    padlen = 3 * (2 * len(sos) + 1)  # the edge extension sosfiltfilt uses for this filter
+    if record.samples.size <= padlen:
+        raise InsufficientSignalError(f"{record.samples.size} samples, the band-pass filter needs > {padlen}")
     x = record.samples - np.mean(record.samples)
-    y = sp_signal.sosfiltfilt(sos, x)
+    y = sp_signal.sosfiltfilt(sos, x, padlen=padlen)
     y -= np.mean(y)  # filter edge transients leave a residual mean
     return PpgRecord(id=record.id, fs=record.fs, samples=y)
 

@@ -18,6 +18,9 @@ which would shrink the peak-to-sum ratio by that same factor. The noise-index
 denominator is therefore rescaled to the native (pre-padding) resolution so
 its 0-1 range and the 0.13 default gate keep their meaning regardless of
 padding; see :func:`estimate_rr`.
+
+One kernel works over the last array axis: :func:`rate_windows` runs it on
+all windows of a series at once, the single-window functions on one.
 """
 
 from __future__ import annotations
@@ -27,15 +30,18 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import BoundsError
-from .riv import RivKind, RivSeries
+from .riv import RivSeries
 
 WINDOW_S = 32.0
 SHIFT_S = 2.0
 NFFT = 4096
 RR_BAND_BPM = (4.0, 65.0)
 FIT_BANDS_BPM = ((2.0, 4.0), (65.0, 100.0))
+MAX_BPM = FIT_BANDS_BPM[-1][1]
 MIN_FIT_BINS = 5
+BATCH_ROWS = 64  # windows per rFFT call, which bounds the complex spectra held at once
 DEFAULT_THRESHOLD = 0.13
+REASONS = ("none", "artifact", "out_of_range", "fit_degenerate")
 
 
 @dataclass(frozen=True)
@@ -72,15 +78,121 @@ class PowerSpectrum:
 
 
 @dataclass(frozen=True)
-class RrEstimate:
-    """Per-variation, per-window rate estimate with quality gating."""
+class EstimateTable:
+    """Rate and noise index of every (window, variation) pair of one record.
 
-    kind: RivKind
-    window_index: int
-    rr: float | None
-    ni: float | None
-    valid: bool
-    invalid_reason: str = "none"  # none | artifact | low_ni | fit_degenerate
+    Arrays have shape (n_windows, 5), columns in ALL_KINDS order. ``rr`` and
+    ``ni`` are NaN where a pair was not rated, and ``reason`` (one of
+    REASONS; "none" when rated) says why. Gating is left to fusion.
+    """
+
+    rr: np.ndarray
+    ni: np.ndarray
+    reason: np.ndarray
+
+
+# ---------------------------------------------------------------------------
+# the kernel: every function works over the last axis
+
+
+def _freqs(fs: float) -> np.ndarray:
+    return np.fft.rfftfreq(NFFT, d=1.0 / fs) * 60.0
+
+
+def _power(x: np.ndarray, n_bins: int | None = None) -> np.ndarray:
+    """Tapered, zero-padded power spectra of the rows of x, first n_bins bins.
+
+    A constant row has exactly zero power: mean subtraction would leave
+    rounding residue that the scale-free noise index could pick up.
+    """
+    n_win = x.shape[-1]
+    constant = np.ptp(x, axis=-1) == 0
+    tapered = (x - np.mean(x, axis=-1, keepdims=True)) * np.hamming(n_win)
+    P = np.abs(np.fft.rfft(tapered, NFFT, axis=-1)[..., :n_bins]) ** 2
+    P[constant] = 0.0
+    return P
+
+
+def _fit(f: np.ndarray, P: np.ndarray):
+    """Least-squares line through (log f, log P) over the fit bands, and its power law.
+
+    Only bins with positive power count. Returns (P_fit, a, k, degenerate);
+    a row with fewer than MIN_FIT_BINS usable bins is degenerate and gets
+    a = 0, k = -inf, i.e. P_fit = 0.
+    """
+    sel = np.zeros(f.size, dtype=bool)
+    for lo, hi in FIT_BANDS_BPM:
+        sel |= (f >= lo) & (f <= hi)
+    logf = np.log(f[sel])
+    use = P[..., sel] > 0
+    n = use.sum(axis=-1)
+    degenerate = n < MIN_FIT_BINS
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logp = np.log(np.where(use, P[..., sel], 1.0))
+        f_mean = np.sum(use * logf, axis=-1) / n
+        p_mean = np.sum(logp, axis=-1) / n
+        df = np.where(use, logf - f_mean[..., None], 0.0)
+        a = np.sum(df * (logp - p_mean[..., None]), axis=-1) / np.sum(df * df, axis=-1)
+    a = np.where(degenerate, 0.0, a)
+    k = np.where(degenerate, -np.inf, p_mean - a * f_mean)
+    out = np.zeros(np.shape(a) + f.shape)
+    P_fit = np.exp(k)[..., None] * np.power(f, a[..., None], where=f > 0, out=out)
+    return P_fit, a, k, degenerate
+
+
+def _rate_ni(f: np.ndarray, P_out: np.ndarray, n_window: int):
+    """Rate at the in-band residual maximum and the native-resolution noise index."""
+    band = (f >= RR_BAND_BPM[0]) & (f <= RR_BAND_BPM[1])
+    residual = P_out[..., band]
+    peak = np.argmax(residual, axis=-1)
+    rr = f[band][peak]
+    denom = np.clip(residual, 0.0, None).sum(axis=-1) * n_window / NFFT
+    top = np.take_along_axis(residual, np.expand_dims(peak, -1), axis=-1)[..., 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ni = np.where(denom > 0.0, np.minimum(np.maximum(top, 0.0) / denom, 1.0), 0.0)
+    return rr, ni
+
+
+# ---------------------------------------------------------------------------
+# one record: every window of one series
+
+
+def rate_windows(series: RivSeries, grid: WindowGrid):
+    """Rate and noise index of every grid window of one series.
+
+    Returns (rr, ni, reason) arrays of length grid.count. A window not fully
+    inside the series is "out_of_range" (as the first window is when the
+    first beat comes 0.2 s or more into the record), one touched by an
+    artifact is "artifact", and one whose background fit is degenerate is
+    "fit_degenerate"; all three carry NaN rate and noise index.
+    """
+    n_win = int(round(grid.window_s * series.fs))
+    starts = np.arange(grid.count) * grid.shift_s
+    i0 = np.ceil((starts - series.t0) * series.fs - 1e-9).astype(int)
+    size = series.values.size
+    inside = (i0 >= 0) & (i0 + n_win <= size)
+    hits = np.concatenate(([0], np.cumsum(series.artifact_mask)))
+    touched = hits[np.clip(i0 + n_win, 0, size)] > hits[np.clip(i0, 0, size)]
+    reason = np.full(grid.count, "none", dtype="<U14")
+    reason[~inside] = "out_of_range"
+    reason[inside & touched] = "artifact"
+
+    rated = np.flatnonzero(reason == "none")
+    freqs = _freqs(series.fs)
+    freqs = freqs[freqs <= MAX_BPM]
+    rr, ni = np.full((2, grid.count), np.nan)
+    for block in np.array_split(rated, max(1, -(-rated.size // BATCH_ROWS))):
+        P = _power(series.values[i0[block, None] + np.arange(n_win)], freqs.size)
+        P_fit, _, _, degenerate = _fit(freqs, P)
+        rr[block], ni[block] = _rate_ni(freqs, P - P_fit, n_win)
+        reason[block[degenerate]] = "fit_degenerate"
+    unfit = reason == "fit_degenerate"
+    rr[unfit] = ni[unfit] = np.nan
+    return rr, ni, reason
+
+
+# ---------------------------------------------------------------------------
+# one window, for inspection
 
 
 def window_spectrum(series: RivSeries, window: tuple[float, float]) -> PowerSpectrum | None:
@@ -95,37 +207,20 @@ def window_spectrum(series: RivSeries, window: tuple[float, float]) -> PowerSpec
         raise BoundsError(f"window [{start:g}, {end:g}) s outside series extent")
     if series.artifact_mask[i0 : i0 + n_win].any():
         return None
-    x = series.values[i0 : i0 + n_win]
-    freqs = np.fft.rfftfreq(NFFT, d=1.0 / series.fs) * 60.0
-    if np.ptp(x) == 0:
-        # constant window: exactly zero power (mean subtraction would leave
-        # rounding residue that the scale-free noise index could pick up)
-        return PowerSpectrum(freqs=freqs, P=np.zeros(freqs.size), n_window=n_win)
-    x = (x - np.mean(x)) * np.hamming(n_win)
-    power = np.abs(np.fft.rfft(x, NFFT)) ** 2
-    return PowerSpectrum(freqs=freqs, P=power, n_window=n_win)
+    return PowerSpectrum(freqs=_freqs(series.fs), P=_power(series.values[i0 : i0 + n_win]), n_window=n_win)
 
 
 def fit_power_law(spectrum: PowerSpectrum) -> PowerSpectrum:
     """Fit log(P) = a*log(f) + k over the fit bands and subtract the model.
 
     Only bins with positive power count toward the fit; with fewer than
-    MIN_FIT_BINS usable bins (or a degenerate abscissa) the spectrum is
-    flagged and returned with P_fit = 0, i.e. no subtraction.
+    MIN_FIT_BINS usable bins the spectrum is flagged and returned with
+    P_fit = 0, i.e. no subtraction.
     """
-    f, P = spectrum.freqs, spectrum.P
-    sel = np.zeros(f.size, dtype=bool)
-    for lo, hi in FIT_BANDS_BPM:
-        sel |= (f >= lo) & (f <= hi)
-    sel &= P > 0
-    if sel.sum() < MIN_FIT_BINS or np.ptp(np.log(f[sel])) == 0:
-        zeros = np.zeros_like(P)
-        return replace(spectrum, P_fit=zeros, P_out=P - zeros, fit_degenerate=True)
-    logf, logp = np.log(f[sel]), np.log(P[sel])
-    a, k = np.polyfit(logf, logp, 1)
-    with np.errstate(divide="ignore"):
-        P_fit = np.exp(k) * np.power(f, a, where=f > 0, out=np.zeros_like(f))
-    return replace(spectrum, P_fit=P_fit, P_out=P - P_fit, a=float(a), k=float(k))
+    P_fit, a, k, degenerate = _fit(spectrum.freqs, spectrum.P)
+    if degenerate:
+        return replace(spectrum, P_fit=P_fit, P_out=spectrum.P - P_fit, fit_degenerate=True)
+    return replace(spectrum, P_fit=P_fit, P_out=spectrum.P - P_fit, a=float(a), k=float(k))
 
 
 def estimate_rr(spectrum: PowerSpectrum) -> tuple[float, float]:
@@ -138,37 +233,7 @@ def estimate_rr(spectrum: PowerSpectrum) -> tuple[float, float]:
     -resolution peak scores ~1 and a uniform residual scores 1 over the band
     width in native bins; the result is clipped to [0, 1].
     """
-    f, P_out = spectrum.freqs, spectrum.P_out
-    if P_out is None:
+    if spectrum.P_out is None:
         raise ValueError("call fit_power_law before estimate_rr")
-    band = (f >= RR_BAND_BPM[0]) & (f <= RR_BAND_BPM[1])
-    residual = P_out[band]
-    peak_idx = int(np.argmax(residual))
-    rr = float(f[band][peak_idx])
-    nfft = 2 * (f.size - 1)
-    denom = float(np.clip(residual, 0.0, None).sum()) * spectrum.n_window / nfft
-    if denom <= 0.0:
-        return rr, 0.0
-    ni = max(residual[peak_idx], 0.0) / denom
-    return rr, float(min(ni, 1.0))
-
-
-def gate(estimate: tuple[float, float], t: float, kind: RivKind, window_index: int) -> RrEstimate:
-    """Apply the noise-index threshold; ni >= t passes."""
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"threshold t must lie in [0, 1], got {t}")
-    rr, ni = estimate
-    valid = ni >= t
-    return RrEstimate(
-        kind=kind,
-        window_index=window_index,
-        rr=rr,
-        ni=ni,
-        valid=valid,
-        invalid_reason="none" if valid else "low_ni",
-    )
-
-
-def artifact_estimate(kind: RivKind, window_index: int) -> RrEstimate:
-    """The placeholder estimate for an artifact-skipped window."""
-    return RrEstimate(kind=kind, window_index=window_index, rr=None, ni=None, valid=False, invalid_reason="artifact")
+    rr, ni = _rate_ni(spectrum.freqs, spectrum.P_out, spectrum.n_window)
+    return float(rr), float(ni)

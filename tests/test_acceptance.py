@@ -16,7 +16,7 @@ import pytest
 from scipy.stats import rankdata, spearmanr
 
 from rrcif import evaluation, pipeline, signal_io
-from rrcif.fusion import COVARIANCE_FLOOR, cif_fuse
+from rrcif.fusion import COVARIANCE_FLOOR, cif
 from rrcif.signal_io import ModDepths, SynthSpec
 from rrcif.spectral import NFFT, PowerSpectrum, fit_power_law
 
@@ -58,7 +58,8 @@ def test_criterion_1_cif_algebra_oracle():
         xs = rng.uniform(4.0, 65.0, n)
         nis = rng.uniform(0.0, 0.999, n)
         covs = np.maximum(1.0 - nis, COVARIANCE_FLOOR)
-        x_fused, c_fused = cif_fuse(list(zip(xs, nis)))
+        fused = cif(xs, nis, 0.0)
+        x_fused, c_fused = float(fused.rr_fusion), float(fused.c_fusion)
         x_ref, c_ref, w_ref = _solve_fusion_directly(xs, covs)
         worst = max(worst, abs(x_fused - x_ref) / abs(x_ref), abs(c_fused - c_ref) / abs(c_ref))
         assert xs.min() - 1e-9 <= x_fused <= xs.max() + 1e-9
@@ -118,8 +119,8 @@ def recovery_results():
         spec = SynthSpec(rr=rr, hr=hr, duration_s=480.0, fs=100.0,
                          depths=ModDepths(0.1, 0.1, 0.1, 0.1, 0.1), noise_sd=0.02, seed=seed)
         record, reference = signal_io.synthesize(spec)
-        analysis = pipeline.analyze_record(record, t=0.13)
-        fusions = pipeline.fuse_all(analysis, "cif", t=0.13)
+        analysis = pipeline.analyze_record(record)
+        fusions = pipeline.fuse_estimates(analysis.estimates, "cif", t=0.13)
         results.append(evaluation.score_subject(fusions, reference, analysis.grid, record.id, "CIF", 0.13))
     return results, time.perf_counter() - start
 
@@ -143,7 +144,7 @@ def test_criterion_4_tradeoff_shape():
     subjects = []
     for rr, hr, seed in [(12.0, 74.0, 1), (20.0, 80.0, 2), (30.0, 76.0, 3), (16.0, 84.0, 4), (24.0, 78.0, 5)]:
         record, reference = make_synth(rr=rr, hr=hr, depths=(0.015,) * 5, noise=0.1, seed=seed)
-        subjects.append(pipeline.subject_windows(record, reference, t=0.0))
+        subjects.append((pipeline.analyze_record(record), reference))
     rows = evaluation.sweep(subjects)
     retention = np.array([r.retention_median for r in rows])
     rmse = np.array([r.rmse_median for r in rows])
@@ -167,10 +168,10 @@ def test_criterion_5_cif_beats_sf5_without_rifv():
         record, reference = make_synth(
             rr=18.0 + seed % 5, hr=80.0, depths=(0.1, 0.1, 0.0, 0.1, 0.1), noise=0.1, seed=seed
         )
-        analysis = pipeline.analyze_record(record, t=0.13)
+        analysis = pipeline.analyze_record(record)
         scores = {}
         for method in ("cif", "sf5"):
-            fusions = pipeline.fuse_all(analysis, method, t=0.13)
+            fusions = pipeline.fuse_estimates(analysis.estimates, method, t=0.13)
             scores[method] = evaluation.score_subject(fusions, reference, analysis.grid, record.id, method, 0.13)
         ordering_holds &= scores["cif"].retention > scores["sf5"].retention
         details.append(f"{scores['cif'].retention:.2f}>{scores['sf5'].retention:.2f}")
@@ -262,10 +263,10 @@ def test_criterion_7_statistics_oracles():
 def test_criterion_8_performance():
     record, _ = make_synth(duration=90.0, seed=9)  # 30 windows
     start = time.perf_counter()
-    analysis = pipeline.analyze_record(record, t=0.13)
-    fusions = pipeline.fuse_all(analysis, "cif", t=0.13)
+    analysis = pipeline.analyze_record(record)
+    fusions = pipeline.fuse_estimates(analysis.estimates, "cif", t=0.13)
     elapsed = time.perf_counter() - start
-    n_estimates = sum(f.retained for f in fusions)
+    n_estimates = int(fusions.retained.sum())
     _check(
         "8 performance",
         analysis.grid.count == 30 and elapsed <= 0.5,

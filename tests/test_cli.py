@@ -164,3 +164,36 @@ def test_benchmark_unknown_method_exit_64(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["benchmark", str(tmp_path), "--methods", "cif,magic"])
     assert exc.value.code == 64
+
+
+def test_benchmark_bonferroni_counts_tested_pairs(tmp_path):
+    from rrcif import evaluation, pipeline
+
+    data = tmp_path / "data"
+    data.mkdir()
+    for i in range(6):
+        _write_subject(data, f"s{i}", rr=12.0 + 3 * i, hr=75.0 + 2 * i, seed=i + 1, noise=0.15)
+    out_dir = tmp_path / "out"
+    assert main(["benchmark", str(data), "--methods", "cif,sf3", "--out", str(out_dir)]) == 0
+    report = json.loads((out_dir / "report.json").read_text())
+
+    scores = {"cif": [], "sf3": []}
+    for i in range(6):
+        analysis = pipeline.analyze_record(read_record(data / f"s{i}.csv"))
+        reference = read_reference(data / f"s{i}_ref.csv")
+        for method in scores:
+            fused = pipeline.fuse_estimates(analysis.estimates, method, 0.13)
+            scores[method].append(evaluation.score_subject(fused, reference, analysis.grid))
+    for metric in ("rmse", "retention"):
+        p = evaluation.wilcoxon_signed_rank(*([getattr(r, metric) for r in scores[m]] for m in ("cif", "sf3")))
+        assert report["wilcoxon_bonferroni"][metric] == {"cif_vs_sf3": pytest.approx(p, rel=1e-12)}
+        if metric == "rmse":
+            assert p < 1.0 / 3.0  # so a tripled p-value would differ
+
+
+def test_estimate_short_record_exit_2(tmp_path, capsys):
+    path = tmp_path / "short.csv"
+    path.write_text("t,ppg\n" + "".join(f"{i / 100:.2f},{(i % 7) / 7:.3f}\n" for i in range(15)))
+    assert main(["estimate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "error" in err and "Traceback" not in err

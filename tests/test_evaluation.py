@@ -6,7 +6,6 @@ import pytest
 from scipy.stats import rankdata
 
 from rrcif.evaluation import (
-    SubjectWindows,
     agreement,
     reference_at,
     score_subject,
@@ -14,19 +13,21 @@ from rrcif.evaluation import (
     wilcoxon_signed_rank,
 )
 from rrcif.fusion import FusionResult
-from rrcif.riv import ALL_KINDS
+from rrcif.pipeline import RecordAnalysis
 from rrcif.signal_io import ReferenceRr
-from rrcif.spectral import RrEstimate, WindowGrid
+from rrcif.spectral import EstimateTable, WindowGrid
 
 
 def _reference(times, rates):
     return ReferenceRr(np.asarray(times, dtype=float), np.asarray(rates, dtype=float))
 
 
-def _fusion(idx, rr=None):
-    retained = rr is not None
-    return FusionResult(window_index=idx, rr_fusion=rr, c_fusion=0.5 if retained else None,
-                        weights={}, contributors=(), retained=retained)
+def _fusion(rates):
+    """One fused value per window; None marks a gap."""
+    retained = np.array([rr is not None for rr in rates])
+    rr = np.array([np.nan if rr is None else rr for rr in rates])
+    return FusionResult(rr_fusion=rr, c_fusion=np.where(retained, 0.5, np.nan),
+                        contributors=np.zeros((len(rates), 5), dtype=bool), retained=retained)
 
 
 # ---------------------------------------------------------------------------
@@ -59,7 +60,7 @@ def test_reference_at_outside_interpolates_center():
 def test_score_perfect():
     grid = WindowGrid(duration_s=480.0)
     ref = _reference(np.arange(0, 481, 2.0), np.full(241, 20.0))
-    fusions = [_fusion(i, 20.0) for i in range(grid.count)]
+    fusions = _fusion([20.0] * grid.count)
     res = score_subject(fusions, ref, grid)
     assert res.rmse == 0.0
     assert res.retention == 1.0
@@ -68,7 +69,7 @@ def test_score_perfect():
 def test_score_constant_error():
     grid = WindowGrid(duration_s=480.0)
     ref = _reference(np.arange(0, 481, 2.0), np.full(241, 20.0))
-    fusions = [_fusion(i, 22.0) for i in range(grid.count)]
+    fusions = _fusion([22.0] * grid.count)
     assert score_subject(fusions, ref, grid).rmse == pytest.approx(2.0)
 
 
@@ -76,14 +77,14 @@ def test_score_retention_ratio():
     grid = WindowGrid(duration_s=480.0)
     assert grid.count == 225
     ref = _reference(np.arange(0, 481, 2.0), np.full(241, 20.0))
-    fusions = [_fusion(i, 20.0 if i < 90 else None) for i in range(grid.count)]
+    fusions = _fusion([20.0 if i < 90 else None for i in range(grid.count)])
     assert score_subject(fusions, ref, grid).retention == pytest.approx(90 / 225)
 
 
 def test_score_no_retained_windows():
     grid = WindowGrid(duration_s=480.0)
     ref = _reference([0.0, 480.0], [20.0, 20.0])
-    res = score_subject([_fusion(i) for i in range(grid.count)], ref, grid)
+    res = score_subject(_fusion([None] * grid.count), ref, grid)
     assert res.rmse is None
     assert res.retention == 0.0
 
@@ -94,14 +95,12 @@ def test_score_no_retained_windows():
 
 def _subject(nis_per_window, rates, duration=480.0, ref_rate=20.0, sid="s"):
     grid = WindowGrid(duration_s=duration)
-    estimates = []
-    for w, nis in enumerate(nis_per_window):
-        estimates.append([
-            RrEstimate(kind=k, window_index=w, rr=r, ni=ni, valid=True)
-            for k, r, ni in zip(ALL_KINDS, rates, nis)
-        ])
+    ni = np.array(nis_per_window, dtype=float)
+    rr = np.broadcast_to(np.asarray(rates, dtype=float), ni.shape)
+    estimates = EstimateTable(rr=rr, ni=ni, reason=np.full(ni.shape, "none"))
     ref = _reference(np.arange(0, duration + 1, 2.0), np.full(int(duration // 2) + 1, ref_rate))
-    return SubjectWindows(id=sid, estimates=estimates, reference=ref, grid=grid)
+    analysis = RecordAnalysis(record_id=sid, grid=grid, estimates=estimates, beats=[], rivs={})
+    return analysis, ref
 
 
 def test_sweep_all_valid_retention_one():

@@ -1,18 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rrcif.errors import EmptyFusionError
 from rrcif.fusion import (
     COVARIANCE_FLOOR,
     SF3,
     SF5,
-    cif_fuse,
+    cif,
     cif_weights,
-    fuse_window,
     smart_fusion,
 )
 from rrcif.riv import ALL_KINDS, RivKind
-from rrcif.spectral import RrEstimate, artifact_estimate
 
 
 def solve_weights(covs):
@@ -36,9 +36,14 @@ def fuse_direct(xs, covs):
     return x, 1.0 / c_inv
 
 
-def estimate(kind, rr, ni, window=0, valid=True):
-    return RrEstimate(kind=kind, window_index=window, rr=rr, ni=ni, valid=valid,
-                      invalid_reason="none" if valid else "low_ni")
+def fuse_pairs(pairs):
+    """(x_fusion, c_fusion) of one row of (rate, noise index) pairs, ungated."""
+    result = cif([p[0] for p in pairs], [p[1] for p in pairs], 0.0)
+    return float(result.rr_fusion), float(result.c_fusion)
+
+
+def kinds(mask):
+    return {kind for kind, used in zip(ALL_KINDS, mask) if used}
 
 
 # ---------------------------------------------------------------------------
@@ -77,23 +82,23 @@ def test_weights_reject_nonpositive():
 
 
 # ---------------------------------------------------------------------------
-# cif_fuse
+# cif on one row of pairs
 
 
 def test_fuse_identity():
-    x, c = cif_fuse([(12.0, 0.5)])
+    x, c = fuse_pairs([(12.0, 0.5)])
     assert x == pytest.approx(12.0)
     assert c == pytest.approx(0.5)
 
 
 def test_fuse_symmetric_mean():
-    x, _ = cif_fuse([(10.0, 0.5), (20.0, 0.5)])
+    x, _ = fuse_pairs([(10.0, 0.5), (20.0, 0.5)])
     assert x == pytest.approx(15.0)
 
 
 def test_fuse_hand_example():
     # C = (0.2, 0.4): x = (10/0.04 + 20/0.16) / (1/0.04 + 1/0.16) = 12
-    x, c = cif_fuse([(10.0, 0.8), (20.0, 0.6)])
+    x, c = fuse_pairs([(10.0, 0.8), (20.0, 0.6)])
     assert x == pytest.approx(12.0, rel=1e-12)
     x_direct, c_direct = fuse_direct([10.0, 20.0], [0.2, 0.4])
     assert x == pytest.approx(x_direct, rel=1e-12)
@@ -106,7 +111,7 @@ def test_fuse_matches_inverse_square_closed_form():
         n = rng.integers(1, 6)
         xs = rng.uniform(4, 65, n)
         nis = rng.uniform(0, 0.999, n)
-        x, _ = cif_fuse(list(zip(xs, nis)))
+        x, _ = fuse_pairs(list(zip(xs, nis)))
         c = np.maximum(1 - nis, COVARIANCE_FLOOR)
         expected = np.sum(xs / c**2) / np.sum(1.0 / c**2)
         assert x == pytest.approx(expected, rel=1e-12)
@@ -114,11 +119,11 @@ def test_fuse_matches_inverse_square_closed_form():
 
 def test_fuse_empty_error():
     with pytest.raises(EmptyFusionError):
-        cif_fuse([])
+        fuse_pairs([])
 
 
 def test_fuse_perfect_ni_uses_floor():
-    x, c = cif_fuse([(18.0, 1.0), (30.0, 0.5)])
+    x, c = fuse_pairs([(18.0, 1.0), (30.0, 0.5)])
     assert x == pytest.approx(18.0, abs=1e-3)  # near-certain estimate dominates
     assert c > 0
 
@@ -128,11 +133,11 @@ def test_fuse_convexity_and_permutation_fuzz():
     for _ in range(300):
         n = rng.integers(1, 6)
         pairs = list(zip(rng.uniform(4, 65, n), rng.uniform(0, 0.999, n)))
-        x, c = cif_fuse(pairs)
+        x, c = fuse_pairs(pairs)
         xs = [p[0] for p in pairs]
         assert min(xs) - 1e-9 <= x <= max(xs) + 1e-9
         order = rng.permutation(n)
-        x2, c2 = cif_fuse([pairs[i] for i in order])
+        x2, c2 = fuse_pairs([pairs[i] for i in order])
         assert x2 == pytest.approx(x, rel=1e-12)
         assert c2 == pytest.approx(c, rel=1e-12)
 
@@ -142,47 +147,53 @@ def test_fuse_monotone_trust():
     target = 25.0
     previous = None
     for ni in (0.1, 0.3, 0.5, 0.7, 0.9, 0.99):
-        x, _ = cif_fuse(others + [(target, ni)])
+        x, _ = fuse_pairs(others + [(target, ni)])
         if previous is not None:
             assert abs(x - target) <= abs(previous - target) + 1e-12
         previous = x
 
 
 # ---------------------------------------------------------------------------
-# fuse_window
+# cif on table rows, gated at t
 
 
 def _window_estimates(nis, rates=None):
+    """One window's (rates, noise indices) in ALL_KINDS order."""
     rates = rates or [10.0, 12.0, 14.0, 16.0, 18.0]
-    return [estimate(kind, rr, ni) for kind, rr, ni in zip(ALL_KINDS, rates, nis)]
+    return np.array(rates, dtype=float), np.array(nis, dtype=float)
+
+
+def _unrated(ests, kind):
+    rr, ni = (a.copy() for a in ests)
+    rr[ALL_KINDS.index(kind)] = ni[ALL_KINDS.index(kind)] = np.nan
+    return rr, ni
 
 
 def test_fuse_window_contributors():
-    ests = _window_estimates([0.5, 0.05, 0.4, 0.01, 0.02])
-    result = fuse_window(ests, t=0.13)
+    rr, ni = _window_estimates([0.5, 0.05, 0.4, 0.01, 0.02])
+    result = cif(rr, ni, t=0.13)
     assert result.retained
-    assert set(result.contributors) == {RivKind.RIIV, RivKind.RIFV}
-    assert sum(result.weights.values()) == pytest.approx(1.0, abs=1e-9)
+    assert kinds(result.contributors) == {RivKind.RIIV, RivKind.RIFV}
+    weights = cif_weights(np.maximum(1.0 - ni[result.contributors], COVARIANCE_FLOOR))
+    assert sum(weights) == pytest.approx(1.0, abs=1e-9)
     assert min(10.0, 14.0) <= result.rr_fusion <= max(10.0, 14.0)
 
 
 def test_fuse_window_all_low_gives_gap():
-    result = fuse_window(_window_estimates([0.01] * 5), t=0.13)
+    result = cif(*_window_estimates([0.01] * 5), t=0.13)
     assert not result.retained
-    assert result.rr_fusion is None and result.contributors == ()
+    assert np.isnan(result.rr_fusion) and not result.contributors.any()
 
 
 def test_fuse_window_equal_ni_is_mean():
-    ests = _window_estimates([0.4] * 5)
-    result = fuse_window(ests, t=0.13)
+    result = cif(*_window_estimates([0.4] * 5), t=0.13)
     assert result.rr_fusion == pytest.approx(np.mean([10.0, 12.0, 14.0, 16.0, 18.0]))
 
 
 def test_fuse_window_skips_artifacts():
-    ests = _window_estimates([0.5] * 5)
-    ests[2] = artifact_estimate(RivKind.RIFV, 0)
-    result = fuse_window(ests, t=0.13)
-    assert RivKind.RIFV not in result.contributors
+    ests = _unrated(_window_estimates([0.5] * 5), RivKind.RIFV)
+    result = cif(*ests, t=0.13)
+    assert RivKind.RIFV not in kinds(result.contributors)
     assert result.retained
 
 
@@ -191,7 +202,7 @@ def test_fuse_window_retention_monotone_in_t():
     windows = [_window_estimates(rng.uniform(0, 1, 5), list(rng.uniform(4, 65, 5))) for _ in range(60)]
     previous = None
     for t in np.linspace(0, 1, 21):
-        retained = sum(fuse_window(w, float(t)).retained for w in windows)
+        retained = sum(cif(*w, float(t)).retained for w in windows)
         if previous is not None:
             assert retained <= previous
         previous = retained
@@ -199,7 +210,63 @@ def test_fuse_window_retention_monotone_in_t():
 
 def test_fuse_window_threshold_error():
     with pytest.raises(ValueError):
-        fuse_window(_window_estimates([0.5] * 5), t=2.0)
+        cif(*_window_estimates([0.5] * 5), t=2.0)
+
+
+def test_gate_boundaries():
+    assert cif([20.0], [0.5], 0.13).retained
+    low = cif([20.0], [0.12], 0.13)
+    assert not low.retained and not low.contributors.any()
+    assert cif([20.0], [0.13], 0.13).retained  # equality passes
+
+
+def test_gate_parameter_error():
+    with pytest.raises(ValueError):
+        cif([20.0], [0.5], 1.5)
+    with pytest.raises(ValueError):
+        cif([20.0], [0.5], -0.1)
+
+
+def test_threshold_grid_matches_single_calls():
+    rng = np.random.default_rng(41)
+    rr = rng.uniform(4, 65, (30, 5))
+    ni = rng.uniform(0, 1, (30, 5))
+    ni[rng.uniform(size=ni.shape) < 0.2] = np.nan
+    t_grid = np.linspace(0, 0.3, 31)
+    grid = cif(rr, ni, t_grid)
+    assert grid.rr_fusion.shape == grid.retained.shape == (31, 30)
+    for j, t in enumerate(t_grid):
+        single = cif(rr, ni, t)
+        np.testing.assert_array_equal(grid.retained[j], single.retained)
+        np.testing.assert_array_equal(grid.rr_fusion[j], single.rr_fusion)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.floats(4.0, 65.0), st.one_of(st.floats(0.0, 1.0), st.just(float("nan")))),
+        min_size=1,
+        max_size=5,
+    ),
+    st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8),
+)
+def test_cif_kernel_properties(pairs, thresholds):
+    rr = np.array([p[0] for p in pairs])
+    ni = np.array([p[1] for p in pairs])
+    t_grid = np.sort(thresholds)
+    result = cif(rr, ni, t_grid)
+    for j in range(t_grid.size):
+        used = result.contributors[j]
+        assert result.retained[j] == used.any()
+        if used.any():
+            assert rr[used].min() - 1e-9 <= result.rr_fusion[j] <= rr[used].max() + 1e-9
+        else:
+            assert np.isnan(result.rr_fusion[j])
+    # retention never rises with t
+    assert np.all(np.diff(result.retained.astype(int)) <= 0)
+    # equal noise indices give the plain mean
+    equal = cif(rr, np.full(rr.size, thresholds[0]), thresholds[0])
+    assert equal.rr_fusion == pytest.approx(np.mean(rr), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -207,40 +274,39 @@ def test_fuse_window_threshold_error():
 
 
 def test_sf3_mean():
-    ests = _window_estimates([0.9, 0.9, 0.9, 0.9, 0.9], [10.0, 11.0, 12.0, 50.0, 60.0])
-    result = smart_fusion(ests, SF3)
+    rr, _ = _window_estimates([0.9, 0.9, 0.9, 0.9, 0.9], [10.0, 11.0, 12.0, 50.0, 60.0])
+    result = smart_fusion(rr, SF3)
     assert result.retained
     assert result.rr_fusion == pytest.approx(11.0)
-    assert set(result.contributors) == {RivKind.RIIV, RivKind.RIAV, RivKind.RIFV}
+    assert kinds(result.contributors) == {RivKind.RIIV, RivKind.RIAV, RivKind.RIFV}
 
 
 def test_sf3_discards_on_disagreement():
     # sd of (10, 12, 20) = sqrt(28) ~ 5.29 > 4
-    ests = _window_estimates([0.9] * 5, [10.0, 12.0, 20.0, 12.0, 12.0])
+    rr, _ = _window_estimates([0.9] * 5, [10.0, 12.0, 20.0, 12.0, 12.0])
     assert np.std([10.0, 12.0, 20.0], ddof=1) == pytest.approx(np.sqrt(28.0))
-    assert not smart_fusion(ests, SF3).retained
+    assert not smart_fusion(rr, SF3).retained
 
 
 def test_sf_boundary_sd_exactly_4_kept():
     rates = [10.0, 14.0, 18.0, 14.0, 14.0]
     assert np.std(rates[:3], ddof=1) == pytest.approx(4.0)  # boundary: not > 4
-    ests = _window_estimates([0.9] * 5, rates)
-    assert smart_fusion(ests, SF3).retained
+    rr, _ = _window_estimates([0.9] * 5, rates)
+    assert smart_fusion(rr, SF3).retained
 
 
 def test_sf5_artifact_skip_discards():
-    ests = _window_estimates([0.9] * 5, [12.0] * 5)
-    ests[4] = artifact_estimate(RivKind.RISV, 0)
-    assert not smart_fusion(ests, SF5).retained
+    rr, _ = _unrated(_window_estimates([0.9] * 5, [12.0] * 5), RivKind.RISV)
+    assert not smart_fusion(rr, SF5).retained
     # SF3 does not use RISV, so it keeps the window
-    assert smart_fusion(ests, SF3).retained
+    assert smart_fusion(rr, SF3).retained
 
 
 def test_sf_missing_kind_discards():
-    ests = [estimate(RivKind.RIIV, 12.0, 0.9), estimate(RivKind.RIAV, 12.0, 0.9)]
-    assert not smart_fusion(ests, SF3).retained
+    rr = np.array([12.0, 12.0, np.nan, np.nan, np.nan])  # only RIIV and RIAV rated
+    assert not smart_fusion(rr, SF3).retained
 
 
 def test_sf_ignores_noise_index():
-    ests = _window_estimates([0.0] * 5, [12.0, 12.5, 13.0, 12.0, 12.5])
-    assert smart_fusion(ests, SF5).retained
+    rr, _ = _window_estimates([0.0] * 5, [12.0, 12.5, 13.0, 12.0, 12.5])
+    assert smart_fusion(rr, SF5).retained

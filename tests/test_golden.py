@@ -57,20 +57,17 @@ def build(name):
 
 def observe(record, reference):
     """The pinned quantities of one record, as a flat dict of arrays."""
-    analysis = pipeline.analyze_record(record, t=0.0)
-    out = {
-        "rr": np.array([[np.nan if e.rr is None else e.rr for e in w] for w in analysis.estimates]),
-        "ni": np.array([[np.nan if e.ni is None else e.ni for e in w] for w in analysis.estimates]),
-    }
+    analysis = pipeline.analyze_record(record)
+    out = {"rr": analysis.estimates.rr, "ni": analysis.estimates.ni}
     for method in METHODS:
-        fusions = pipeline.fuse_all(analysis, method, T)
-        out[f"{method}_rr"] = np.array([np.nan if f.rr_fusion is None else f.rr_fusion for f in fusions])
-        out[f"{method}_retained"] = np.array([f.retained for f in fusions])
+        fusion = pipeline.fuse_estimates(analysis.estimates, method, T)
+        out[f"{method}_rr"] = fusion.rr_fusion
+        out[f"{method}_retained"] = fusion.retained
     return out
 
 
 def sweep_rows(records):
-    subjects = [pipeline.subject_windows(record, reference, t=0.0) for record, reference in records]
+    subjects = [(pipeline.analyze_record(record), reference) for record, reference in records]
     rows = evaluation.sweep(subjects)
     return np.array([[r.t, r.rmse_p25, r.rmse_median, r.rmse_p75, r.retention_median] for r in rows])
 

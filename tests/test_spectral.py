@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from rrcif.errors import BoundsError
+from rrcif.fusion import cif
 from rrcif.riv import RivKind, RivSeries
 from rrcif.spectral import (
     NFFT,
@@ -9,7 +10,7 @@ from rrcif.spectral import (
     WindowGrid,
     estimate_rr,
     fit_power_law,
-    gate,
+    rate_windows,
     window_spectrum,
 )
 
@@ -199,18 +200,61 @@ def test_ni_in_unit_interval_fuzz():
 
 
 # ---------------------------------------------------------------------------
-# gate
+# rate_windows: the batch over every window of a series
 
 
-def test_gate_boundaries():
-    assert gate((20.0, 0.5), 0.13, RivKind.RIIV, 0).valid
-    low = gate((20.0, 0.12), 0.13, RivKind.RIIV, 0)
-    assert not low.valid and low.invalid_reason == "low_ni"
-    assert gate((20.0, 0.13), 0.13, RivKind.RIIV, 0).valid  # equality passes
+def test_batch_matches_single_window():
+    rng = np.random.default_rng(4)
+    t = np.arange(0.0, 90.0, 0.2)
+    series = _series(1.0 + 0.1 * np.sin(2 * np.pi * 0.3 * t) + 0.02 * rng.standard_normal(t.size))
+    grid = WindowGrid(duration_s=90.0)
+    rr, ni, reason = rate_windows(series, grid)
+    assert (reason == "none").all()
+    for i, window in enumerate(grid.windows):
+        single = estimate_rr(fit_power_law(window_spectrum(series, window)))
+        assert rr[i] == single[0]
+        assert ni[i] == pytest.approx(single[1], abs=1e-12)
 
 
-def test_gate_parameter_error():
-    with pytest.raises(ValueError):
-        gate((20.0, 0.5), 1.5, RivKind.RIIV, 0)
-    with pytest.raises(ValueError):
-        gate((20.0, 0.5), -0.1, RivKind.RIIV, 0)
+def test_batch_reasons():
+    mask = np.zeros(450, dtype=bool)
+    mask[300] = True  # t = 61 s, on a 1 s grid offset
+    series, _ = _tone_series(0.3, duration=90.0)
+    series = _series(series.values, t0=1.0, mask=mask)
+    grid = WindowGrid(duration_s=90.0)
+    rr, ni, reason = rate_windows(series, grid)
+    assert reason[0] == "out_of_range"  # starts before the series does
+    touched = [i for i, (start, end) in enumerate(grid.windows) if start <= 61.0 < end]
+    assert touched and (reason[touched] == "artifact").all()
+    unrated = reason != "none"
+    assert np.isnan(rr[unrated]).all() and np.isnan(ni[unrated]).all()
+    assert np.isfinite(rr[~unrated]).all() and np.isfinite(ni[~unrated]).all()
+
+
+def test_constant_window_is_fit_degenerate():
+    values = np.concatenate([np.full(160, 4.2), 1.0 + 0.1 * np.sin(2 * np.pi * 0.3 * np.arange(160, 400) * 0.2)])
+    rr, ni, reason = rate_windows(_series(values), WindowGrid(duration_s=80.0))
+    assert reason[0] == "fit_degenerate"
+    assert np.isnan(rr[0]) and np.isnan(ni[0])
+    assert reason[-1] == "none" and rr[-1] == pytest.approx(18.0, abs=0.5)
+
+    # fused with four rated variations, CIF leaves the degenerate one out even at t = 0
+    tone, _ = _tone_series(0.3, duration=80.0)
+    good_rr, good_ni, _ = rate_windows(tone, WindowGrid(duration_s=80.0))
+    table_rr = np.column_stack([rr] + [good_rr] * 4)
+    table_ni = np.column_stack([ni] + [good_ni] * 4)
+    fused = cif(table_rr, table_ni, 0.0)
+    assert fused.retained[0] and not fused.contributors[0, 0]
+    assert fused.rr_fusion[0] == pytest.approx(good_rr[0])
+
+
+def test_single_bin_spectrum_is_fit_degenerate():
+    f = _grid_freqs()
+    P = np.zeros_like(f)
+    P[int(np.argmin(np.abs(f - 80.0)))] = 5.0  # one positive bin inside a fit band
+    assert fit_power_law(_spectrum_from_power(P)).fit_degenerate
+
+
+def test_empty_grid():
+    rr, ni, reason = rate_windows(_series(np.ones(100)), WindowGrid(duration_s=20.0))
+    assert rr.shape == ni.shape == reason.shape == (0,)
