@@ -42,5 +42,5 @@ reasons, counts = np.unique(table.reason, return_counts=True)
 print("estimate table reasons: " + ", ".join(f"{r}={c}" for r, c in zip(reasons, counts)))
 
 fusion = pipeline.fuse_estimates(table, method="cif", t=0.13)
-result = evaluation.score_subject(fusion, reference, analysis.grid, record.id, "CIF", 0.13)
-print(f"\nCIF at t=0.13 over {analysis.grid.count} windows: RMSE {result.rmse:.3f} breaths/min, retention {result.retention:.3f}")
+rmse, retention = evaluation.score(fusion, evaluation.reference_at(reference, analysis.grid.windows))
+print(f"\nCIF at t=0.13 over {analysis.grid.count} windows: RMSE {rmse:.3f} breaths/min, retention {retention:.3f}")

@@ -19,15 +19,14 @@ from .errors import (
 )
 from .evaluation import (
     AgreementStats,
-    SubjectResult,
     SweepRow,
     agreement,
     reference_at,
-    score_subject,
+    score,
     sweep,
     wilcoxon_signed_rank,
 )
-from .fusion import SF3, SF5, FusionResult, SfConfig, cif, cif_weights, smart_fusion
+from .fusion import SF3, SF5, FusionResult, cif, cif_weights, smart_fusion
 from .pipeline import RecordAnalysis, analyze_record, fuse_estimates
 from .preprocess import Beat, bandpass, flag_artifacts, segment_beats
 from .riv import ALL_KINDS, RivKind, RivSeries, extract

@@ -31,6 +31,7 @@ from .spectral import DEFAULT_THRESHOLD, fit_power_law, window_spectrum
 EXIT_OK = 0
 EXIT_IO = 2
 EXIT_USAGE = 64
+MIN_T_STEP = 0.01
 
 try:
     VERSION = version("rrcif")
@@ -137,42 +138,37 @@ def _cmd_estimate(args, parser):
     return EXIT_OK
 
 
-def _load_dataset(directory):
-    """Yield (record_path, reference_path_or_None) pairs in id order."""
+def _analyze_dataset(directory):
+    """Read and analyze every subject of a dataset directory, in id order.
+
+    A subject is <id>.csv with <id>_ref.csv beside it, or a record JSON with
+    an embedded reference. One that cannot be read or analyzed is warned
+    about and skipped. Returns ((analysis, reference) pairs, skipped names).
+    """
     directory = Path(directory)
-    pairs = []
-    for path in sorted(directory.glob("*.csv")):
-        if path.stem.endswith("_ref"):
-            continue
-        ref = path.with_name(path.stem + "_ref.csv")
-        pairs.append((path, ref if ref.exists() else None))
-    for path in sorted(directory.glob("*.json")):
-        pairs.append((path, None))
-    return pairs
-
-
-def _load_subject(record_path, ref_path):
-    if record_path.suffix.lower() == ".json":
-        record, reference = signal_io.read_record_json(record_path)
-        if reference is None:
-            raise RrcifError(f"{record_path}: JSON record has no embedded reference")
-        return record, reference
-    record = signal_io.read_record(record_path)
-    if ref_path is None:
-        raise RrcifError(f"{record_path}: no matching *_ref.csv reference")
-    return record, signal_io.read_reference(ref_path)
-
-
-def _analyze_subjects(pairs):
-    """Analyze dataset pairs in turn; returns ((analysis, reference) list, skipped names)."""
+    records = sorted(p for p in directory.glob("*.csv") if not p.stem.endswith("_ref"))
+    records += sorted(directory.glob("*.json"))
+    if not records:
+        raise RrcifError(f"{directory}: no record files found")
     subjects, skipped = [], []
-    for record_path, ref_path in pairs:
+    for path in records:
         try:
-            record, reference = _load_subject(record_path, ref_path)
+            if path.suffix == ".json":
+                record, reference = signal_io.read_record_json(path)
+                if reference is None:
+                    raise RrcifError(f"{path}: JSON record has no embedded reference")
+            else:
+                ref_path = path.with_name(path.stem + "_ref.csv")
+                record = signal_io.read_record(path)
+                if not ref_path.exists():
+                    raise RrcifError(f"{path}: no matching *_ref.csv reference")
+                reference = signal_io.read_reference(ref_path)
             subjects.append((pipeline.analyze_record(record), reference))
         except Exception as exc:  # noqa: BLE001 - one bad subject must not end the run
-            print(f"warning: skipping {record_path.name}: {exc}", file=sys.stderr)
-            skipped.append(record_path.name)
+            print(f"warning: skipping {path.name}: {exc}", file=sys.stderr)
+            skipped.append(path.name)
+    if not subjects:
+        raise RrcifError(f"{directory}: no subject could be analyzed")
     subjects.sort(key=lambda s: s[0].record_id)
     return subjects, skipped
 
@@ -183,30 +179,22 @@ def _cmd_benchmark(args, parser):
     for m in methods:
         if m not in pipeline.METHODS:
             parser.error(f"unknown method {m!r}")
-    pairs = _load_dataset(args.dataset)
-    if not pairs:
-        raise RrcifError(f"{args.dataset}: no record files found")
-    subjects, skipped = _analyze_subjects(pairs)
-    if not subjects:
-        raise RrcifError(f"{args.dataset}: no subject could be analyzed")
+    subjects, skipped = _analyze_dataset(args.dataset)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    results = {}
+    ref_rates = [evaluation.reference_at(ref, a.grid.windows) for a, ref in subjects]
+    fused, rmse, retention = {}, {}, {}
     for method in methods:
-        results[method] = [
-            evaluation.score_subject(
-                pipeline.fuse_estimates(a.estimates, method, args.t), ref, a.grid, a.record_id, method.upper(), args.t
-            )
-            for a, ref in subjects
-        ]
+        fused[method] = [pipeline.fuse_estimates(a.estimates, method, args.t) for a, _ in subjects]
+        rmse[method], retention[method] = np.array([evaluation.score(f, r) for f, r in zip(fused[method], ref_rates)]).T
 
     lines = [_header(",".join(methods), args.t), "id,method,t,rmse,retention\n"]
     for method in methods:
-        for r in results[method]:
-            rmse = f"{r.rmse:.6g}" if r.rmse is not None else ""
-            lines.append(f"{r.id},{r.method},{r.t:.2f},{rmse},{r.retention:.6g}\n")
+        for (a, _), subject_rmse, subject_retention in zip(subjects, rmse[method], retention[method]):
+            subject_rmse = "" if np.isnan(subject_rmse) else f"{subject_rmse:.6g}"
+            lines.append(f"{a.record_id},{method.upper()},{args.t:.2f},{subject_rmse},{subject_retention:.6g}\n")
     _emit(out_dir / "subjects.csv", lines)
 
     report = {
@@ -218,27 +206,27 @@ def _cmd_benchmark(args, parser):
         "wilcoxon_bonferroni": {},
     }
     for method in methods:
-        rmses = [r.rmse for r in results[method] if r.rmse is not None]
+        scored = rmse[method][~np.isnan(rmse[method])]
         report["methods"][method] = {
-            "rmse_median": float(np.median(rmses)) if rmses else None,
-            "retention_median": float(np.median([r.retention for r in results[method]])),
+            "rmse_median": float(np.median(scored)) if scored.size else None,
+            "retention_median": float(np.median(retention[method])),
         }
     if len(subjects) >= 6:
-        for metric, pick in (("rmse", lambda r: np.nan if r.rmse is None else r.rmse), ("retention", lambda r: r.retention)):
+        for metric, values in (("rmse", rmse), ("retention", retention)):
             raw = {}
             for i, m1 in enumerate(methods):
                 for m2 in methods[i + 1 :]:
-                    x = np.array([pick(r) for r in results[m1]])
-                    y = np.array([pick(r) for r in results[m2]])
+                    x, y = values[m1], values[m2]
                     keep = ~(np.isnan(x) | np.isnan(y))
                     if keep.sum() >= 6:
                         raw[f"{m1}_vs_{m2}"] = evaluation.wilcoxon_signed_rank(x[keep], y[keep])
             # Bonferroni over the pairs actually tested for this metric
             report["wilcoxon_bonferroni"][metric] = {pair: min(1.0, len(raw) * p) for pair, p in raw.items()}
     if "cif" in methods:
-        pooled = [pair for r in results["cif"] for pair in r.pairs]
-        if len(pooled) >= 2:
-            stats = evaluation.agreement(pooled)
+        est = np.concatenate([f.rr_fusion[f.retained] for f in fused["cif"]])
+        ref = np.concatenate([r[f.retained] for f, r in zip(fused["cif"], ref_rates)])
+        if est.size >= 2:
+            stats = evaluation.agreement(est, ref)
             report["agreement_cif"] = {
                 "r": None if np.isnan(stats.r) else stats.r,
                 "bias": stats.bias,
@@ -255,19 +243,15 @@ def _cmd_benchmark(args, parser):
 def _cmd_sweep(args, parser):
     if args.t_min > args.t_max:
         parser.error(f"--t-min {args.t_min} exceeds --t-max {args.t_max}")
-    if args.t_step <= 0:
-        parser.error("--t-step must be positive")
+    # a finer step would repeat thresholds in the 2-decimal t column
+    if not args.t_step >= MIN_T_STEP:
+        parser.error(f"--t-step must be at least {MIN_T_STEP}, got {args.t_step}")
     for t in (args.t_min, args.t_max):
         _check_t(parser, t)
     n_steps = int(np.floor((args.t_max - args.t_min) / args.t_step + 1e-9)) + 1
     t_grid = [round(args.t_min + i * args.t_step, 10) for i in range(n_steps)]
 
-    pairs = _load_dataset(args.dataset)
-    if not pairs:
-        raise RrcifError(f"{args.dataset}: no record files found")
-    subjects, _ = _analyze_subjects(pairs)
-    if not subjects:
-        raise RrcifError(f"{args.dataset}: no subject could be analyzed")
+    subjects, _ = _analyze_dataset(args.dataset)
     rows = evaluation.sweep(subjects, t_grid)
     lines = [_header("cif", args.t_min), "t,rmse_p25,rmse_median,rmse_p75,retention_median\n"]
     for row in rows:

@@ -11,30 +11,17 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.stats import rankdata
 
 from .fusion import FusionResult, cif
 from .signal_io import ReferenceRr
-from .spectral import WindowGrid
 
 T_GRID_DEFAULT = tuple(round(0.01 * i, 2) for i in range(31))  # 0 .. 0.3
 LOA_FACTOR = 1.96
 WILCOXON_EXACT_MAX_N = 25
-
-
-@dataclass(frozen=True)
-class SubjectResult:
-    """One subject's score for one method at one threshold."""
-
-    id: str
-    method: str
-    t: float
-    rmse: float | None
-    retention: float
-    pairs: list[tuple[float, float]] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -55,9 +42,16 @@ class SweepRow:
     retention_median: float
 
 
-def reference_at(reference: ReferenceRr, window: tuple[float, float]) -> float:
-    """Reference rate for a window: in-window mean, else value at the center."""
-    start, end = window
+def reference_at(reference: ReferenceRr, windows):
+    """Reference rate for a window: in-window mean, else value at the center.
+
+    `windows` is one (start, end) pair, giving a float, or a sequence of
+    them such as ``grid.windows``, giving one rate per window.
+    """
+    windows = np.asarray(windows, dtype=float)
+    if windows.shape != (2,):
+        return np.array([reference_at(reference, window) for window in windows.reshape(-1, 2)])
+    start, end = windows
     inside = (reference.times_s >= start) & (reference.times_s < end)
     if inside.any():
         return float(np.mean(reference.rr[inside]))
@@ -65,27 +59,20 @@ def reference_at(reference: ReferenceRr, window: tuple[float, float]) -> float:
     return float(np.interp(center, reference.times_s, reference.rr))
 
 
-def _reference_rates(reference: ReferenceRr, grid: WindowGrid) -> np.ndarray:
-    return np.array([reference_at(reference, window) for window in grid.windows])
+def score(fusion: FusionResult, ref_rates):
+    """(rmse, retention): RMSE over the retained windows and the retained
+    fraction of all windows.
 
-
-def score_subject(
-    fusion: FusionResult,
-    reference: ReferenceRr,
-    grid: WindowGrid,
-    subject_id: str = "",
-    method: str = "CIF",
-    t: float = float("nan"),
-) -> SubjectResult:
-    """RMSE over retained windows and the retained fraction of all windows."""
+    Reduces over the last (window) axis, so a fusion over a grid of
+    thresholds gives one value per threshold. RMSE is NaN where no window
+    is retained.
+    """
     kept = np.asarray(fusion.retained, dtype=bool)
-    est = np.asarray(fusion.rr_fusion)[kept]
-    ref = _reference_rates(reference, grid)[kept]
-    retention = est.size / grid.count if grid.count else 0.0
-    rmse = float(np.sqrt(np.mean((est - ref) ** 2))) if est.size else None
-    return SubjectResult(
-        id=subject_id, method=method, t=t, rmse=rmse, retention=retention, pairs=list(zip(est.tolist(), ref.tolist()))
-    )
+    n_kept = kept.sum(axis=-1)
+    sq_err = np.where(kept, (fusion.rr_fusion - ref_rates) ** 2, 0.0)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        rmse = np.sqrt(sq_err.sum(axis=-1) / n_kept)
+    return rmse, n_kept / max(kept.shape[-1], 1)
 
 
 def sweep(subjects, t_grid=T_GRID_DEFAULT) -> list[SweepRow]:
@@ -97,14 +84,10 @@ def sweep(subjects, t_grid=T_GRID_DEFAULT) -> list[SweepRow]:
     if not subjects:
         raise ValueError("need at least one subject")
     t_grid = np.asarray(t_grid, dtype=float)
-    rmse, retention = [], []
-    for analysis, reference in subjects:
-        fused = cif(analysis.estimates.rr, analysis.estimates.ni, t_grid)
-        n_kept = fused.retained.sum(axis=-1)
-        sq_err = (fused.rr_fusion - _reference_rates(reference, analysis.grid)) ** 2
-        with np.errstate(invalid="ignore"):
-            rmse.append(np.sqrt(np.nansum(sq_err, axis=-1) / n_kept))
-        retention.append(n_kept / max(analysis.grid.count, 1))
+    rmse, retention = zip(*(
+        score(cif(analysis.estimates.rr, analysis.estimates.ni, t_grid), reference_at(reference, analysis.grid.windows))
+        for analysis, reference in subjects
+    ))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # a threshold no subject retains gives NaN
         quartiles = np.nanpercentile(rmse, (25, 50, 75), axis=0)
@@ -114,17 +97,19 @@ def sweep(subjects, t_grid=T_GRID_DEFAULT) -> list[SweepRow]:
     ]
 
 
-def agreement(pairs) -> AgreementStats:
-    """Pearson r, bias and 1.96-sd limits of agreement for (est, ref) pairs.
+def agreement(est, ref) -> AgreementStats:
+    """Pearson r, bias and 1.96-sd limits of agreement of paired estimates
+    and reference rates.
 
     With zero variance in either coordinate the correlation is undefined and
     reported as nan; bias and limits are still returned.
     """
-    pairs = list(pairs)
-    if len(pairs) < 2:
-        raise ValueError(f"need >= 2 pairs, got {len(pairs)}")
-    est = np.array([p[0] for p in pairs], dtype=float)
-    ref = np.array([p[1] for p in pairs], dtype=float)
+    est = np.asarray(est, dtype=float)
+    ref = np.asarray(ref, dtype=float)
+    if est.shape != ref.shape or est.ndim != 1:
+        raise ValueError("inputs must be equal-length 1-d sequences")
+    if est.size < 2:
+        raise ValueError(f"need >= 2 pairs, got {est.size}")
     diff = est - ref
     bias = float(np.mean(diff))
     sd = float(np.std(diff, ddof=1))
@@ -137,7 +122,7 @@ def agreement(pairs) -> AgreementStats:
         bias=bias,
         loa_low=bias - LOA_FACTOR * sd,
         loa_high=bias + LOA_FACTOR * sd,
-        n_pairs=len(pairs),
+        n_pairs=est.size,
     )
 
 

@@ -37,16 +37,9 @@ COVARIANCE_FLOOR = 1e-6
 SF_SD_LIMIT_BPM = 4.0
 
 
-@dataclass(frozen=True)
-class SfConfig:
-    """Which variations a Smart Fusion baseline averages."""
-
-    kinds: tuple[RivKind, ...]
-    sd_limit: float = SF_SD_LIMIT_BPM
-
-
-SF3 = SfConfig(kinds=(RivKind.RIIV, RivKind.RIAV, RivKind.RIFV))
-SF5 = SfConfig(kinds=ALL_KINDS)
+# The variations each Smart Fusion baseline averages.
+SF3 = (RivKind.RIIV, RivKind.RIAV, RivKind.RIFV)
+SF5 = ALL_KINDS
 
 
 @dataclass(frozen=True)
@@ -102,18 +95,19 @@ def cif(rr, ni, t) -> FusionResult:
     return FusionResult(rr_fusion=x_fusion, c_fusion=c_fusion, contributors=use, retained=use.any(axis=-1))
 
 
-def smart_fusion(rr, config: SfConfig) -> FusionResult:
-    """Smart Fusion baseline: mean of a fixed set, discarded on disagreement.
+def smart_fusion(rr, kinds: tuple[RivKind, ...]) -> FusionResult:
+    """Smart Fusion baseline: mean of a fixed set of variations, such as
+    SF3 or SF5, discarded on disagreement.
 
-    A row is dropped when any configured variation is unrated, or when the
-    sample standard deviation (ddof=1) of the configured rates exceeds the
-    4 breaths/min limit. Noise indices are ignored.
+    A row is dropped when any of `kinds` is unrated, or when the sample
+    standard deviation (ddof=1) of their rates exceeds the 4 breaths/min
+    limit. Noise indices are ignored.
     """
     rr = np.asarray(rr, dtype=float)
-    member = np.array([kind in config.kinds for kind in ALL_KINDS])
+    member = np.array([kind in kinds for kind in ALL_KINDS])
     rates = rr[..., member]
     with np.errstate(invalid="ignore"):
-        retained = np.isfinite(rates).all(axis=-1) & ~(np.std(rates, axis=-1, ddof=1) > config.sd_limit)
+        retained = np.isfinite(rates).all(axis=-1) & ~(np.std(rates, axis=-1, ddof=1) > SF_SD_LIMIT_BPM)
     return FusionResult(
         rr_fusion=np.where(retained, np.mean(rates, axis=-1), np.nan),
         c_fusion=np.full(retained.shape, np.nan),

@@ -45,8 +45,8 @@ class PpgRecord:
 
     def __post_init__(self):
         object.__setattr__(self, "samples", _readonly(self.samples))
-        if self.fs <= 0:
-            raise ValidationError(f"record {self.id!r}: fs must be > 0, got {self.fs}")
+        if not 0 < self.fs < math.inf:
+            raise ValidationError(f"record {self.id!r}: fs must be finite and > 0, got {self.fs}")
         if self.samples.size == 0:
             raise ValidationError(f"record {self.id!r}: no samples")
         if not np.all(np.isfinite(self.samples)):
@@ -76,6 +76,9 @@ class ReferenceRr:
             raise ValidationError("reference: t and rr lengths differ")
         if self.times_s.size == 0:
             raise ValidationError("reference: empty")
+        if not np.all(np.isfinite(self.times_s)):
+            bad = int(np.flatnonzero(~np.isfinite(self.times_s))[0])
+            raise ValidationError(f"reference: non-finite timestamp at row {bad}")
         if np.any(np.diff(self.times_s) < 0):
             bad = int(np.flatnonzero(np.diff(self.times_s) < 0)[0]) + 1
             raise ValidationError(f"reference: decreasing timestamp at row {bad}")
@@ -122,12 +125,14 @@ class SynthSpec:
     def __post_init__(self):
         if not 4.0 <= self.rr <= 65.0:
             raise ValidationError(f"rr must lie in [4, 65], got {self.rr}")
-        if self.hr <= 2.0 * self.rr:
-            raise ValidationError(f"hr must exceed 2*rr so beats sample the modulation, got hr={self.hr} rr={self.rr}")
-        if self.duration_s <= 0 or self.fs <= 0:
-            raise ValidationError("duration_s and fs must be positive")
-        if self.noise_sd < 0:
-            raise ValidationError("noise_sd must be >= 0")
+        if not 2.0 * self.rr < self.hr < math.inf:
+            raise ValidationError(
+                f"hr must be finite and exceed 2*rr so beats sample the modulation, got hr={self.hr} rr={self.rr}"
+            )
+        if not (0 < self.duration_s < math.inf and 0 < self.fs < math.inf):
+            raise ValidationError(f"duration_s and fs must be finite and positive, got {self.duration_s} and {self.fs}")
+        if not 0 <= self.noise_sd < math.inf:
+            raise ValidationError(f"noise_sd must be finite and >= 0, got {self.noise_sd}")
 
 
 # ---------------------------------------------------------------------------
@@ -164,23 +169,22 @@ def _read_csv_rows(path, expected_header):
                 raise ParseError(f"{path}: line {line_no}: non-numeric field in {row!r}") from None
 
 
-def read_record(path, format: str | None = None) -> PpgRecord:
-    """Load a PPG recording from a ``t,ppg`` CSV or a record JSON file.
+def read_record(path) -> PpgRecord:
+    """Load a PPG recording from a ``t,ppg`` CSV or, by its ``.json`` suffix,
+    a record JSON file.
 
-    The format is inferred from the file suffix unless given explicitly.
     Raises :class:`ParseError` for malformed files and :class:`ValidationError`
     for structurally valid files with out-of-contract content.
     """
     path = Path(path)
-    fmt = format or ("json" if path.suffix.lower() == ".json" else "csv")
-    if fmt == "json":
+    if path.suffix.lower() == ".json":
         record, _ = read_record_json(path)
         return record
-    if fmt != "csv":
-        raise ValueError(f"unknown format {fmt!r}")
 
     times, values = [], []
-    for _, (t, v) in _read_csv_rows(path, ("t", "ppg")):
+    for line_no, (t, v) in _read_csv_rows(path, ("t", "ppg")):
+        if not math.isfinite(t):
+            raise ValidationError(f"{path}: line {line_no}: non-finite timestamp {t}")
         times.append(t)
         values.append(v)
     if len(times) < 2:
@@ -228,11 +232,11 @@ def read_reference(path) -> ReferenceRr:
     return ReferenceRr(np.asarray(times), np.asarray(rates))
 
 
-def write_record(record: PpgRecord, path, format: str | None = None, comment: str | None = None) -> None:
-    """Write a record as CSV (default) or JSON; round-trips samples exactly."""
+def write_record(record: PpgRecord, path, comment: str | None = None) -> None:
+    """Write a record as CSV, or as JSON for a ``.json`` path; round-trips
+    samples exactly."""
     path = Path(path)
-    fmt = format or ("json" if path.suffix.lower() == ".json" else "csv")
-    if fmt == "json":
+    if path.suffix.lower() == ".json":
         with open(path, "w", encoding="utf-8") as fh:
             json.dump({"id": record.id, "fs": record.fs, "samples": [float(v) for v in record.samples]}, fh)
             fh.write("\n")

@@ -121,14 +121,14 @@ def recovery_results():
         record, reference = signal_io.synthesize(spec)
         analysis = pipeline.analyze_record(record)
         fusions = pipeline.fuse_estimates(analysis.estimates, "cif", t=0.13)
-        results.append(evaluation.score_subject(fusions, reference, analysis.grid, record.id, "CIF", 0.13))
+        results.append(evaluation.score(fusions, evaluation.reference_at(reference, analysis.grid.windows)))
     return results, time.perf_counter() - start
 
 
 def test_criterion_3_end_to_end_recovery(recovery_results):
     results, elapsed = recovery_results
-    worst_rmse = max(r.rmse for r in results)
-    worst_retention = min(r.retention for r in results)
+    worst_rmse = max(rmse for rmse, _ in results)
+    worst_retention = min(retention for _, retention in results)
     _check(
         "3 end-to-end synthetic recovery",
         worst_rmse <= 1.0 and worst_retention >= 0.95 and elapsed < 30.0,
@@ -172,9 +172,9 @@ def test_criterion_5_cif_beats_sf5_without_rifv():
         scores = {}
         for method in ("cif", "sf5"):
             fusions = pipeline.fuse_estimates(analysis.estimates, method, t=0.13)
-            scores[method] = evaluation.score_subject(fusions, reference, analysis.grid, record.id, method, 0.13)
-        ordering_holds &= scores["cif"].retention > scores["sf5"].retention
-        details.append(f"{scores['cif'].retention:.2f}>{scores['sf5'].retention:.2f}")
+            _, scores[method] = evaluation.score(fusions, evaluation.reference_at(reference, analysis.grid.windows))
+        ordering_holds &= scores["cif"] > scores["sf5"]
+        details.append(f"{scores['cif']:.2f}>{scores['sf5']:.2f}")
     _check("5 CIF vs SF5 retention ordering", ordering_holds, " ".join(details))
 
 
@@ -237,7 +237,7 @@ def test_criterion_7_statistics_oracles():
 
     est = rng.uniform(5, 60, 300)
     ref = est + rng.normal(0, 2, 300)
-    stats = evaluation.agreement(list(zip(est, ref)))
+    stats = evaluation.agreement(est, ref)
     d = est - ref
     bias = d.mean()
     sd = math.sqrt(((d - bias) ** 2).sum() / (d.size - 1))

@@ -130,6 +130,38 @@ def test_sweep_bad_range_exit_64(tmp_path):
     assert exc.value.code == 64
 
 
+def test_sweep_fine_step_exit_64(tmp_path):
+    # rejected before any record is read: an empty dataset would otherwise exit 2
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", str(tmp_path), "--t-step", "0.001"])
+    assert exc.value.code == 64
+
+
+def test_estimate_nan_timestamp_exit_2(tmp_path, capsys):
+    path = tmp_path / "nan_t.csv"
+    path.write_text("t,ppg\n" + "".join(f"{'nan' if i == 50 else i / 100},{(i % 7) / 7:.3f}\n" for i in range(3000)))
+    assert main(["estimate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "line 52" in err and "Traceback" not in err
+
+
+def test_benchmark_and_sweep_score_alike(tmp_path):
+    data = tmp_path / "data"
+    data.mkdir()
+    for i in range(3):
+        _write_subject(data, f"s{i}", rr=12.0 + 5 * i, hr=75.0 + 5 * i, seed=i + 1, noise=0.3)
+    out_dir = tmp_path / "out"
+    assert main(["benchmark", str(data), "--methods", "cif", "--t", "0.13", "--out", str(out_dir)]) == 0
+    cif = json.loads((out_dir / "report.json").read_text())["methods"]["cif"]
+    sweep_csv = tmp_path / "sweep.csv"
+    assert main(["sweep", str(data), "--t-min", "0.13", "--t-max", "0.13", "--out", str(sweep_csv)]) == 0
+    _, rows = _read_table(sweep_csv)
+    assert len(rows) == 1 and rows[0][0] == "0.13"
+    # the sweep CSV prints 6 significant digits
+    assert rows[0][2] == f"{cif['rmse_median']:.6g}"
+    assert rows[0][4] == f"{cif['retention_median']:.6g}"
+
+
 def test_benchmark_report(tmp_path, capsys):
     (tmp_path / "data").mkdir()
     for i, (rr, hr) in enumerate([(12.0, 70.0), (20.0, 80.0), (28.0, 90.0)]):
@@ -183,9 +215,9 @@ def test_benchmark_bonferroni_counts_tested_pairs(tmp_path):
         reference = read_reference(data / f"s{i}_ref.csv")
         for method in scores:
             fused = pipeline.fuse_estimates(analysis.estimates, method, 0.13)
-            scores[method].append(evaluation.score_subject(fused, reference, analysis.grid))
-    for metric in ("rmse", "retention"):
-        p = evaluation.wilcoxon_signed_rank(*([getattr(r, metric) for r in scores[m]] for m in ("cif", "sf3")))
+            scores[method].append(evaluation.score(fused, evaluation.reference_at(reference, analysis.grid.windows)))
+    for i, metric in enumerate(("rmse", "retention")):
+        p = evaluation.wilcoxon_signed_rank(*([r[i] for r in scores[m]] for m in ("cif", "sf3")))
         assert report["wilcoxon_bonferroni"][metric] == {"cif_vs_sf3": pytest.approx(p, rel=1e-12)}
         if metric == "rmse":
             assert p < 1.0 / 3.0  # so a tripled p-value would differ

@@ -8,11 +8,11 @@ from scipy.stats import rankdata
 from rrcif.evaluation import (
     agreement,
     reference_at,
-    score_subject,
+    score,
     sweep,
     wilcoxon_signed_rank,
 )
-from rrcif.fusion import FusionResult
+from rrcif.fusion import FusionResult, cif
 from rrcif.pipeline import RecordAnalysis
 from rrcif.signal_io import ReferenceRr
 from rrcif.spectral import EstimateTable, WindowGrid
@@ -54,23 +54,23 @@ def test_reference_at_outside_interpolates_center():
 
 
 # ---------------------------------------------------------------------------
-# score_subject
+# score
 
 
 def test_score_perfect():
     grid = WindowGrid(duration_s=480.0)
     ref = _reference(np.arange(0, 481, 2.0), np.full(241, 20.0))
     fusions = _fusion([20.0] * grid.count)
-    res = score_subject(fusions, ref, grid)
-    assert res.rmse == 0.0
-    assert res.retention == 1.0
+    rmse, retention = score(fusions, reference_at(ref, grid.windows))
+    assert rmse == 0.0
+    assert retention == 1.0
 
 
 def test_score_constant_error():
     grid = WindowGrid(duration_s=480.0)
     ref = _reference(np.arange(0, 481, 2.0), np.full(241, 20.0))
     fusions = _fusion([22.0] * grid.count)
-    assert score_subject(fusions, ref, grid).rmse == pytest.approx(2.0)
+    assert score(fusions, reference_at(ref, grid.windows))[0] == pytest.approx(2.0)
 
 
 def test_score_retention_ratio():
@@ -78,15 +78,29 @@ def test_score_retention_ratio():
     assert grid.count == 225
     ref = _reference(np.arange(0, 481, 2.0), np.full(241, 20.0))
     fusions = _fusion([20.0 if i < 90 else None for i in range(grid.count)])
-    assert score_subject(fusions, ref, grid).retention == pytest.approx(90 / 225)
+    assert score(fusions, reference_at(ref, grid.windows))[1] == pytest.approx(90 / 225)
 
 
 def test_score_no_retained_windows():
     grid = WindowGrid(duration_s=480.0)
     ref = _reference([0.0, 480.0], [20.0, 20.0])
-    res = score_subject(_fusion([None] * grid.count), ref, grid)
-    assert res.rmse is None
-    assert res.retention == 0.0
+    rmse, retention = score(_fusion([None] * grid.count), reference_at(ref, grid.windows))
+    assert math.isnan(rmse)
+    assert retention == 0.0
+
+
+def test_score_threshold_grid_matches_each_threshold():
+    rng = np.random.default_rng(5)
+    analysis, ref = _subject(rng.uniform(0, 0.5, (100, 5)), list(rng.uniform(15, 25, 5)), duration=230.0)
+    ref_rates = reference_at(ref, analysis.grid.windows)
+    t_grid = np.array([0.0, 0.1, 0.2, 0.3, 0.45, 0.6])
+    rmse, retention = score(cif(analysis.estimates.rr, analysis.estimates.ni, t_grid), ref_rates)
+    assert rmse.shape == retention.shape == t_grid.shape
+    for i, t in enumerate(t_grid):
+        rmse_t, retention_t = score(cif(analysis.estimates.rr, analysis.estimates.ni, t), ref_rates)
+        assert retention[i] == retention_t
+        np.testing.assert_allclose(rmse[i], rmse_t, rtol=1e-12)
+    assert np.isnan(rmse[-1]) and retention[-1] == 0.0  # no noise index reaches 0.6
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +160,7 @@ def test_sweep_empty_dataset_rejected():
 
 def test_agreement_identity():
     pairs = [(float(v), float(v)) for v in (10, 12, 15, 18, 22)]
-    stats = agreement(pairs)
+    stats = agreement(*zip(*pairs))
     assert stats.r == pytest.approx(1.0)
     assert stats.bias == 0.0
     assert stats.loa_low == 0.0 and stats.loa_high == 0.0
@@ -154,7 +168,7 @@ def test_agreement_identity():
 
 def test_agreement_constant_offset():
     pairs = [(v + 2.0, float(v)) for v in (10, 12, 15, 18, 22)]
-    stats = agreement(pairs)
+    stats = agreement(*zip(*pairs))
     assert stats.bias == pytest.approx(2.0)
     assert stats.loa_low == pytest.approx(2.0)
     assert stats.loa_high == pytest.approx(2.0)
@@ -165,7 +179,7 @@ def test_agreement_textbook_oracle():
     rng = np.random.default_rng(3)
     est = rng.uniform(5, 60, 200)
     ref = est + rng.normal(0, 2, 200)
-    stats = agreement(list(zip(est, ref)))
+    stats = agreement(est, ref)
     d = est - ref
     bias = d.mean()
     sd = math.sqrt(np.sum((d - bias) ** 2) / (d.size - 1))
@@ -180,14 +194,14 @@ def test_agreement_textbook_oracle():
 
 
 def test_agreement_zero_variance_r_undefined():
-    stats = agreement([(10.0, 12.0), (10.0, 13.0), (10.0, 14.0)])
+    stats = agreement([10.0, 10.0, 10.0], [12.0, 13.0, 14.0])
     assert math.isnan(stats.r)
     assert stats.bias == pytest.approx(10.0 - 13.0)
 
 
 def test_agreement_needs_two_pairs():
     with pytest.raises(ValueError):
-        agreement([(10.0, 10.0)])
+        agreement([10.0], [10.0])
 
 
 # ---------------------------------------------------------------------------

@@ -165,6 +165,37 @@ def test_synth_validation():
         SynthSpec(rr=20.0, hr=80.0, noise_sd=-0.1)
 
 
+@pytest.mark.parametrize(
+    "field",
+    [{"hr": float("nan")}, {"hr": float("inf")}, {"duration_s": float("nan")}, {"duration_s": float("inf")},
+     {"fs": float("nan")}, {"noise_sd": float("nan")}],
+    ids=["hr-nan", "hr-inf", "duration-nan", "duration-inf", "fs-nan", "noise-nan"],
+)
+def test_synth_spec_rejects_non_finite(field):
+    # constructor only: synthesize() with such a spec would never finish its beat loop
+    with pytest.raises(ValidationError):
+        SynthSpec(rr=20.0, **{"hr": 80.0, **field})
+
+
+def test_read_record_nan_timestamp_names_line(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("t,ppg\n0.0,1.0\nnan,1.0\n0.02,1.0\n")
+    with pytest.raises(ValidationError, match="line 3: non-finite timestamp"):
+        read_record(path)
+
+
+def test_reference_nan_time_rejected():
+    with pytest.raises(ValidationError, match="non-finite timestamp"):
+        ReferenceRr(np.array([0.0, np.nan, 4.0]), np.full(3, 20.0))
+
+
+def test_json_nan_fs_rejected(tmp_path):
+    path = tmp_path / "rec.json"
+    path.write_text('{"id": "r", "fs": NaN, "samples": [0.0, 1.0, 0.0]}')
+    with pytest.raises(ValidationError, match="fs"):
+        read_record_json(path)
+
+
 def test_record_validation():
     with pytest.raises(ValidationError):
         PpgRecord("x", -1.0, np.ones(10))
