@@ -176,9 +176,11 @@ def _analyze_dataset(directory):
 def _cmd_benchmark(args, parser):
     _check_t(parser, args.t)
     methods = [m.strip().lower() for m in args.methods.split(",")]
-    for m in methods:
+    for i, m in enumerate(methods):
         if m not in pipeline.METHODS:
             parser.error(f"unknown method {m!r}")
+        if m in methods[:i]:
+            parser.error(f"method {m!r} given twice")
     subjects, skipped = _analyze_dataset(args.dataset)
 
     out_dir = Path(args.out)

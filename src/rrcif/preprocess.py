@@ -22,6 +22,7 @@ from dataclasses import dataclass, replace
 from statistics import median
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import signal as sp_signal
 
 from .errors import InsufficientSignalError, UnsupportedRateError
@@ -86,30 +87,38 @@ def _refine_extremum(x, i, fs, find_max):
     return (i + delta) / fs, float(y1 - 0.25 * (y0 - y2) * delta)
 
 
-def _cross_up(x, i0, i1, level, fs):
-    """Time of the last upward crossing of `level` in x[i0:i1+1], or None."""
-    seg = x[i0 : i1 + 1]
-    below = seg[:-1] < level
-    above = seg[1:] >= level
-    hits = np.flatnonzero(below & above)
-    if hits.size == 0:
-        return None
-    j = i0 + int(hits[-1])
-    frac = (level - x[j]) / (x[j + 1] - x[j])
-    return (j + frac) / fs
+def _crossings(x, starts, stops, levels, rising):
+    """Sub-sample index where x crosses a level in each segment, NaN where it does not.
 
-
-def _cross_down(x, i0, i1, level, fs):
-    """Time of the first downward crossing of `level` in x[i0:i1+1], or None."""
-    seg = x[i0 : i1 + 1]
-    above = seg[:-1] > level
-    below = seg[1:] <= level
-    hits = np.flatnonzero(above & below)
-    if hits.size == 0:
-        return None
-    j = i0 + int(hits[0])
-    frac = (x[j] - level) / (x[j] - x[j + 1])
-    return (j + frac) / fs
+    Segment i covers the sample pairs (j, j + 1) for j in [starts[i], stops[i]).
+    `levels` has shape (k, segments): each row is one level per segment. With
+    `rising`, the result is the last upward crossing, otherwise the first
+    downward one. All segments are scanned at once over their concatenated
+    pairs, so the work and memory are O(total segment length).
+    """
+    lengths = stops - starts
+    seg = np.repeat(np.arange(starts.size), lengths)
+    j = np.arange(seg.size) + np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
+    level = levels[:, seg]
+    a, b = x[j], x[j + 1]
+    if rising:
+        row, pair = np.nonzero((a < level) & (b >= level))
+        best = np.full(levels.shape, -1)
+        np.maximum.at(best, (row, seg[pair]), j[pair])
+        found = best >= 0
+    else:
+        row, pair = np.nonzero((a > level) & (b <= level))
+        best = np.full(levels.shape, x.size)
+        np.minimum.at(best, (row, seg[pair]), j[pair])
+        found = best < x.size
+    jb, lev = best[found], levels[found]
+    if rising:
+        frac = (lev - x[jb]) / (x[jb + 1] - x[jb])
+    else:
+        frac = (x[jb] - lev) / (x[jb] - x[jb + 1])
+    out = np.full(levels.shape, np.nan)
+    out[found] = jb + frac
+    return out
 
 
 def segment_beats(filtered: PpgRecord) -> list[Beat]:
@@ -136,40 +145,33 @@ def segment_beats(filtered: PpgRecord) -> list[Beat]:
             accepted.append(int(idx))
             recent.append(float(prom))
 
-    beats: list[Beat] = []
-    prev_peak_t = None
-    for k, pk in enumerate(accepted):
-        lo = accepted[k - 1] if k > 0 else 0
-        search = x[lo:pk]
-        if search.size == 0:
-            continue
-        foot = lo + int(np.argmin(search))
-        t_foot, v_foot = _refine_extremum(x, foot, fs, find_max=False)
-        t_peak, v_peak = _refine_extremum(x, pk, fs, find_max=True)
-        if v_peak <= v_foot:
-            continue
-        amp = v_peak - v_foot
-        t25 = _cross_up(x, foot, pk, v_foot + 0.25 * amp, fs)
-        t50u = _cross_up(x, foot, pk, v_foot + 0.50 * amp, fs)
-        t75 = _cross_up(x, foot, pk, v_foot + 0.75 * amp, fs)
-        hi = accepted[k + 1] if k + 1 < len(accepted) else x.size - 1
-        t50d = _cross_down(x, pk, hi, v_foot + 0.50 * amp, fs)
-        if None in (t25, t50u, t75, t50d) or not (t25 <= t75 and t50u < t50d):
-            continue
-        beats.append(
-            Beat(
-                t_foot=t_foot,
-                v_foot=v_foot,
-                t_peak=t_peak,
-                v_peak=v_peak,
-                width50=t50d - t50u,
-                rise25_75=t75 - t25,
-                period=None if prev_peak_t is None else t_peak - prev_peak_t,
-                artifact=False,
-            )
-        )
-        prev_peak_t = t_peak
+    # each peak's foot lies after the previous peak; its decay runs to the next
+    peaks = np.array(accepted, dtype=int)
+    prev = np.concatenate(([0], peaks))[:-1]
+    nxt = np.append(peaks, x.size - 1)[1:]
+    has_search = peaks > prev
+    peaks, prev, nxt = peaks[has_search], prev[has_search], nxt[has_search]
+    feet = np.array([lo + int(np.argmin(x[lo:pk])) for lo, pk in zip(prev, peaks)], dtype=int)
+    t_foot, v_foot = np.array([_refine_extremum(x, i, fs, find_max=False) for i in feet]).reshape(-1, 2).T
+    t_peak, v_peak = np.array([_refine_extremum(x, i, fs, find_max=True) for i in peaks]).reshape(-1, 2).T
 
+    amp = v_peak - v_foot
+    t25, t50u, t75 = _crossings(x, feet, peaks, v_foot + np.array([[0.25], [0.50], [0.75]]) * amp, rising=True) / fs
+    t50d = _crossings(x, peaks, nxt, (v_foot + 0.50 * amp)[None], rising=False)[0] / fs
+    keep = (v_peak > v_foot) & (t25 <= t75) & (t50u < t50d)
+
+    t_peak = t_peak[keep]
+    periods = [None] + np.diff(t_peak).tolist()
+    columns = zip(
+        t_foot[keep].tolist(),
+        v_foot[keep].tolist(),
+        t_peak.tolist(),
+        v_peak[keep].tolist(),
+        (t50d - t50u)[keep].tolist(),
+        (t75 - t25)[keep].tolist(),
+        periods,
+    )
+    beats = [Beat(*fields) for fields in columns]
     if len(beats) < 3:
         raise InsufficientSignalError(f"only {len(beats)} beats detected, need >= 3")
     return beats
@@ -194,6 +196,26 @@ def _clip_runs(raw: np.ndarray) -> np.ndarray:
     return mask
 
 
+def _running_median(values: np.ndarray) -> np.ndarray:
+    """Median of the non-NaN values among the previous ARTIFACT_WINDOW, per position; NaN where none.
+
+    The same arithmetic as ``np.median``: the middle value, or the mean of the
+    two middle values.
+    """
+    padded = np.concatenate((np.full(ARTIFACT_WINDOW, np.nan), values))
+    s = np.sort(sliding_window_view(padded, ARTIFACT_WINDOW)[: values.size], axis=1)  # NaN sorts last
+    count = np.count_nonzero(~np.isnan(s), axis=1)
+    rows = np.arange(values.size)
+    return (s[rows, (count - 1) // 2] + s[rows, count // 2]) / 2
+
+
+def _deviates(values: np.ndarray, med: np.ndarray) -> np.ndarray:
+    """Where a positive running median exists and values/median leaves [1/ARTIFACT_FACTOR, ARTIFACT_FACTOR]."""
+    positive = med > 0
+    ratio = values / np.where(positive, med, 1.0)
+    return positive & ~((1.0 / ARTIFACT_FACTOR <= ratio) & (ratio <= ARTIFACT_FACTOR))
+
+
 def flag_artifacts(beats: list[Beat], record: PpgRecord | None = None) -> list[Beat]:
     """Return a copy of `beats` with artifact flags set.
 
@@ -206,31 +228,17 @@ def flag_artifacts(beats: list[Beat], record: PpgRecord | None = None) -> list[B
     if len(beats) < 3:
         raise InsufficientSignalError("need >= 3 beats for artifact detection")
     amps = np.array([b.v_peak - b.v_foot for b in beats])
+    has_period = np.array([b.period is not None for b in beats])
     periods = np.array([np.nan if b.period is None else b.period for b in beats])
 
-    clipped = None
+    flags = _deviates(amps, _running_median(amps)) | (has_period & _deviates(periods, _running_median(periods)))
     if record is not None:
         runs = _clip_runs(record.samples)
         bounds = [b.t_foot for b in beats] + [beats[-1].t_peak + (beats[-1].width50)]
         idx = np.clip((np.asarray(bounds) * record.fs).astype(int), 0, record.samples.size)
-        clipped = [bool(runs[idx[i] : max(idx[i + 1], idx[i] + 1)].any()) for i in range(len(beats))]
-
-    out: list[Beat] = []
-    for i, beat in enumerate(beats):
-        lo = max(0, i - ARTIFACT_WINDOW)
-        flag = False
-        prev_amps = amps[lo:i]
-        if prev_amps.size:
-            med = float(np.median(prev_amps))
-            if med > 0 and not (1.0 / ARTIFACT_FACTOR <= amps[i] / med <= ARTIFACT_FACTOR):
-                flag = True
-        prev_periods = periods[lo:i]
-        prev_periods = prev_periods[~np.isnan(prev_periods)]
-        if beat.period is not None and prev_periods.size:
-            med = float(np.median(prev_periods))
-            if med > 0 and not (1.0 / ARTIFACT_FACTOR <= beat.period / med <= ARTIFACT_FACTOR):
-                flag = True
-        if clipped is not None and clipped[i]:
-            flag = True
-        out.append(replace(beat, artifact=flag))
-    return out
+        # a beat spans runs[idx[i] : max(idx[i + 1], idx[i] + 1)]
+        start = idx[:-1]
+        stop = np.minimum(np.maximum(idx[1:], start + 1), runs.size)
+        pinned_before = np.concatenate(([0], np.cumsum(runs)))
+        flags |= pinned_before[stop] > pinned_before[start]
+    return [replace(beat, artifact=flag) for beat, flag in zip(beats, flags.tolist())]

@@ -3,7 +3,9 @@
 File formats
 ------------
 PPG CSV        header ``t,ppg``; ``t`` in seconds, strictly increasing with a
-               uniform step (tolerance 1e-6 of the step); UTF-8, LF or CRLF.
+               uniform step (tolerance 1e-6 of the step); UTF-8 with or
+               without a BOM, LF or CRLF. Error line numbers count the
+               provenance comment and blank lines.
 Reference CSV  header ``t,rr``; ``t`` in seconds, ``rr`` in breaths/min.
 Record JSON    object with ``id``, ``fs``, ``samples`` and an optional
                ``reference`` object holding ``t`` and ``rr`` arrays.
@@ -16,8 +18,10 @@ capnography-derived reference to the reference CSV to run the benchmark.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -45,6 +49,8 @@ class PpgRecord:
 
     def __post_init__(self):
         object.__setattr__(self, "samples", _readonly(self.samples))
+        if self.samples.ndim != 1:
+            raise ValidationError(f"record {self.id!r}: samples must be 1-D, got shape {self.samples.shape}")
         if not 0 < self.fs < math.inf:
             raise ValidationError(f"record {self.id!r}: fs must be finite and > 0, got {self.fs}")
         if self.samples.size == 0:
@@ -72,6 +78,8 @@ class ReferenceRr:
     def __post_init__(self):
         object.__setattr__(self, "times_s", _readonly(self.times_s))
         object.__setattr__(self, "rr", _readonly(self.rr))
+        if self.times_s.ndim != 1 or self.rr.ndim != 1:
+            raise ValidationError("reference: t and rr must be 1-D")
         if self.times_s.size != self.rr.size:
             raise ValidationError("reference: t and rr lengths differ")
         if self.times_s.size == 0:
@@ -139,34 +147,80 @@ class SynthSpec:
 # readers / writers
 
 
-def _read_csv_rows(path, expected_header):
-    """Yield (line_no, float values) for a two-column CSV with the given header.
+def _read_header(reader, path, expected_header):
+    """Consume the provenance comments and the header row; return the header's line number.
 
     Lines starting with '#' before the header are provenance comments and skipped.
     """
+    header = None
+    header_line = 0
+    for header_line, row in enumerate(reader, start=1):
+        if row and row[0].lstrip().startswith("#"):
+            continue
+        header = row
+        break
+    if header is None:
+        raise ParseError(f"{path}: empty file")
+    got = [h.strip().lower() for h in header]
+    if got != list(expected_header):
+        raise ParseError(f"{path}: line {header_line}: expected header {','.join(expected_header)!r}, got {','.join(header)!r}")
+    return header_line
+
+
+def _read_csv_rows(path, expected_header, finite_t=False):
+    """Yield (line_no, float values) for a two-column CSV with the given header.
+
+    Line numbers count comment and blank lines. With `finite_t`, a non-finite
+    value in the first column raises :class:`ValidationError` naming its line.
+    """
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
-        header = None
-        header_line = 0
-        for header_line, row in enumerate(reader, start=1):
-            if row and row[0].lstrip().startswith("#"):
-                continue
-            header = row
-            break
-        if header is None:
-            raise ParseError(f"{path}: empty file")
-        got = [h.strip().lower() for h in header]
-        if got != list(expected_header):
-            raise ParseError(f"{path}: line {header_line}: expected header {','.join(expected_header)!r}, got {','.join(header)!r}")
+        header_line = _read_header(reader, path, expected_header)
         for line_no, row in enumerate(reader, start=header_line + 1):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
             if len(row) != len(expected_header):
                 raise ParseError(f"{path}: line {line_no}: expected {len(expected_header)} fields, got {len(row)}")
             try:
-                yield line_no, [float(v) for v in row]
+                values = [float(v) for v in row]
             except ValueError:
                 raise ParseError(f"{path}: line {line_no}: non-numeric field in {row!r}") from None
+            if finite_t and not math.isfinite(values[0]):
+                raise ValidationError(f"{path}: line {line_no}: non-finite timestamp {values[0]}")
+            yield line_no, values
+
+
+def _read_columns(path, expected_header, finite_t=False) -> np.ndarray:
+    """Return the rows of a two-column CSV as an (n, 2) array.
+
+    The body is parsed by one ``np.loadtxt`` call. Whatever that call rejects
+    or cannot be trusted with (a parse error, an empty body, another column
+    count, a non-finite timestamp with `finite_t`) is read again by
+    :func:`_read_csv_rows`, which accepts the same files and raises the
+    errors that name a line.
+    """
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        _read_header(csv.reader(fh), path, expected_header)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # loadtxt warns, rather than fails, on an empty body
+                data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+        except (ValueError, Warning):
+            data = None
+    if (
+        data is not None
+        and data.shape[0] >= 1
+        and data.shape[1] == len(expected_header)
+        and (not finite_t or np.isfinite(data[:, 0]).all())
+    ):
+        return data
+    rows = [values for _, values in _read_csv_rows(path, expected_header, finite_t)]
+    return np.array(rows, dtype=float).reshape(-1, len(expected_header))
+
+
+def _line_of_row(path, expected_header, row) -> int:
+    """Line number of data row `row` (0-based) of a CSV that parses."""
+    return next(itertools.islice(_read_csv_rows(path, expected_header), row, None))[0]
 
 
 def read_record(path) -> PpgRecord:
@@ -181,23 +235,17 @@ def read_record(path) -> PpgRecord:
         record, _ = read_record_json(path)
         return record
 
-    times, values = [], []
-    for line_no, (t, v) in _read_csv_rows(path, ("t", "ppg")):
-        if not math.isfinite(t):
-            raise ValidationError(f"{path}: line {line_no}: non-finite timestamp {t}")
-        times.append(t)
-        values.append(v)
-    if len(times) < 2:
-        raise ValidationError(f"{path}: need at least 2 samples, got {len(times)}")
-    t = np.asarray(times)
-    dt = np.diff(t)
+    data = _read_columns(path, ("t", "ppg"), finite_t=True)
+    if data.shape[0] < 2:
+        raise ValidationError(f"{path}: need at least 2 samples, got {data.shape[0]}")
+    dt = np.diff(data[:, 0])
     if np.any(dt <= 0):
-        bad = int(np.flatnonzero(dt <= 0)[0]) + 2
-        raise ValidationError(f"{path}: line {bad + 1}: timestamps not strictly increasing")
+        line = _line_of_row(path, ("t", "ppg"), int(np.flatnonzero(dt <= 0)[0]) + 1)
+        raise ValidationError(f"{path}: line {line}: timestamps not strictly increasing")
     step = float(np.median(dt))
     if np.max(np.abs(dt - step)) > STEP_TOLERANCE * step:
         raise ValidationError(f"{path}: non-uniform sampling (step {step:g} s, max deviation {np.max(np.abs(dt - step)):g} s)")
-    return PpgRecord(id=path.stem, fs=1.0 / step, samples=np.asarray(values))
+    return PpgRecord(id=path.stem, fs=1.0 / step, samples=np.ascontiguousarray(data[:, 1]))
 
 
 def read_record_json(path) -> tuple[PpgRecord, ReferenceRr | None]:
@@ -208,28 +256,37 @@ def read_record_json(path) -> tuple[PpgRecord, ReferenceRr | None]:
             obj = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON: {exc}") from None
+    if not isinstance(obj, dict):
+        raise ParseError(f"{path}: expected a JSON object, got {type(obj).__name__}")
     for key in ("id", "fs", "samples"):
         if key not in obj:
             raise ParseError(f"{path}: missing field {key!r}")
-    record = PpgRecord(id=str(obj["id"]), fs=float(obj["fs"]), samples=np.asarray(obj["samples"], dtype=float))
+    fs = _json_floats(path, obj["fs"])
+    if fs.ndim != 0:
+        raise ParseError(f"{path}: fs must be a number")
+    record = PpgRecord(id=str(obj["id"]), fs=float(fs), samples=_json_floats(path, obj["samples"]))
     reference = None
     if obj.get("reference") is not None:
         ref = obj["reference"]
-        if "t" not in ref or "rr" not in ref:
+        if not isinstance(ref, dict) or "t" not in ref or "rr" not in ref:
             raise ParseError(f"{path}: reference must hold 't' and 'rr' arrays")
-        reference = ReferenceRr(np.asarray(ref["t"], dtype=float), np.asarray(ref["rr"], dtype=float))
+        reference = ReferenceRr(_json_floats(path, ref["t"]), _json_floats(path, ref["rr"]))
     return record, reference
+
+
+def _json_floats(path, value) -> np.ndarray:
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"{path}: non-numeric value: {exc}") from None
 
 
 def read_reference(path) -> ReferenceRr:
     """Load a ``t,rr`` reference CSV."""
-    times, rates = [], []
-    for _, (t, v) in _read_csv_rows(Path(path), ("t", "rr")):
-        times.append(t)
-        rates.append(v)
-    if not times:
+    data = _read_columns(Path(path), ("t", "rr"))
+    if data.shape[0] == 0:
         raise ValidationError(f"{path}: reference has no rows")
-    return ReferenceRr(np.asarray(times), np.asarray(rates))
+    return ReferenceRr(np.ascontiguousarray(data[:, 0]), np.ascontiguousarray(data[:, 1]))
 
 
 def write_record(record: PpgRecord, path, comment: str | None = None) -> None:

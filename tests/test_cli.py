@@ -198,6 +198,12 @@ def test_benchmark_unknown_method_exit_64(tmp_path):
     assert exc.value.code == 64
 
 
+def test_benchmark_repeated_method_exit_64(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["benchmark", str(tmp_path), "--methods", "cif,sf3,CIF"])
+    assert exc.value.code == 64
+
+
 def test_benchmark_bonferroni_counts_tested_pairs(tmp_path):
     from rrcif import evaluation, pipeline
 
@@ -229,3 +235,22 @@ def test_estimate_short_record_exit_2(tmp_path, capsys):
     assert main(["estimate", str(path)]) == 2
     err = capsys.readouterr().err
     assert "error" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"id": "r", "fs": "abc", "samples": [0.0, 1.0, 0.0]}', "non-numeric value"),
+        ('{"id": "r", "fs": 100, "samples": [0.0, "x", 0.0]}', "non-numeric value"),
+        ('{"id": "r", "fs": 100, "samples": [0.0, 1.0, 0.0], "reference": {"t": ["a"], "rr": [12]}}', "non-numeric value"),
+        ("5", "expected a JSON object"),
+        ('{"id": "r", "fs": 100, "samples": [[0.0, 1.0], [1.0, 0.0]]}', "samples must be 1-D"),
+    ],
+    ids=["fs-text", "sample-text", "reference-t-text", "top-level-number", "samples-2d"],
+)
+def test_estimate_malformed_json_exit_2(tmp_path, capsys, text, message):
+    path = tmp_path / "rec.json"
+    path.write_text(text)
+    assert main(["estimate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from rrcif.errors import ParseError, ValidationError
+from rrcif import signal_io
+from rrcif.errors import ParseError, RrcifError, ValidationError
 from rrcif.signal_io import (
     ModDepths,
     PpgRecord,
@@ -62,6 +63,18 @@ def test_read_record_decreasing_time(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("t,ppg\n0.0,1\n0.02,1\n0.01,1\n")
     with pytest.raises(ValidationError, match="increasing"):
+        read_record(path)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["# provenance\nt,ppg\n0.0,1\n0.01,1\n0.02,1\n0.01,1\n", "t,ppg\n0.0,1\n0.01,1\n\n0.02,1\n0.01,1\n"],
+    ids=["comment", "blank"],
+)
+def test_read_record_decreasing_time_names_real_line(tmp_path, text):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(ValidationError, match="line 6: timestamps not strictly increasing"):
         read_record(path)
 
 
@@ -208,3 +221,82 @@ def test_record_validation():
 def test_duration_exact():
     rec = PpgRecord("x", 100.0, np.ones(480 * 100))
     assert rec.duration_s == 480.0
+
+
+# Each body follows a "t,ppg" header. The one-call reader must give what the
+# row loop gives: the same values, or the same error type and message.
+DIALECTS = {
+    "plain": "t,ppg\n0,1.5\n0.01,2.5\n",
+    "crlf": "t,ppg\r\n0,1.5\r\n0.01,2.5\r\n",
+    "bare-cr": "t,ppg\r0,1.5\r0.01,2.5\r",
+    "bom": "\ufefft,ppg\n0,1.5\n0.01,2.5\n",
+    "provenance": "# rrcif synth\n# second\nt,ppg\n0,1.5\n0.01,2.5\n",
+    "blank-lines": "t,ppg\n\n0,1.5\n\n\n0.01,2.5\n\n",
+    "whitespace-lines": "t,ppg\n0,1.5\n   \n\t\n0.01,2.5\n",
+    "padded-fields": "t,ppg\n 0 , 1.5\t\n0.01,2.5\n",
+    "quoted": 't,ppg\n"0","1.5"\n0.01,2.5\n',
+    "underscore": "t,ppg\n0,1_0\n0.01,2.5\n",
+    "special-values": "t,ppg\n0,inf\n0.01,-Infinity\n0.02,+1e3\n",
+    "trailing-empty-field": "t,ppg\n0,1.5,\n0.01,2.5,\n",
+    "three-columns": "t,ppg\n0,1.5,7\n0.01,2.5,7\n",
+    "one-column": "t,ppg\n0\n0.01\n",
+    "empty-field": "t,ppg\n0,1.5\n0.01,\n",
+    "non-numeric": "t,ppg\n0,1.5\n0.01,oops\n",
+    "body-comment": "t,ppg\n0,1.5\n# note\n0.01,2.5\n",
+    "header-only": "t,ppg\n",
+    "empty": "",
+    "bad-header": "time,ppg\n0,1.5\n",
+    "no-final-newline": "t,ppg\n0,1.5\n0.01,2.5",
+    "nan-time": "t,ppg\n0,1.5\nnan,2.5\n0.02,1\n",
+    "nan-time-then-parse-error": "t,ppg\n0,1.5\nnan,2.5\n0.02,x\n",
+}
+
+
+def _outcome(read):
+    try:
+        return repr(np.asarray(read()).reshape(-1, 2).tolist())
+    except RrcifError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("finite_t", [False, True])
+@pytest.mark.parametrize("name", sorted(DIALECTS))
+def test_column_reader_matches_row_loop(tmp_path, name, finite_t):
+    path = tmp_path / "rec.csv"
+    path.write_bytes(DIALECTS[name].encode("utf-8"))
+    header = ("t", "ppg")
+    fast = _outcome(lambda: signal_io._read_columns(path, header, finite_t))
+    loop = _outcome(lambda: [values for _, values in signal_io._read_csv_rows(path, header, finite_t)])
+    assert fast == loop
+
+
+def test_clean_csv_skips_row_loop(tmp_path, monkeypatch):
+    path = tmp_path / "rec.csv"
+    path.write_bytes(("\ufeff# provenance\r\nt,ppg\r\n" + "".join(f"{i / 100},{i % 5}\r\n" for i in range(50))).encode())
+    ref_path = tmp_path / "rec_ref.csv"
+    ref_path.write_text("# provenance\nt,rr\n0,12\n2,13\n")
+
+    def no_loop(*args, **kwargs):
+        raise AssertionError("row loop reached for a clean file")
+
+    monkeypatch.setattr(signal_io, "_read_csv_rows", no_loop)
+    record = read_record(path)
+    assert record.samples.size == 50 and record.fs == pytest.approx(100.0)
+    assert read_reference(ref_path).rr.tolist() == [12.0, 13.0]
+
+
+@pytest.mark.parametrize(
+    "obj, error, message",
+    [
+        ({"id": "r", "fs": [100, 50], "samples": [0.0, 1.0]}, ParseError, "fs must be a number"),
+        ({"id": "r", "fs": 100, "samples": 5}, ValidationError, "1-D"),
+        ({"id": "r", "fs": 100, "samples": [0.0, 1.0], "reference": {"t": [[0, 2]], "rr": [[12, 12]]}}, ValidationError, "1-D"),
+        ({"id": "r", "fs": 100, "samples": [0.0, 1.0], "reference": 5}, ParseError, "reference must hold"),
+    ],
+    ids=["fs-list", "samples-scalar", "reference-2d", "reference-number"],
+)
+def test_json_wrong_shapes_rejected(tmp_path, obj, error, message):
+    path = tmp_path / "rec.json"
+    path.write_text(json.dumps(obj))
+    with pytest.raises(error, match=message):
+        read_record_json(path)
