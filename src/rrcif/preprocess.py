@@ -102,20 +102,15 @@ def _crossings(x, starts, stops, levels, rising):
     level = levels[:, seg]
     a, b = x[j], x[j + 1]
     if rising:
-        row, pair = np.nonzero((a < level) & (b >= level))
-        best = np.full(levels.shape, -1)
-        np.maximum.at(best, (row, seg[pair]), j[pair])
-        found = best >= 0
+        hit, reduce, none = (a < level) & (b >= level), np.maximum, -1
     else:
-        row, pair = np.nonzero((a > level) & (b <= level))
-        best = np.full(levels.shape, x.size)
-        np.minimum.at(best, (row, seg[pair]), j[pair])
-        found = best < x.size
+        hit, reduce, none = (a > level) & (b <= level), np.minimum, x.size
+    row, pair = np.nonzero(hit)
+    best = np.full(levels.shape, none)
+    reduce.at(best, (row, seg[pair]), j[pair])
+    found = best != none
     jb, lev = best[found], levels[found]
-    if rising:
-        frac = (lev - x[jb]) / (x[jb + 1] - x[jb])
-    else:
-        frac = (x[jb] - lev) / (x[jb] - x[jb + 1])
+    frac = (lev - x[jb]) / (x[jb + 1] - x[jb])
     out = np.full(levels.shape, np.nan)
     out[found] = jb + frac
     return out

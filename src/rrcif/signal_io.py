@@ -148,13 +148,12 @@ class SynthSpec:
 
 
 def _read_header(reader, path, expected_header):
-    """Consume the provenance comments and the header row; return the header's line number.
+    """Consume the provenance comments and the header row of a ``csv.reader``.
 
     Lines starting with '#' before the header are provenance comments and skipped.
     """
     header = None
-    header_line = 0
-    for header_line, row in enumerate(reader, start=1):
+    for row in reader:
         if row and row[0].lstrip().startswith("#"):
             continue
         header = row
@@ -163,20 +162,22 @@ def _read_header(reader, path, expected_header):
         raise ParseError(f"{path}: empty file")
     got = [h.strip().lower() for h in header]
     if got != list(expected_header):
-        raise ParseError(f"{path}: line {header_line}: expected header {','.join(expected_header)!r}, got {','.join(header)!r}")
-    return header_line
+        raise ParseError(f"{path}: line {reader.line_num}: expected header {','.join(expected_header)!r}, got {','.join(header)!r}")
 
 
 def _read_csv_rows(path, expected_header, finite_t=False):
     """Yield (line_no, float values) for a two-column CSV with the given header.
 
-    Line numbers count comment and blank lines. With `finite_t`, a non-finite
-    value in the first column raises :class:`ValidationError` naming its line.
+    Line numbers are lines of the file, so comment and blank lines count; a
+    row whose quoted field holds a line break is named by its last line. With
+    `finite_t`, a non-finite value in the first column raises
+    :class:`ValidationError` naming its line.
     """
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
-        header_line = _read_header(reader, path, expected_header)
-        for line_no, row in enumerate(reader, start=header_line + 1):
+        _read_header(reader, path, expected_header)
+        for row in reader:
+            line_no = reader.line_num
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
             if len(row) != len(expected_header):
@@ -218,11 +219,6 @@ def _read_columns(path, expected_header, finite_t=False) -> np.ndarray:
     return np.array(rows, dtype=float).reshape(-1, len(expected_header))
 
 
-def _line_of_row(path, expected_header, row) -> int:
-    """Line number of data row `row` (0-based) of a CSV that parses."""
-    return next(itertools.islice(_read_csv_rows(path, expected_header), row, None))[0]
-
-
 def read_record(path) -> PpgRecord:
     """Load a PPG recording from a ``t,ppg`` CSV or, by its ``.json`` suffix,
     a record JSON file.
@@ -240,7 +236,8 @@ def read_record(path) -> PpgRecord:
         raise ValidationError(f"{path}: need at least 2 samples, got {data.shape[0]}")
     dt = np.diff(data[:, 0])
     if np.any(dt <= 0):
-        line = _line_of_row(path, ("t", "ppg"), int(np.flatnonzero(dt <= 0)[0]) + 1)
+        row = int(np.flatnonzero(dt <= 0)[0]) + 1
+        line, _ = next(itertools.islice(_read_csv_rows(path, ("t", "ppg")), row, None))
         raise ValidationError(f"{path}: line {line}: timestamps not strictly increasing")
     step = float(np.median(dt))
     if np.max(np.abs(dt - step)) > STEP_TOLERANCE * step:

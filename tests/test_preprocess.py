@@ -1,10 +1,27 @@
+from collections import deque
+from dataclasses import replace
+from statistics import median
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.signal import find_peaks
 
 from rrcif.errors import InsufficientSignalError, UnsupportedRateError
-from rrcif.preprocess import bandpass, flag_artifacts, segment_beats
+from rrcif.preprocess import (
+    ARTIFACT_FACTOR,
+    ARTIFACT_WINDOW,
+    PROMINENCE_FACTOR,
+    PROMINENCE_WINDOW,
+    REFRACTORY_S,
+    Beat,
+    _clip_runs,
+    _refine_extremum,
+    bandpass,
+    flag_artifacts,
+    segment_beats,
+)
 from rrcif.signal_io import PpgRecord
 
 from conftest import make_beats, make_synth
@@ -96,8 +113,6 @@ def test_flag_artifacts_clean_synthetic():
 
 
 def test_flag_artifacts_injected_amplitude():
-    from dataclasses import replace
-
     beats = make_beats(n=30)
     beats[17] = replace(beats[17], v_peak=beats[17].v_foot + 3.0 * (beats[17].v_peak - beats[17].v_foot))
     flagged = flag_artifacts(beats)
@@ -110,8 +125,6 @@ def test_flag_artifacts_identical_beats_zero_flags():
 
 
 def test_flag_artifacts_idempotent():
-    from dataclasses import replace
-
     beats = make_beats(n=30)
     beats[5] = replace(beats[5], period=2.0)
     once = flag_artifacts(beats)
@@ -165,13 +178,6 @@ def _cross_down_loop(x, i0, i1, level, fs):
 
 
 def _segment_beats_loop(filtered):
-    from collections import deque
-    from statistics import median
-
-    from scipy.signal import find_peaks
-
-    from rrcif.preprocess import PROMINENCE_FACTOR, PROMINENCE_WINDOW, REFRACTORY_S, Beat, _refine_extremum
-
     x, fs = filtered.samples, filtered.fs
     candidates, props = find_peaks(x, distance=max(1, int(round(REFRACTORY_S * fs))), prominence=1e-12)
     if candidates.size == 0:
@@ -209,10 +215,6 @@ def _segment_beats_loop(filtered):
 
 
 def _flag_artifacts_loop(beats, record=None):
-    from dataclasses import replace
-
-    from rrcif.preprocess import ARTIFACT_FACTOR, ARTIFACT_WINDOW, _clip_runs
-
     amps = np.array([b.v_peak - b.v_foot for b in beats])
     periods = np.array([np.nan if b.period is None else b.period for b in beats])
     clipped = None

@@ -68,8 +68,12 @@ def test_read_record_decreasing_time(tmp_path):
 
 @pytest.mark.parametrize(
     "text",
-    ["# provenance\nt,ppg\n0.0,1\n0.01,1\n0.02,1\n0.01,1\n", "t,ppg\n0.0,1\n0.01,1\n\n0.02,1\n0.01,1\n"],
-    ids=["comment", "blank"],
+    [
+        "# provenance\nt,ppg\n0.0,1\n0.01,1\n0.02,1\n0.01,1\n",
+        "t,ppg\n0.0,1\n0.01,1\n\n0.02,1\n0.01,1\n",
+        't,ppg\n0.0,1\n"0.01\n",1\n0.02,1\n0.01,1\n',
+    ],
+    ids=["comment", "blank", "quoted-line-break"],
 )
 def test_read_record_decreasing_time_names_real_line(tmp_path, text):
     path = tmp_path / "bad.csv"
@@ -242,6 +246,7 @@ DIALECTS = {
     "one-column": "t,ppg\n0\n0.01\n",
     "empty-field": "t,ppg\n0,1.5\n0.01,\n",
     "non-numeric": "t,ppg\n0,1.5\n0.01,oops\n",
+    "quoted-line-break": 't,ppg\n"0\n",1.5\n0.01,oops\n',
     "body-comment": "t,ppg\n0,1.5\n# note\n0.01,2.5\n",
     "header-only": "t,ppg\n",
     "empty": "",
