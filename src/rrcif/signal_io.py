@@ -165,13 +165,13 @@ def _read_header(reader, path, expected_header):
         raise ParseError(f"{path}: line {reader.line_num}: expected header {','.join(expected_header)!r}, got {','.join(header)!r}")
 
 
-def _read_csv_rows(path, expected_header, finite_t=False):
+def _read_csv_rows(path, expected_header):
     """Yield (line_no, float values) for a two-column CSV with the given header.
 
     Line numbers are lines of the file, so comment and blank lines count; a
-    row whose quoted field holds a line break is named by its last line. With
-    `finite_t`, a non-finite value in the first column raises
-    :class:`ValidationError` naming its line.
+    row whose quoted field holds a line break is named by its last line. A
+    non-finite value in the first column raises :class:`ValidationError`
+    naming its line.
     """
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
@@ -186,17 +186,17 @@ def _read_csv_rows(path, expected_header, finite_t=False):
                 values = [float(v) for v in row]
             except ValueError:
                 raise ParseError(f"{path}: line {line_no}: non-numeric field in {row!r}") from None
-            if finite_t and not math.isfinite(values[0]):
+            if not math.isfinite(values[0]):
                 raise ValidationError(f"{path}: line {line_no}: non-finite timestamp {values[0]}")
             yield line_no, values
 
 
-def _read_columns(path, expected_header, finite_t=False) -> np.ndarray:
+def _read_columns(path, expected_header) -> np.ndarray:
     """Return the rows of a two-column CSV as an (n, 2) array.
 
     The body is parsed by one ``np.loadtxt`` call. Whatever that call rejects
     or cannot be trusted with (a parse error, an empty body, another column
-    count, a non-finite timestamp with `finite_t`) is read again by
+    count, a non-finite timestamp) is read again by
     :func:`_read_csv_rows`, which accepts the same files and raises the
     errors that name a line.
     """
@@ -212,10 +212,10 @@ def _read_columns(path, expected_header, finite_t=False) -> np.ndarray:
         data is not None
         and data.shape[0] >= 1
         and data.shape[1] == len(expected_header)
-        and (not finite_t or np.isfinite(data[:, 0]).all())
+        and np.isfinite(data[:, 0]).all()
     ):
         return data
-    rows = [values for _, values in _read_csv_rows(path, expected_header, finite_t)]
+    rows = [values for _, values in _read_csv_rows(path, expected_header)]
     return np.array(rows, dtype=float).reshape(-1, len(expected_header))
 
 
@@ -231,7 +231,7 @@ def read_record(path) -> PpgRecord:
         record, _ = read_record_json(path)
         return record
 
-    data = _read_columns(path, ("t", "ppg"), finite_t=True)
+    data = _read_columns(path, ("t", "ppg"))
     if data.shape[0] < 2:
         raise ValidationError(f"{path}: need at least 2 samples, got {data.shape[0]}")
     dt = np.diff(data[:, 0])

@@ -206,6 +206,13 @@ def test_reference_nan_time_rejected():
         ReferenceRr(np.array([0.0, np.nan, 4.0]), np.full(3, 20.0))
 
 
+def test_read_reference_nan_time_names_line(tmp_path):
+    path = tmp_path / "rec_ref.csv"
+    path.write_text("# provenance\nt,rr\n0,12\nnan,13\n")
+    with pytest.raises(ValidationError, match="line 4: non-finite timestamp"):
+        read_reference(path)
+
+
 def test_json_nan_fs_rejected(tmp_path):
     path = tmp_path / "rec.json"
     path.write_text('{"id": "r", "fs": NaN, "samples": [0.0, 1.0, 0.0]}')
@@ -264,14 +271,13 @@ def _outcome(read):
         return type(exc), str(exc)
 
 
-@pytest.mark.parametrize("finite_t", [False, True])
 @pytest.mark.parametrize("name", sorted(DIALECTS))
-def test_column_reader_matches_row_loop(tmp_path, name, finite_t):
+def test_column_reader_matches_row_loop(tmp_path, name):
     path = tmp_path / "rec.csv"
     path.write_bytes(DIALECTS[name].encode("utf-8"))
     header = ("t", "ppg")
-    fast = _outcome(lambda: signal_io._read_columns(path, header, finite_t))
-    loop = _outcome(lambda: [values for _, values in signal_io._read_csv_rows(path, header, finite_t)])
+    fast = _outcome(lambda: signal_io._read_columns(path, header))
+    loop = _outcome(lambda: [values for _, values in signal_io._read_csv_rows(path, header)])
     assert fast == loop
 
 
