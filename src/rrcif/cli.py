@@ -15,7 +15,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import multiprocessing
+import os
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from importlib.metadata import PackageNotFoundError, version
 from pathlib import Path
 
@@ -138,35 +141,53 @@ def _cmd_estimate(args, parser):
     return EXIT_OK
 
 
+def _analyze_subject(path):
+    """Read and analyze one subject; returns (analysis, reference) or the error message.
+
+    Runs in a worker process, so the failure comes back as text for the
+    parent to report.
+    """
+    try:
+        if path.suffix == ".json":
+            record, reference = signal_io.read_record_json(path)
+            if reference is None:
+                raise RrcifError(f"{path}: JSON record has no embedded reference")
+        else:
+            ref_path = path.with_name(path.stem + "_ref.csv")
+            record = signal_io.read_record(path)
+            if not ref_path.exists():
+                raise RrcifError(f"{path}: no matching *_ref.csv reference")
+            reference = signal_io.read_reference(ref_path)
+        return pipeline.analyze_record(record), reference
+    except Exception as exc:  # noqa: BLE001 - one bad subject must not end the run
+        return str(exc)
+
+
 def _analyze_dataset(directory):
     """Read and analyze every subject of a dataset directory, in id order.
 
     A subject is <id>.csv with <id>_ref.csv beside it, or a record JSON with
-    an embedded reference. One that cannot be read or analyzed is warned
-    about and skipped. Returns ((analysis, reference) pairs, skipped names).
+    an embedded reference. Subjects are analyzed in worker processes, one per
+    available CPU but no more than there are subjects. Workers are forked, so
+    they start with the modules this process has already imported. One that
+    cannot be read or analyzed is warned about and skipped, in path order.
+    Returns ((analysis, reference) pairs, skipped names).
     """
     directory = Path(directory)
     records = sorted(p for p in directory.glob("*.csv") if not p.stem.endswith("_ref"))
     records += sorted(directory.glob("*.json"))
     if not records:
         raise RrcifError(f"{directory}: no record files found")
+    workers = min(len(records), len(os.sched_getaffinity(0)))
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        results = list(pool.map(_analyze_subject, records))
     subjects, skipped = [], []
-    for path in records:
-        try:
-            if path.suffix == ".json":
-                record, reference = signal_io.read_record_json(path)
-                if reference is None:
-                    raise RrcifError(f"{path}: JSON record has no embedded reference")
-            else:
-                ref_path = path.with_name(path.stem + "_ref.csv")
-                record = signal_io.read_record(path)
-                if not ref_path.exists():
-                    raise RrcifError(f"{path}: no matching *_ref.csv reference")
-                reference = signal_io.read_reference(ref_path)
-            subjects.append((pipeline.analyze_record(record), reference))
-        except Exception as exc:  # noqa: BLE001 - one bad subject must not end the run
-            print(f"warning: skipping {path.name}: {exc}", file=sys.stderr)
+    for path, result in zip(records, results):
+        if isinstance(result, str):
+            print(f"warning: skipping {path.name}: {result}", file=sys.stderr)
             skipped.append(path.name)
+        else:
+            subjects.append(result)
     if not subjects:
         raise RrcifError(f"{directory}: no subject could be analyzed")
     subjects.sort(key=lambda s: s[0].record_id)

@@ -200,23 +200,30 @@ def _read_columns(path, expected_header) -> np.ndarray:
     :func:`_read_csv_rows`, which accepts the same files and raises the
     errors that name a line.
     """
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        _read_header(csv.reader(fh), path, expected_header)
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")  # loadtxt warns, rather than fails, on an empty body
-                data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
-        except (ValueError, Warning):
-            data = None
-    if (
-        data is not None
-        and data.shape[0] >= 1
-        and data.shape[1] == len(expected_header)
-        and np.isfinite(data[:, 0]).all()
-    ):
-        return data
-    rows = [values for _, values in _read_csv_rows(path, expected_header)]
+    try:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+            _read_header(csv.reader(fh), path, expected_header)
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")  # loadtxt warns, rather than fails, on an empty body
+                    data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+            except (ValueError, Warning):  # a UnicodeDecodeError too, which the row loop raises again
+                data = None
+        if (
+            data is not None
+            and data.shape[0] >= 1
+            and data.shape[1] == len(expected_header)
+            and np.isfinite(data[:, 0]).all()
+        ):
+            return data
+        rows = [values for _, values in _read_csv_rows(path, expected_header)]
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, exc) from None
     return np.array(rows, dtype=float).reshape(-1, len(expected_header))
+
+
+def _not_utf8(path, exc: UnicodeDecodeError) -> ParseError:
+    return ParseError(f"{path}: not UTF-8 text: {exc.reason} 0x{exc.object[exc.start]:02x}")
 
 
 def read_record(path) -> PpgRecord:
@@ -253,6 +260,8 @@ def read_record_json(path) -> tuple[PpgRecord, ReferenceRr | None]:
             obj = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, exc) from None
     if not isinstance(obj, dict):
         raise ParseError(f"{path}: expected a JSON object, got {type(obj).__name__}")
     for key in ("id", "fs", "samples"):

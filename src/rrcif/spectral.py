@@ -99,53 +99,70 @@ def _freqs(fs: float) -> np.ndarray:
     return np.fft.rfftfreq(NFFT, d=1.0 / fs) * 60.0
 
 
-def _power(x: np.ndarray, n_bins: int | None = None) -> np.ndarray:
+def _power(x: np.ndarray, n_bins: int | None = None, out: np.ndarray | None = None) -> np.ndarray:
     """Tapered, zero-padded power spectra of the rows of x, first n_bins bins.
 
-    A constant row has exactly zero power: mean subtraction would leave
-    rounding residue that the scale-free noise index could pick up.
+    ``out``, if given, receives the full complex rFFT of the rows. A constant
+    row has exactly zero power: mean subtraction would leave rounding residue
+    that the scale-free noise index could pick up.
     """
     n_win = x.shape[-1]
     constant = np.ptp(x, axis=-1) == 0
     tapered = (x - np.mean(x, axis=-1, keepdims=True)) * np.hamming(n_win)
-    P = np.abs(np.fft.rfft(tapered, NFFT, axis=-1)[..., :n_bins]) ** 2
+    P = np.abs(np.fft.rfft(tapered, NFFT, axis=-1, out=out)[..., :n_bins]) ** 2
     P[constant] = 0.0
     return P
 
 
-def _fit(f: np.ndarray, P: np.ndarray):
-    """Least-squares line through (log f, log P) over the fit bands, and its power law.
+def _band(f: np.ndarray) -> np.ndarray:
+    return (f >= RR_BAND_BPM[0]) & (f <= RR_BAND_BPM[1])
 
-    Only bins with positive power count. Returns (P_fit, a, k, degenerate);
-    a row with fewer than MIN_FIT_BINS usable bins is degenerate and gets
-    a = 0, k = -inf, i.e. P_fit = 0.
+
+def _fit(f: np.ndarray, P: np.ndarray):
+    """Least-squares line log P = k + a*log f over the fit bands.
+
+    Only bins with positive power count: with weights w = (P > 0) and
+    d = log f minus its mean over the fit bins, the line comes in closed form
+    from the sums of w, w*d, w*d**2, w*log P and w*log P*d, the same for
+    every row whatever its mask. Returns (a, k, degenerate); a row with fewer
+    than MIN_FIT_BINS usable bins is degenerate and gets a = 0, k = -inf,
+    i.e. a zero power law.
     """
     sel = np.zeros(f.size, dtype=bool)
     for lo, hi in FIT_BANDS_BPM:
         sel |= (f >= lo) & (f <= hi)
     logf = np.log(f[sel])
-    use = P[..., sel] > 0
-    n = use.sum(axis=-1)
+    centre = logf.mean()
+    d = logf - centre
+    P = P[..., sel]
+    use = P > 0
+    logp = np.log(P, where=use, out=np.zeros(P.shape))
+    powers = np.stack([np.ones_like(d), d, d * d], axis=-1)
+    n, s1, s2 = np.moveaxis(use.astype(float) @ powers, -1, 0)
+    t0, t1 = np.moveaxis(logp @ powers[:, :2], -1, 0)
     degenerate = n < MIN_FIT_BINS
     with np.errstate(divide="ignore", invalid="ignore"):
-        logp = np.log(np.where(use, P[..., sel], 1.0))
-        f_mean = np.sum(use * logf, axis=-1) / n
-        p_mean = np.sum(logp, axis=-1) / n
-        df = np.where(use, logf - f_mean[..., None], 0.0)
-        a = np.sum(df * (logp - p_mean[..., None]), axis=-1) / np.sum(df * df, axis=-1)
-    a = np.where(degenerate, 0.0, a)
-    k = np.where(degenerate, -np.inf, p_mean - a * f_mean)
+        d_mean = s1 / n
+        a = (t1 - d_mean * t0) / (s2 - d_mean * s1)
+        k = t0 / n - a * (d_mean + centre)
+    return np.where(degenerate, 0.0, a), np.where(degenerate, -np.inf, k), degenerate
+
+
+def _power_law(f: np.ndarray, a: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """exp(k + a*log f) on the bins of f for each (a, k), and 0 at f = 0."""
+    positive = f > 0
+    logf = np.log(f, where=positive, out=np.zeros(f.shape))
     out = np.zeros(np.shape(a) + f.shape)
-    P_fit = np.exp(k)[..., None] * np.power(f, a[..., None], where=f > 0, out=out)
-    return P_fit, a, k, degenerate
+    return np.exp(k[..., None] + a[..., None] * logf, where=positive, out=out)
 
 
-def _rate_ni(f: np.ndarray, P_out: np.ndarray, n_window: int):
-    """Rate at the in-band residual maximum and the native-resolution noise index."""
-    band = (f >= RR_BAND_BPM[0]) & (f <= RR_BAND_BPM[1])
-    residual = P_out[..., band]
+def _rate_ni(f: np.ndarray, residual: np.ndarray, n_window: int):
+    """Rate at the residual maximum and the native-resolution noise index.
+
+    ``f`` and the last axis of ``residual`` hold the 4-65 breaths/min bins.
+    """
     peak = np.argmax(residual, axis=-1)
-    rr = f[band][peak]
+    rr = f[peak]
     denom = np.clip(residual, 0.0, None).sum(axis=-1) * n_window / NFFT
     top = np.take_along_axis(residual, np.expand_dims(peak, -1), axis=-1)[..., 0]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -180,11 +197,15 @@ def rate_windows(series: RivSeries, grid: WindowGrid):
     rated = np.flatnonzero(reason == "none")
     freqs = _freqs(series.fs)
     freqs = freqs[freqs <= MAX_BPM]
+    band = _band(freqs)
     rr, ni = np.full((2, grid.count), np.nan)
-    for block in np.array_split(rated, max(1, -(-rated.size // BATCH_ROWS))):
-        P = _power(series.values[i0[block, None] + np.arange(n_win)], freqs.size)
-        P_fit, _, _, degenerate = _fit(freqs, P)
-        rr[block], ni[block] = _rate_ni(freqs, P - P_fit, n_win)
+    blocks = np.array_split(rated, max(1, -(-rated.size // BATCH_ROWS)))
+    spectra = np.empty((blocks[0].size, NFFT // 2 + 1), dtype=complex)  # one rFFT output for every block
+    for block in blocks:
+        P = _power(series.values[i0[block, None] + np.arange(n_win)], freqs.size, out=spectra[: block.size])
+        a, k, degenerate = _fit(freqs, P)
+        residual = P[:, band] - _power_law(freqs[band], a, k)  # the background only where rates are read
+        rr[block], ni[block] = _rate_ni(freqs[band], residual, n_win)
         reason[block[degenerate]] = "fit_degenerate"
     unfit = reason == "fit_degenerate"
     rr[unfit] = ni[unfit] = np.nan
@@ -217,7 +238,8 @@ def fit_power_law(spectrum: PowerSpectrum) -> PowerSpectrum:
     MIN_FIT_BINS usable bins the spectrum is flagged and returned with
     P_fit = 0, i.e. no subtraction.
     """
-    P_fit, a, k, degenerate = _fit(spectrum.freqs, spectrum.P)
+    a, k, degenerate = _fit(spectrum.freqs, spectrum.P)
+    P_fit = _power_law(spectrum.freqs, a, k)
     if degenerate:
         return replace(spectrum, P_fit=P_fit, P_out=spectrum.P - P_fit, fit_degenerate=True)
     return replace(spectrum, P_fit=P_fit, P_out=spectrum.P - P_fit, a=float(a), k=float(k))
@@ -235,5 +257,6 @@ def estimate_rr(spectrum: PowerSpectrum) -> tuple[float, float]:
     """
     if spectrum.P_out is None:
         raise ValueError("call fit_power_law before estimate_rr")
-    rr, ni = _rate_ni(spectrum.freqs, spectrum.P_out, spectrum.n_window)
+    band = _band(spectrum.freqs)
+    rr, ni = _rate_ni(spectrum.freqs[band], spectrum.P_out[..., band], spectrum.n_window)
     return float(rr), float(ni)

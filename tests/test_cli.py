@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from rrcif.cli import main
@@ -254,3 +255,55 @@ def test_estimate_malformed_json_exit_2(tmp_path, capsys, text, message):
     assert main(["estimate", str(path)]) == 2
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "name, content",
+    [
+        ("rec.csv", b"t,ppg\n0,1\n0.01,\xff2\n0.02,3\n"),
+        ("rec.json", b'{"id": "r\xff", "fs": 100, "samples": [0.0, 1.0, 0.0]}'),
+    ],
+    ids=["csv", "json"],
+)
+def test_estimate_not_utf8_exit_2(tmp_path, capsys, name, content):
+    path = tmp_path / name
+    path.write_bytes(content)
+    assert main(["estimate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"{name}: not UTF-8 text" in err and "0xff" in err and "Traceback" not in err
+
+
+def test_dataset_pool_matches_serial_analysis(tmp_path, capsys, monkeypatch):
+    from concurrent.futures import ProcessPoolExecutor
+
+    from rrcif import cli, pipeline
+
+    good = [
+        _write_subject(tmp_path, name, rr=rr, seed=seed)
+        for name, rr, seed in (("a", 14.0, 1), ("c", 20.0, 2), ("e", 26.0, 3))
+    ]
+    (tmp_path / "b.csv").write_text("t,ppg\n0,1\nnot,numbers\n")
+    (tmp_path / "d.csv").write_bytes(b"t,ppg\n0,\xff1\n")
+    workers = []
+
+    class CountingPool(ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            workers.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(16)))
+    subjects, skipped = cli._analyze_dataset(tmp_path)
+
+    assert workers == [5]  # one per subject file, not one per reported CPU
+    assert skipped == ["b.csv", "d.csv"]
+    warnings = [line for line in capsys.readouterr().err.splitlines() if line.startswith("warning:")]
+    assert len(warnings) == 2
+    assert warnings[0].startswith("warning: skipping b.csv: ") and "line 3" in warnings[0]
+    assert warnings[1].startswith("warning: skipping d.csv: ") and "not UTF-8" in warnings[1]
+    assert [a.record_id for a, _ in subjects] == ["a", "c", "e"]
+    for path, (analysis, reference) in zip(good, subjects):
+        direct = pipeline.analyze_record(read_record(path))
+        for field in ("rr", "ni", "reason"):
+            np.testing.assert_array_equal(getattr(analysis.estimates, field), getattr(direct.estimates, field))
+        np.testing.assert_array_equal(reference.rr, read_reference(path.with_name(f"{path.stem}_ref.csv")).rr)

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
+from rrcif import spectral
 from rrcif.errors import BoundsError
 from rrcif.fusion import cif
 from rrcif.riv import RivKind, RivSeries
 from rrcif.spectral import (
+    FIT_BANDS_BPM,
+    MIN_FIT_BINS,
     NFFT,
     PowerSpectrum,
     WindowGrid,
@@ -132,6 +135,35 @@ def test_fit_degenerate_fallback():
     assert fitted.fit_degenerate
     np.testing.assert_array_equal(fitted.P_fit, 0.0)
     np.testing.assert_array_equal(fitted.P_out, fitted.P)
+
+
+def test_fit_partially_masked_matches_polyfit():
+    f = _grid_freqs()
+    rng = np.random.default_rng(8)
+    P = np.zeros_like(f)
+    P[1:] = np.exp(1.3 - 1.7 * np.log(f[1:]) + 0.3 * rng.standard_normal(f.size - 1))
+    fit_bins = np.flatnonzero(((f >= 2) & (f <= 4)) | ((f >= 65) & (f <= 100)))
+    P[fit_bins[::3]] = 0.0  # a third of the fit bins carry no power
+    P[fit_bins[5:20]] = 0.0  # and most of the 2-4 bpm band
+    usable = fit_bins[P[fit_bins] > 0]
+    assert MIN_FIT_BINS <= usable.size < fit_bins.size
+    a_want, k_want = np.polyfit(np.log(f[usable]), np.log(P[usable]), 1)
+
+    fitted = fit_power_law(_spectrum_from_power(P))
+    assert not fitted.fit_degenerate
+    assert fitted.a == pytest.approx(a_want, rel=1e-9)
+    assert fitted.k == pytest.approx(k_want, rel=1e-9)
+    np.testing.assert_allclose(fitted.P_fit[1:], np.exp(k_want) * f[1:] ** a_want, rtol=1e-9)
+    assert fitted.P_fit[0] == 0.0
+
+    # one row of a batch, next to an unmasked row, as rate_windows fits it
+    f_batch = f[f <= FIT_BANDS_BPM[-1][1]]
+    unmasked = np.zeros_like(f_batch)
+    unmasked[1:] = 2.0 / f_batch[1:]
+    a, k, degenerate = spectral._fit(f_batch, np.stack([unmasked, P[: f_batch.size]]))
+    assert not degenerate.any()
+    assert a[1] == pytest.approx(a_want, rel=1e-9) and k[1] == pytest.approx(k_want, rel=1e-9)
+    assert a[0] == pytest.approx(-1.0, rel=1e-9) and k[0] == pytest.approx(np.log(2.0), rel=1e-9)
 
 
 def test_p_out_identity():
