@@ -14,27 +14,33 @@ with a versioned provenance comment line.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import multiprocessing
 import os
+import signal
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from importlib.metadata import PackageNotFoundError, version
 from pathlib import Path
 
-import numpy as np
+# Before numpy loads OpenBLAS: parallelism is the worker pool, so BLAS helper threads only spin.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from . import evaluation, pipeline, signal_io
-from .errors import RrcifError
-from .fusion import FusionResult
-from .riv import ALL_KINDS, RivKind
-from .signal_io import ModDepths, SynthSpec
-from .spectral import DEFAULT_THRESHOLD, fit_power_law, window_spectrum
+import numpy as np  # noqa: E402
+
+from . import evaluation, pipeline, signal_io  # noqa: E402
+from .errors import RrcifError  # noqa: E402
+from .fusion import FusionResult  # noqa: E402
+from .riv import ALL_KINDS, RivKind  # noqa: E402
+from .signal_io import ModDepths, SynthSpec  # noqa: E402
+from .spectral import DEFAULT_THRESHOLD, fit_power_law, window_spectrum  # noqa: E402
 
 EXIT_OK = 0
 EXIT_IO = 2
 EXIT_USAGE = 64
 MIN_T_STEP = 0.01
+PR_SET_PDEATHSIG = 1  # from <linux/prctl.h>
 
 try:
     VERSION = version("rrcif")
@@ -98,8 +104,7 @@ def _dump_riv(directory, rivs):
         _emit(directory / f"{kind.name.lower()}.csv", lines)
 
 
-def _dump_spectrum(out_dir, analysis, window_index, kind_name):
-    kind = RivKind[kind_name.upper()]
+def _dump_spectrum(out_dir, analysis, window_index, kind):
     window = analysis.grid.windows[window_index]
     spectrum = window_spectrum(analysis.rivs[kind], window)
     if spectrum is None:
@@ -112,32 +117,39 @@ def _dump_spectrum(out_dir, analysis, window_index, kind_name):
     _emit(path, lines)
 
 
+def _spectrum_request(parser, raw):
+    """(window index, kind) from the two --dump-spectrum words; usage error if malformed."""
+    raw_index, raw_kind = raw
+    try:
+        window_index = int(raw_index)
+    except ValueError:
+        parser.error(f"--dump-spectrum window must be an integer, got {raw_index!r}")
+    if raw_kind.upper() not in RivKind.__members__:
+        parser.error(f"--dump-spectrum kind must be one of {[k.name for k in RivKind]}, got {raw_kind!r}")
+    return window_index, RivKind[raw_kind.upper()]
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
 
 def _cmd_estimate(args, parser):
     _check_t(parser, args.t)
+    # usage errors come before any reading or writing
+    spectrum_at = _spectrum_request(parser, args.dump_spectrum) if args.dump_spectrum else None
     record = signal_io.read_record(args.input)
     analysis = pipeline.analyze_record(record)
+    if spectrum_at and not 0 <= spectrum_at[0] < analysis.grid.count:
+        parser.error(f"--dump-spectrum window {spectrum_at[0]} outside 0..{analysis.grid.count - 1}")
     fusion = pipeline.fuse_estimates(analysis.estimates, args.method, args.t)
     _write_estimates(args.out, fusion, analysis.grid, args.method, args.t)
     if args.dump_beats:
         _dump_beats(args.dump_beats, analysis.beats)
     if args.dump_riv:
         _dump_riv(args.dump_riv, analysis.rivs)
-    if args.dump_spectrum:
-        raw_index, raw_kind = args.dump_spectrum
-        try:
-            window_index = int(raw_index)
-        except ValueError:
-            parser.error(f"--dump-spectrum window must be an integer, got {raw_index!r}")
-        if raw_kind.upper() not in RivKind.__members__:
-            parser.error(f"--dump-spectrum kind must be one of {[k.name for k in RivKind]}, got {raw_kind!r}")
-        if not 0 <= window_index < analysis.grid.count:
-            parser.error(f"--dump-spectrum window {window_index} outside 0..{analysis.grid.count - 1}")
+    if spectrum_at:
         out_dir = Path(args.out).parent if args.out != "-" else Path(".")
-        _dump_spectrum(out_dir, analysis, window_index, raw_kind)
+        _dump_spectrum(out_dir, analysis, *spectrum_at)
     return EXIT_OK
 
 
@@ -163,6 +175,20 @@ def _analyze_subject(path):
         return str(exc)
 
 
+def _end_with_parent(parent_pid):
+    """Pool initializer: have the kernel send this worker SIGTERM when the
+    command that forked it dies, so a killed command leaves no worker behind.
+    """
+    libc = ctypes.CDLL(None, use_errno=True)
+    libc.prctl.argtypes = (ctypes.c_int, ctypes.c_ulong)
+    libc.prctl.restype = ctypes.c_int
+    if libc.prctl(PR_SET_PDEATHSIG, signal.SIGTERM) != 0:
+        err = ctypes.get_errno()
+        raise OSError(err, os.strerror(err))
+    if os.getppid() != parent_pid:  # the command died before the prctl call
+        os._exit(1)
+
+
 def _analyze_dataset(directory):
     """Read and analyze every subject of a dataset directory, in id order.
 
@@ -179,7 +205,12 @@ def _analyze_dataset(directory):
     if not records:
         raise RrcifError(f"{directory}: no record files found")
     workers = min(len(records), len(os.sched_getaffinity(0)))
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+    with ProcessPoolExecutor(
+        workers,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_end_with_parent,
+        initargs=(os.getpid(),),
+    ) as pool:
         results = list(pool.map(_analyze_subject, records))
     subjects, skipped = [], []
     for path, result in zip(records, results):
@@ -373,5 +404,24 @@ def main(argv=None) -> int:
         return EXIT_IO
 
 
+def run():
+    """Process entry point: run `main` and end the process without
+    interpreter teardown, which would only free memory the OS reclaims.
+
+    By the time `main` returns, every output file is closed and the worker
+    pool is joined, so flushing the standard streams is all that is left.
+    """
+    try:
+        code = main()
+    except SystemExit as exc:  # argparse: --help and usage errors
+        if not isinstance(exc.code, int):
+            raise
+        code = exc.code
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:  # None when the descriptor was closed at startup
+            stream.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -125,6 +125,22 @@ def test_dump_spectrum_bad_args_exit_64(tmp_path):
         assert exc.value.code == 64
 
 
+def test_dump_spectrum_bad_args_write_nothing(tmp_path):
+    rec_path = _write_subject(tmp_path, "s1")
+    out = tmp_path / "est.csv"
+    # a malformed request fails before the record is read: a missing input would exit 2
+    for bad in (["5", "bogus"], ["five", "riav"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["estimate", str(tmp_path / "missing.csv"), "--out", str(out), "--dump-spectrum", *bad])
+        assert exc.value.code == 64
+    # an out-of-range window fails before any output is written
+    with pytest.raises(SystemExit) as exc:
+        main(["estimate", str(rec_path), "--out", str(out), "--dump-beats", str(tmp_path / "beats.csv"),
+              "--dump-spectrum", "9999", "riav"])
+    assert exc.value.code == 64
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["s1.csv", "s1_ref.csv"]
+
+
 def test_sweep_bad_range_exit_64(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["sweep", str(tmp_path), "--t-min", "0.2", "--t-max", "0.1"])

@@ -1,0 +1,164 @@
+"""The command as a process: `python -m rrcif.cli` in a fresh interpreter.
+
+The other CLI tests call `main` in-process; these cover what only a real
+process shows: the BLAS thread pin, the exit path of `run` and the
+lifetime of the worker processes.
+"""
+
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+import pytest
+
+from conftest import make_synth
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+needs_proc = pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="needs Linux /proc")
+
+
+def _env(**overrides):
+    # Unbuffered streams would hide output lost at exit.
+    env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "PYTHONUNBUFFERED")}
+    env["PYTHONPATH"] = SRC + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else SRC
+    env.update(overrides)
+    return env
+
+
+def _python(code, **env):
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=_env(**env), capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout.split()
+
+
+def _cli(*args):
+    return subprocess.run(
+        [sys.executable, "-m", "rrcif.cli", *map(str, args)],
+        env=_env(), capture_output=True, text=True, timeout=120,
+    )
+
+
+@needs_proc
+def test_cli_import_runs_one_thread():
+    threads, blas = _python("import os, rrcif.cli; print(len(os.listdir('/proc/self/task')), os.environ['OPENBLAS_NUM_THREADS'])")
+    assert (threads, blas) == ("1", "1")
+
+
+def test_cli_import_keeps_callers_blas_threads():
+    assert _python("import os, rrcif.cli; print(os.environ['OPENBLAS_NUM_THREADS'])", OPENBLAS_NUM_THREADS="2") == ["2"]
+
+
+@needs_proc
+def test_library_modules_leave_environment_and_threads_alone():
+    code = (
+        "import importlib, os, pkgutil\n"
+        "import numpy, scipy.signal, scipy.stats, rrcif\n"
+        "env, threads = dict(os.environ), len(os.listdir('/proc/self/task'))\n"
+        "import rrcif.pipeline\n"
+        "for info in pkgutil.iter_modules(rrcif.__path__, 'rrcif.'):\n"
+        "    if info.name != 'rrcif.cli':\n"
+        "        importlib.import_module(info.name)\n"
+        "print(dict(os.environ) == env, len(os.listdir('/proc/self/task')) == threads,\n"
+        "      os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+    )
+    assert _python(code) == ["True", "True", "None"]
+
+
+def test_help_exit_0():
+    result = _cli("--help")
+    assert result.returncode == 0
+    assert result.stdout.startswith("usage: rrcif")
+
+
+def test_help_with_stdout_closed_exit_0():
+    # Python sets sys.stdout to None when descriptor 1 is closed at startup.
+    result = subprocess.run(
+        ["sh", "-c", 'exec "$0" -m rrcif.cli --help >&-', sys.executable],
+        env=_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert "usage: rrcif" in result.stderr
+
+
+def test_unknown_subcommand_exit_64():
+    result = _cli("frobnicate")
+    assert result.returncode == 64
+    assert "invalid choice" in result.stderr
+
+
+def test_missing_file_exit_2(tmp_path):
+    result = _cli("estimate", tmp_path / "nope.csv")
+    assert result.returncode == 2
+    assert result.stderr.startswith("rrcif: error:")
+    assert "Traceback" not in result.stderr
+
+
+def test_sweep_to_stdout_prints_every_row(tmp_path):
+    from rrcif.signal_io import write_record, write_reference
+
+    for name, seed in (("a", 1), ("b", 2)):
+        record, reference = make_synth(duration=120.0, seed=seed)
+        write_record(record, tmp_path / f"{name}.csv")
+        write_reference(reference, tmp_path / f"{name}_ref.csv")
+    result = _cli("sweep", tmp_path, "--out", "-")
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines()
+    assert lines[0].startswith("# rrcif ") and lines[1].startswith("t,rmse_p25,")
+    assert len(lines) == 2 + 31
+    assert lines[-1].startswith("0.30,")
+
+
+def _children(pid):
+    kids = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            fields = stat.read_text().rsplit(")", 1)[1].split()
+        except OSError:  # the process ended while we looked
+            continue
+        if int(fields[1]) == pid:
+            kids.append(int(stat.parent.name))
+    return kids
+
+
+def _running(pid):
+    """True unless the process is gone or a zombie."""
+    try:
+        return Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
+
+
+@needs_proc
+def test_workers_end_with_a_killed_command(tmp_path):
+    # Records that are FIFOs with no writer: each worker blocks opening one,
+    # so the workers are certainly alive when the command is killed.
+    for name in ("a.csv", "b.csv"):
+        os.mkfifo(tmp_path / name)
+    expected = min(2, len(os.sched_getaffinity(0)))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "rrcif.cli", "benchmark", str(tmp_path), "--out", str(tmp_path / "out")],
+        env=_env(), stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+    workers = []
+    try:
+        deadline = time.monotonic() + 60
+        while len(workers) < expected and time.monotonic() < deadline and proc.poll() is None:
+            time.sleep(0.05)
+            workers = _children(proc.pid)
+        assert len(workers) == expected, "the command's workers never appeared"
+        proc.send_signal(signal.SIGTERM)
+        proc.wait(timeout=30)
+        time.sleep(1.0)
+        assert [pid for pid in workers if _running(pid)] == []
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait(timeout=30)
+        for pid in workers:
+            if _running(pid):
+                os.kill(pid, signal.SIGKILL)

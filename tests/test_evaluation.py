@@ -53,6 +53,47 @@ def test_reference_at_outside_interpolates_center():
     assert reference_at(ref, (40.0, 72.0)) == pytest.approx(10.0 + 20.0 * 56.0 / 100.0)
 
 
+def _reference_at_loop(reference, windows):
+    """The window-by-window alignment rule, kept as the oracle for reference_at."""
+    rates = []
+    for start, end in np.asarray(windows, dtype=float).reshape(-1, 2):
+        inside = (reference.times_s >= start) & (reference.times_s < end)
+        if inside.any():
+            rates.append(np.mean(reference.rr[inside]))
+        else:
+            rates.append(np.interp(0.5 * (start + end), reference.times_s, reference.rr))
+    return np.array(rates)
+
+
+@pytest.mark.parametrize(
+    "times, windows",
+    [
+        # windows with no samples: before the first, between two, at a gap
+        ([10.0, 11.0, 50.0, 90.0], [(0.0, 8.0), (12.0, 44.0), (11.5, 49.0), (9.0, 12.0), (50.0, 50.5)]),
+        # tied reference times, also on a window's start and end
+        ([0.0, 4.0, 4.0, 4.0, 8.0, 8.0, 12.0], [(4.0, 8.0), (0.0, 4.0), (8.0, 40.0), (3.0, 4.5), (4.0, 4.0)]),
+        # windows past the last sample
+        ([0.0, 2.0, 4.0], [(3.0, 35.0), (4.0, 36.0), (4.5, 36.5), (100.0, 132.0)]),
+    ],
+    ids=["empty", "tied", "past-end"],
+)
+def test_reference_at_matches_window_loop(times, windows):
+    rates = np.linspace(7.0, 41.0, len(times)) ** 1.1
+    ref = _reference(times, rates)
+    expected = _reference_at_loop(ref, windows)
+    np.testing.assert_allclose(reference_at(ref, windows), expected, rtol=1e-12, atol=0)
+    for window, value in zip(windows, expected):
+        assert reference_at(ref, window) == pytest.approx(value, rel=1e-12, abs=0)
+
+
+def test_reference_at_matches_window_loop_on_grid():
+    rng = np.random.default_rng(11)
+    times = np.sort(np.round(rng.uniform(0.0, 470.0, 300), 1))  # rounding makes ties
+    ref = _reference(times, rng.uniform(0.5, 119.0, times.size))
+    windows = WindowGrid(duration_s=480.0).windows
+    np.testing.assert_allclose(reference_at(ref, windows), _reference_at_loop(ref, windows), rtol=1e-12, atol=0)
+
+
 # ---------------------------------------------------------------------------
 # score
 
