@@ -22,13 +22,12 @@ print(f"synthetic record: {record.duration_s:.0f} s at {record.fs:.0f} Hz, true 
 # -------------------------------------------------------------- preprocess
 filtered = bandpass(record)
 beats = flag_artifacts(segment_beats(filtered), record=record)
-print(f"beats detected: {len(beats)} ({sum(b.artifact for b in beats)} flagged as artifact)")
-periods = [b.period for b in beats if b.period is not None]
-print(f"median beat period {np.median(periods):.3f} s -> heart rate {60 / np.median(periods):.1f} beats/min")
+print(f"beats detected: {len(beats)} ({np.count_nonzero(beats.artifact)} flagged as artifact)")
+period = np.nanmedian(beats.period)
+print(f"median beat period {period:.3f} s -> heart rate {60 / period:.1f} beats/min")
 
 # ------------------------------------------------- variation series (5 Hz)
-for kind in ALL_KINDS:
-    series = extract(beats, kind, t_end=record.duration_s)
+for kind, series in extract(beats, t_end=record.duration_s).items():
     rel = np.ptp(series.values) / abs(np.mean(series.values))
     print(f"  {kind.name}: {series.values.size} samples on the 5 Hz grid, peak-to-peak {100 * rel:.1f}% of mean")
 

@@ -84,12 +84,14 @@ def _emit(path, lines):
 
 
 def _dump_beats(path, beats):
-    lines = ["t_foot,v_foot,t_peak,v_peak,width50,rise25_75,period,artifact\n"]
-    for b in beats:
-        period = f"{b.period:.6g}" if b.period is not None else ""
+    header = "t_foot,v_foot,t_peak,v_peak,width50,rise25_75,period,artifact"
+    lines = [header + "\n"]
+    rows = zip(*(getattr(beats, name).tolist() for name in header.split(",")))
+    for t_foot, v_foot, t_peak, v_peak, width50, rise, period, artifact in rows:
+        period = "" if np.isnan(period) else f"{period:.6g}"
         lines.append(
-            f"{b.t_foot:.4f},{b.v_foot:.6g},{b.t_peak:.4f},{b.v_peak:.6g},"
-            f"{b.width50:.6g},{b.rise25_75:.6g},{period},{int(b.artifact)}\n"
+            f"{t_foot:.4f},{v_foot:.6g},{t_peak:.4f},{v_peak:.6g},"
+            f"{width50:.6g},{rise:.6g},{period},{int(artifact)}\n"
         )
     _emit(path, lines)
 

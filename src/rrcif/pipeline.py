@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fusion import SF3, SF5, FusionResult, cif, smart_fusion
-from .preprocess import Beat, bandpass, flag_artifacts, segment_beats
+from .preprocess import BeatTable, bandpass, flag_artifacts, segment_beats
 from .riv import ALL_KINDS, RivKind, RivSeries, extract
 from .signal_io import PpgRecord
 from .spectral import DEFAULT_THRESHOLD, EstimateTable, WindowGrid, rate_windows
@@ -24,7 +24,7 @@ class RecordAnalysis:
     record_id: str
     grid: WindowGrid
     estimates: EstimateTable
-    beats: list[Beat]
+    beats: BeatTable
     rivs: dict[RivKind, RivSeries]
 
 
@@ -37,7 +37,7 @@ def analyze_record(record: PpgRecord) -> RecordAnalysis:
     """
     filtered = bandpass(record)
     beats = flag_artifacts(segment_beats(filtered), record=record)
-    rivs = {kind: extract(beats, kind, t_end=record.duration_s) for kind in ALL_KINDS}
+    rivs = extract(beats, t_end=record.duration_s)
     grid = WindowGrid(duration_s=record.duration_s)
     columns = [rate_windows(rivs[kind], grid) for kind in ALL_KINDS]
     rr, ni, reason = (np.stack(arrays, axis=-1) for arrays in zip(*columns))

@@ -18,7 +18,7 @@ raw record's global minimum or maximum.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from statistics import median
 
 import numpy as np
@@ -41,18 +41,25 @@ ARTIFACT_WINDOW = 10            # beats in the running period/amplitude medians
 CLIP_RUN = 3                    # consecutive saturated samples that mark a beat
 
 
-@dataclass(frozen=True)
-class Beat:
-    """One detected pulse; times in seconds, values in record units."""
+@dataclass(frozen=True, eq=False)
+class BeatTable:
+    """Detected pulses as equal-length columns, one row per beat in peak-time order.
 
-    t_foot: float
-    v_foot: float
-    t_peak: float
-    v_peak: float
-    width50: float
-    rise25_75: float
-    period: float | None
-    artifact: bool = False
+    Times in seconds, values in record units. `period` is the peak-to-peak
+    interval from the previous beat, NaN for the first beat.
+    """
+
+    t_foot: np.ndarray
+    v_foot: np.ndarray
+    t_peak: np.ndarray
+    v_peak: np.ndarray
+    width50: np.ndarray
+    rise25_75: np.ndarray
+    period: np.ndarray
+    artifact: np.ndarray  # bool
+
+    def __len__(self) -> int:
+        return self.t_peak.size
 
 
 def bandpass(record: PpgRecord) -> PpgRecord:
@@ -74,17 +81,17 @@ def bandpass(record: PpgRecord) -> PpgRecord:
 
 
 def _refine_extremum(x, i, fs, find_max):
-    """Sub-sample extremum location/value via a parabola through 3 samples."""
-    if i <= 0 or i >= x.size - 1:
-        return i / fs, float(x[i])
-    y0, y1, y2 = x[i - 1], x[i], x[i + 1]
+    """Sub-sample extremum times/values via a parabola through the 3 samples around each index in `i`.
+
+    An index at either end of `x`, a parabola that is flat or opens the wrong
+    way, or a vertex more than one sample away keeps the sample itself.
+    """
+    y0, y1, y2 = x[np.maximum(i - 1, 0)], x[i], x[np.minimum(i + 1, x.size - 1)]
     curvature = y0 - 2.0 * y1 + y2
-    if curvature == 0 or (curvature > 0) == find_max:
-        return i / fs, float(y1)
-    delta = 0.5 * (y0 - y2) / curvature
-    if abs(delta) > 1.0:
-        return i / fs, float(y1)
-    return (i + delta) / fs, float(y1 - 0.25 * (y0 - y2) * delta)
+    fit = (i > 0) & (i < x.size - 1) & (curvature != 0) & ((curvature > 0) != find_max)
+    delta = 0.5 * (y0 - y2) / np.where(fit, curvature, 1.0)
+    fit &= np.abs(delta) <= 1.0
+    return np.where(fit, i + delta, i) / fs, np.where(fit, y1 - 0.25 * (y0 - y2) * delta, y1)
 
 
 def _crossings(x, starts, stops, levels, rising):
@@ -116,11 +123,11 @@ def _crossings(x, starts, stops, levels, rising):
     return out
 
 
-def segment_beats(filtered: PpgRecord) -> list[Beat]:
+def segment_beats(filtered: PpgRecord) -> BeatTable:
     """Detect pulses in a band-passed record and measure per-beat features.
 
-    Returns beats ordered by peak time. Beats whose level crossings cannot be
-    measured (e.g. a decay truncated at the record edge) are dropped.
+    Returns the beats with no artifact flags set. Beats whose level crossings
+    cannot be measured (e.g. a decay truncated at the record edge) are dropped.
     Raises :class:`InsufficientSignalError` if fewer than 3 beats remain.
     """
     x = filtered.samples
@@ -146,9 +153,12 @@ def segment_beats(filtered: PpgRecord) -> list[Beat]:
     nxt = np.append(peaks, x.size - 1)[1:]
     has_search = peaks > prev
     peaks, prev, nxt = peaks[has_search], prev[has_search], nxt[has_search]
-    feet = np.array([lo + int(np.argmin(x[lo:pk])) for lo, pk in zip(prev, peaks)], dtype=int)
-    t_foot, v_foot = np.array([_refine_extremum(x, i, fs, find_max=False) for i in feet]).reshape(-1, 2).T
-    t_peak, v_peak = np.array([_refine_extremum(x, i, fs, find_max=True) for i in peaks]).reshape(-1, 2).T
+    # a foot is the first minimum of x[prev:peak]; these spans tile x[:peaks[-1]]
+    lowest = np.repeat(np.minimum.reduceat(x[: peaks[-1]], prev), peaks - prev)
+    at_lowest = np.flatnonzero(x[: peaks[-1]] == lowest)
+    feet = at_lowest[np.searchsorted(at_lowest, prev)]
+    t_foot, v_foot = _refine_extremum(x, feet, fs, find_max=False)
+    t_peak, v_peak = _refine_extremum(x, peaks, fs, find_max=True)
 
     amp = v_peak - v_foot
     t25, t50u, t75 = _crossings(x, feet, peaks, v_foot + np.array([[0.25], [0.50], [0.75]]) * amp, rising=True) / fs
@@ -156,39 +166,26 @@ def segment_beats(filtered: PpgRecord) -> list[Beat]:
     keep = (v_peak > v_foot) & (t25 <= t75) & (t50u < t50d)
 
     t_peak = t_peak[keep]
-    periods = [None] + np.diff(t_peak).tolist()
-    columns = zip(
-        t_foot[keep].tolist(),
-        v_foot[keep].tolist(),
-        t_peak.tolist(),
-        v_peak[keep].tolist(),
-        (t50d - t50u)[keep].tolist(),
-        (t75 - t25)[keep].tolist(),
-        periods,
+    if t_peak.size < 3:
+        raise InsufficientSignalError(f"only {t_peak.size} beats detected, need >= 3")
+    return BeatTable(
+        t_foot=t_foot[keep],
+        v_foot=v_foot[keep],
+        t_peak=t_peak,
+        v_peak=v_peak[keep],
+        width50=(t50d - t50u)[keep],
+        rise25_75=(t75 - t25)[keep],
+        period=np.concatenate(([np.nan], np.diff(t_peak))),
+        artifact=np.zeros(t_peak.size, dtype=bool),
     )
-    beats = [Beat(*fields) for fields in columns]
-    if len(beats) < 3:
-        raise InsufficientSignalError(f"only {len(beats)} beats detected, need >= 3")
-    return beats
 
 
 def _clip_runs(raw: np.ndarray) -> np.ndarray:
     """Boolean mask of samples inside runs of >= CLIP_RUN at the global min/max."""
     pinned = (raw == raw.max()) | (raw == raw.min())
-    mask = np.zeros(raw.size, dtype=bool)
-    if not pinned.any():
-        return mask
-    edges = np.diff(pinned.astype(np.int8))
-    starts = list(np.flatnonzero(edges == 1) + 1)
-    ends = list(np.flatnonzero(edges == -1) + 1)
-    if pinned[0]:
-        starts.insert(0, 0)
-    if pinned[-1]:
-        ends.append(raw.size)
-    for s, e in zip(starts, ends):
-        if e - s >= CLIP_RUN:
-            mask[s:e] = True
-    return mask
+    edges = np.flatnonzero(np.diff(pinned, prepend=False, append=False))
+    lengths = np.diff(edges, prepend=0, append=raw.size)  # runs alternate unpinned, pinned, ..., unpinned
+    return np.repeat((np.arange(lengths.size) % 2 == 1) & (lengths >= CLIP_RUN), lengths)
 
 
 def _running_median(values: np.ndarray) -> np.ndarray:
@@ -211,8 +208,8 @@ def _deviates(values: np.ndarray, med: np.ndarray) -> np.ndarray:
     return positive & ~((1.0 / ARTIFACT_FACTOR <= ratio) & (ratio <= ARTIFACT_FACTOR))
 
 
-def flag_artifacts(beats: list[Beat], record: PpgRecord | None = None) -> list[Beat]:
-    """Return a copy of `beats` with artifact flags set.
+def flag_artifacts(beats: BeatTable, record: PpgRecord | None = None) -> BeatTable:
+    """Return a copy of `beats` with the artifact column set.
 
     A beat is flagged when its period or amplitude deviates from the running
     median of the previous ARTIFACT_WINDOW beats by more than ARTIFACT_FACTOR,
@@ -222,18 +219,16 @@ def flag_artifacts(beats: list[Beat], record: PpgRecord | None = None) -> list[B
     """
     if len(beats) < 3:
         raise InsufficientSignalError("need >= 3 beats for artifact detection")
-    amps = np.array([b.v_peak - b.v_foot for b in beats])
-    has_period = np.array([b.period is not None for b in beats])
-    periods = np.array([np.nan if b.period is None else b.period for b in beats])
-
-    flags = _deviates(amps, _running_median(amps)) | (has_period & _deviates(periods, _running_median(periods)))
+    amps = beats.v_peak - beats.v_foot
+    periods = beats.period
+    flags = _deviates(amps, _running_median(amps)) | (~np.isnan(periods) & _deviates(periods, _running_median(periods)))
     if record is not None:
         runs = _clip_runs(record.samples)
-        bounds = [b.t_foot for b in beats] + [beats[-1].t_peak + (beats[-1].width50)]
-        idx = np.clip((np.asarray(bounds) * record.fs).astype(int), 0, record.samples.size)
+        bounds = np.append(beats.t_foot, beats.t_peak[-1] + beats.width50[-1])
+        idx = np.clip((bounds * record.fs).astype(int), 0, record.samples.size)
         # a beat spans runs[idx[i] : max(idx[i + 1], idx[i] + 1)]
         start = idx[:-1]
         stop = np.minimum(np.maximum(idx[1:], start + 1), runs.size)
         pinned_before = np.concatenate(([0], np.cumsum(runs)))
         flags |= pinned_before[stop] > pinned_before[start]
-    return [replace(beat, artifact=flag) for beat, flag in zip(beats, flags.tolist())]
+    return BeatTable(**{**vars(beats), "artifact": flags})

@@ -1,10 +1,10 @@
 """Respiratory-induced variation series derived from the beat sequence.
 
 Each series takes one feature per beat, placed at the beat's peak time, and
-linearly interpolates it onto a uniform 5 Hz grid. Artifact beats are
-excluded as interpolation knots; grid points whose bracketing beats include
-an artifact are marked in the series' artifact mask instead of being dropped,
-so windowing decisions stay downstream.
+linearly interpolates it onto a uniform 5 Hz grid shared by all five series.
+Artifact beats are excluded as interpolation knots; grid points whose
+bracketing beats include an artifact are marked in the shared artifact mask
+instead of being dropped, so windowing decisions stay downstream.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import InsufficientSignalError
-from .preprocess import Beat
+from .preprocess import BeatTable
 
 RIV_FS = 5.0
 GRID_STEP_S = 1.0 / RIV_FS
@@ -49,45 +49,36 @@ class RivSeries:
         return self.t0 + np.arange(self.values.size) / self.fs
 
 
-def beat_feature(beat: Beat, kind: RivKind) -> float | None:
-    if kind is RivKind.RIIV:
-        return beat.v_peak
-    if kind is RivKind.RIAV:
-        return beat.v_peak - beat.v_foot
-    if kind is RivKind.RIFV:
-        return beat.period
-    if kind is RivKind.RIWV:
-        return beat.width50
-    return beat.rise25_75
+def extract(beats: BeatTable, t_end: float) -> dict[RivKind, RivSeries]:
+    """Build all five series on the 5 Hz grid spanning [first peak, t_end].
 
-
-def extract(beats: list[Beat], kind: RivKind, t_end: float) -> RivSeries:
-    """Build the `kind` series on the 5 Hz grid spanning [first peak, t_end].
-
-    Knots are the non-artifact beats with a defined feature (the first beat
-    has no period, so it contributes no RIFV knot). Interpolation is linear
-    and clamps to the edge knots outside their span.
+    The knots of a series are the non-artifact beats with a finite feature
+    (the first beat has no period, so it contributes no RIFV knot).
+    Interpolation is linear and clamps to the edge knots outside their span.
+    Raises :class:`InsufficientSignalError` for the first kind, in
+    ``ALL_KINDS`` order, with fewer than 3 knots.
     """
-    knot_t, knot_v = [], []
-    for beat in beats:
-        value = beat_feature(beat, kind)
-        if beat.artifact or value is None:
-            continue
-        knot_t.append(beat.t_peak)
-        knot_v.append(value)
-    if len(knot_t) < 3:
-        raise InsufficientSignalError(f"{kind.name}: only {len(knot_t)} usable beats, need >= 3")
+    features = {
+        RivKind.RIIV: beats.v_peak,
+        RivKind.RIAV: beats.v_peak - beats.v_foot,
+        RivKind.RIFV: beats.period,
+        RivKind.RIWV: beats.width50,
+        RivKind.RISV: beats.rise25_75,
+    }
+    knots = {kind: ~beats.artifact & np.isfinite(value) for kind, value in features.items()}
+    for kind, used in knots.items():
+        if np.count_nonzero(used) < 3:
+            raise InsufficientSignalError(f"{kind.name}: only {np.count_nonzero(used)} usable beats, need >= 3")
 
-    t0 = beats[0].t_peak
+    t0 = float(beats.t_peak[0])
     n = int(np.floor((t_end - t0) / GRID_STEP_S + 1e-9)) + 1
     if n < 1:
         raise InsufficientSignalError("t_end precedes the first beat")
     grid = t0 + np.arange(n) * GRID_STEP_S
-    values = np.interp(grid, knot_t, knot_v)
-
-    peak_times = np.array([b.t_peak for b in beats])
-    art = np.array([b.artifact for b in beats])
-    right = np.clip(np.searchsorted(peak_times, grid), 0, len(beats) - 1)
-    left = np.clip(np.searchsorted(peak_times, grid) - 1, 0, len(beats) - 1)
-    mask = art[left] | art[right]
-    return RivSeries(kind=kind, t0=t0, values=values, artifact_mask=mask)
+    right = np.searchsorted(beats.t_peak, grid)
+    last = len(beats) - 1
+    mask = beats.artifact[np.clip(right - 1, 0, last)] | beats.artifact[np.clip(right, 0, last)]
+    return {
+        kind: RivSeries(kind, t0, np.interp(grid, beats.t_peak[used], features[kind][used]), mask)
+        for kind, used in knots.items()
+    }

@@ -1,4 +1,4 @@
-"""Beat columns pinned from two golden records.
+"""Per-beat columns pinned from two golden records.
 
 Every column of ``flag_artifacts(segment_beats(bandpass(r)), record=r)`` for
 the ``clean12`` and ``clipped`` records of ``test_golden``, compared exactly,
@@ -26,10 +26,7 @@ COLUMNS = ("t_foot", "v_foot", "t_peak", "v_peak", "width50", "rise25_75", "peri
 
 def observe(record):
     beats = flag_artifacts(segment_beats(bandpass(record)), record=record)
-    return {
-        name: np.array([np.nan if getattr(b, name) is None else getattr(b, name) for b in beats])
-        for name in COLUMNS
-    }
+    return {name: getattr(beats, name) for name in COLUMNS}
 
 
 @pytest.fixture(scope="module")

@@ -90,6 +90,9 @@ def test_estimate_dump_flags(tmp_path):
     beats_lines = (tmp_path / "beats.csv").read_text().splitlines()
     assert beats_lines[0] == "t_foot,v_foot,t_peak,v_peak,width50,rise25_75,period,artifact"
     assert len(beats_lines) > 100
+    first, second = (line.split(",") for line in beats_lines[1:3])
+    assert first[6] == "" and float(second[6]) > 0  # the first beat has no period
+    assert {line.rsplit(",", 1)[1] for line in beats_lines[1:]} <= {"0", "1"}
     for kind in ("riiv", "riav", "rifv", "riwv", "risv"):
         assert (tmp_path / "rivs" / f"{kind}.csv").exists()
     spectrum_lines = (tmp_path / "spectrum_w10_riav.csv").read_text().splitlines()

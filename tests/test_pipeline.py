@@ -12,7 +12,7 @@ def late_start():
     """A record whose first beat comes after one 5 Hz series step (0.2 s)."""
     record, _ = make_synth(rr=12.0, hr=74.0, duration=120.0, seed=21)
     analysis = pipeline.analyze_record(record)
-    assert analysis.beats[0].t_peak > 0.2
+    assert analysis.beats.t_peak[0] > 0.2
     return analysis
 
 

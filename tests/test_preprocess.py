@@ -1,10 +1,9 @@
 from collections import deque
-from dataclasses import replace
 from statistics import median
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.signal import find_peaks
 
@@ -12,10 +11,11 @@ from rrcif.errors import InsufficientSignalError, UnsupportedRateError
 from rrcif.preprocess import (
     ARTIFACT_FACTOR,
     ARTIFACT_WINDOW,
+    CLIP_RUN,
     PROMINENCE_FACTOR,
     PROMINENCE_WINDOW,
     REFRACTORY_S,
-    Beat,
+    BeatTable,
     _clip_runs,
     _refine_extremum,
     bandpass,
@@ -24,7 +24,7 @@ from rrcif.preprocess import (
 )
 from rrcif.signal_io import PpgRecord
 
-from conftest import make_beats, make_synth
+from conftest import edit_beat, make_beats, make_synth
 
 
 def _tone_gain_db(freq_hz, fs=100.0, duration=120.0):
@@ -69,8 +69,7 @@ def test_segment_beat_count_matches_heart_rate():
 def test_segment_periods_without_frequency_modulation():
     record, _ = make_synth(rr=15.0, hr=80.0, duration=60.0, depths=(0.1, 0.1, 0.0, 0.1, 0.1), noise=0.0)
     beats = segment_beats(bandpass(record))
-    periods = np.array([b.period for b in beats if b.period is not None])
-    np.testing.assert_allclose(periods, 0.75, rtol=0.01)
+    np.testing.assert_allclose(beats.period[1:], 0.75, rtol=0.01)
 
 
 def test_segment_flatline_errors():
@@ -89,13 +88,11 @@ def test_segment_beat_invariants_fuzz():
             seed=int(rng.integers(1e6)),
         )
         beats = segment_beats(bandpass(record))
-        peaks = [b.t_peak for b in beats]
-        assert np.all(np.diff(peaks) > 0)
-        for b in beats:
-            assert b.t_foot < b.t_peak
-            assert b.v_peak > b.v_foot
-            assert b.width50 > 0
-            assert b.rise25_75 > 0
+        assert np.all(np.diff(beats.t_peak) > 0)
+        assert np.all(beats.t_foot < beats.t_peak)
+        assert np.all(beats.v_peak > beats.v_foot)
+        assert np.all(beats.width50 > 0)
+        assert np.all(beats.rise25_75 > 0)
 
 
 def test_segmentation_stable_under_small_noise():
@@ -109,27 +106,26 @@ def test_segmentation_stable_under_small_noise():
 def test_flag_artifacts_clean_synthetic():
     record, _ = make_synth(duration=120.0)
     beats = flag_artifacts(segment_beats(bandpass(record)), record=record)
-    assert not any(b.artifact for b in beats)
+    assert not beats.artifact.any()
 
 
 def test_flag_artifacts_injected_amplitude():
     beats = make_beats(n=30)
-    beats[17] = replace(beats[17], v_peak=beats[17].v_foot + 3.0 * (beats[17].v_peak - beats[17].v_foot))
+    beats = edit_beat(beats, 17, v_peak=beats.v_foot[17] + 3.0 * (beats.v_peak[17] - beats.v_foot[17]))
     flagged = flag_artifacts(beats)
-    assert [i for i, b in enumerate(flagged) if b.artifact] == [17]
+    assert np.flatnonzero(flagged.artifact).tolist() == [17]
 
 
 def test_flag_artifacts_identical_beats_zero_flags():
     flagged = flag_artifacts(make_beats(n=25))
-    assert not any(b.artifact for b in flagged)
+    assert not flagged.artifact.any()
 
 
 def test_flag_artifacts_idempotent():
-    beats = make_beats(n=30)
-    beats[5] = replace(beats[5], period=2.0)
+    beats = edit_beat(make_beats(n=30), 5, period=2.0)
     once = flag_artifacts(beats)
     twice = flag_artifacts(once)
-    assert [b.artifact for b in once] == [b.artifact for b in twice]
+    assert once.artifact.tolist() == twice.artifact.tolist()
 
 
 def test_flag_artifacts_clipping_run():
@@ -141,8 +137,8 @@ def test_flag_artifacts_clipping_run():
     clipped_record = PpgRecord(record.id, record.fs, samples)
     beats = segment_beats(bandpass(clipped_record))
     flagged = flag_artifacts(beats, record=clipped_record)
-    spanning = [b for b in flagged if b.t_foot <= 30.0 <= b.t_foot + 1.5]
-    assert any(b.artifact for b in spanning)
+    spanning = (flagged.t_foot <= 30.0) & (30.0 <= flagged.t_foot + 1.5)
+    assert flagged.artifact[spanning].any()
 
 
 def test_flag_artifacts_needs_three_beats():
@@ -151,10 +147,27 @@ def test_flag_artifacts_needs_three_beats():
 
 
 # ---------------------------------------------------------------------------
-# Per-beat loop oracles. segment_beats finds level crossings for all beats at
-# once and flag_artifacts takes running medians over a sliding window; these
-# loops are the one-beat-at-a-time versions they replaced, kept as the
-# reference the array code must match exactly.
+# Per-beat loop oracles. segment_beats refines extrema and finds level
+# crossings for all beats at once, flag_artifacts takes running medians over a
+# sliding window and _clip_runs measures every run at once; these loops are the
+# one-beat-at-a-time (or one-sample-at-a-time) versions they replaced, kept as
+# the reference the array code must match exactly.
+
+BEAT_COLUMNS = ("t_foot", "v_foot", "t_peak", "v_peak", "width50", "rise25_75", "period")
+
+
+def _refine_extremum_loop(x, i, fs, find_max):
+    """Sub-sample extremum location/value via a parabola through 3 samples."""
+    if i <= 0 or i >= x.size - 1:
+        return i / fs, float(x[i])
+    y0, y1, y2 = x[i - 1], x[i], x[i + 1]
+    curvature = y0 - 2.0 * y1 + y2
+    if curvature == 0 or (curvature > 0) == find_max:
+        return i / fs, float(y1)
+    delta = 0.5 * (y0 - y2) / curvature
+    if abs(delta) > 1.0:
+        return i / fs, float(y1)
+    return (i + delta) / fs, float(y1 - 0.25 * (y0 - y2) * delta)
 
 
 def _cross_up_loop(x, i0, i1, level, fs):
@@ -178,6 +191,7 @@ def _cross_down_loop(x, i0, i1, level, fs):
 
 
 def _segment_beats_loop(filtered):
+    """Per-beat rows in BEAT_COLUMNS order, None for the first beat's period."""
     x, fs = filtered.samples, filtered.fs
     candidates, props = find_peaks(x, distance=max(1, int(round(REFRACTORY_S * fs))), prominence=1e-12)
     if candidates.size == 0:
@@ -194,8 +208,8 @@ def _segment_beats_loop(filtered):
         if pk == lo:
             continue
         foot = lo + int(np.argmin(x[lo:pk]))
-        t_foot, v_foot = _refine_extremum(x, foot, fs, find_max=False)
-        t_peak, v_peak = _refine_extremum(x, pk, fs, find_max=True)
+        t_foot, v_foot = _refine_extremum_loop(x, foot, fs, find_max=False)
+        t_peak, v_peak = _refine_extremum_loop(x, pk, fs, find_max=True)
         if v_peak <= v_foot:
             continue
         amp = v_peak - v_foot
@@ -207,7 +221,7 @@ def _segment_beats_loop(filtered):
         if None in (t25, t50u, t75, t50d) or not (t25 <= t75 and t50u < t50d):
             continue
         period = None if prev_peak_t is None else t_peak - prev_peak_t
-        beats.append(Beat(t_foot, v_foot, t_peak, v_peak, t50d - t50u, t75 - t25, period))
+        beats.append((t_foot, v_foot, t_peak, v_peak, t50d - t50u, t75 - t25, period))
         prev_peak_t = t_peak
     if len(beats) < 3:
         raise InsufficientSignalError(f"only {len(beats)} beats detected, need >= 3")
@@ -215,16 +229,17 @@ def _segment_beats_loop(filtered):
 
 
 def _flag_artifacts_loop(beats, record=None):
-    amps = np.array([b.v_peak - b.v_foot for b in beats])
-    periods = np.array([np.nan if b.period is None else b.period for b in beats])
+    """Per-beat artifact flags of a beat table, as a list of bools."""
+    amps = beats.v_peak - beats.v_foot
+    periods = beats.period
     clipped = None
     if record is not None:
         runs = _clip_runs(record.samples)
-        bounds = [b.t_foot for b in beats] + [beats[-1].t_peak + beats[-1].width50]
+        bounds = beats.t_foot.tolist() + [beats.t_peak[-1] + beats.width50[-1]]
         idx = np.clip((np.asarray(bounds) * record.fs).astype(int), 0, record.samples.size)
         clipped = [bool(runs[idx[i] : max(idx[i + 1], idx[i] + 1)].any()) for i in range(len(beats))]
     out = []
-    for i, beat in enumerate(beats):
+    for i in range(len(beats)):
         lo = max(0, i - ARTIFACT_WINDOW)
         flag = False
         if i > lo:
@@ -232,12 +247,26 @@ def _flag_artifacts_loop(beats, record=None):
             if med > 0 and not (1.0 / ARTIFACT_FACTOR <= amps[i] / med <= ARTIFACT_FACTOR):
                 flag = True
         prev_periods = periods[lo:i][~np.isnan(periods[lo:i])]
-        if beat.period is not None and prev_periods.size:
+        if not np.isnan(periods[i]) and prev_periods.size:
             med = float(np.median(prev_periods))
-            if med > 0 and not (1.0 / ARTIFACT_FACTOR <= beat.period / med <= ARTIFACT_FACTOR):
+            if med > 0 and not (1.0 / ARTIFACT_FACTOR <= periods[i] / med <= ARTIFACT_FACTOR):
                 flag = True
-        out.append(replace(beat, artifact=flag or bool(clipped and clipped[i])))
+        out.append(flag or bool(clipped and clipped[i]))
     return out
+
+
+def _clip_runs_loop(raw):
+    """Per sample: pinned at the global min or max, in a run of >= CLIP_RUN pinned samples."""
+    pinned = [v == raw.max() or v == raw.min() for v in raw]
+    mask = []
+    for k in range(len(raw)):
+        lo = hi = k
+        while lo > 0 and pinned[lo - 1]:
+            lo -= 1
+        while hi < len(raw) - 1 and pinned[hi + 1]:
+            hi += 1
+        mask.append(pinned[k] and hi - lo + 1 >= CLIP_RUN)
+    return mask
 
 
 def _outcome(fn, *args):
@@ -247,8 +276,16 @@ def _outcome(fn, *args):
         return str(exc)
 
 
-@settings(max_examples=30, deadline=None)
-@given(
+def _assert_table(beats, rows, artifact):
+    """`beats` holds exactly the oracle's rows and flags, NaN where a row has no period."""
+    assert isinstance(beats, BeatTable)
+    for name, column in zip(BEAT_COLUMNS, zip(*rows)):
+        np.testing.assert_array_equal(getattr(beats, name), np.array(column, dtype=float), err_msg=name, strict=True)
+    np.testing.assert_array_equal(beats.artifact, np.array(artifact, dtype=bool), strict=True)
+
+
+# The stress inputs of the oracle and invariant tests below.
+STRESS = dict(
     seed=st.integers(0, 2**16),
     fs=st.sampled_from([50.0, 100.0, 125.0, 250.0]),
     rr=st.floats(6.0, 30.0),
@@ -258,7 +295,9 @@ def _outcome(fn, *args):
     bursts=st.integers(0, 4),
     clip_quantile=st.sampled_from([None, 0.98, 0.9, 0.7]),
 )
-def test_array_beats_match_loop_oracles(seed, fs, rr, hr_over_rr, hrv, noise, bursts, clip_quantile):
+
+
+def _stress_record(seed, fs, rr, hr_over_rr, hrv, noise, bursts, clip_quantile):
     hr = min(rr * hr_over_rr, 180.0)
     record, _ = make_synth(rr=rr, hr=hr, duration=40.0, fs=fs, depths=(0.1, 0.1, hrv, 0.1, 0.1), noise=noise, seed=seed)
     rng = np.random.default_rng(seed)
@@ -268,10 +307,72 @@ def test_array_beats_match_loop_oracles(seed, fs, rr, hr_over_rr, hrv, noise, bu
         burst += rng.normal(0.0, 1.0, burst.size)
     if clip_quantile is not None:  # saturation pins a run of samples at the global max
         samples = np.minimum(samples, np.quantile(samples, clip_quantile))
-    record = PpgRecord(record.id, fs, samples)
+    return PpgRecord(record.id, fs, samples)
+
+
+@settings(max_examples=30, deadline=None)
+@given(**STRESS)
+def test_array_beats_match_loop_oracles(seed, fs, rr, hr_over_rr, hrv, noise, bursts, clip_quantile):
+    record = _stress_record(seed, fs, rr, hr_over_rr, hrv, noise, bursts, clip_quantile)
     filtered = bandpass(record)
     beats = _outcome(segment_beats, filtered)
-    assert beats == _outcome(_segment_beats_loop, filtered)
-    if isinstance(beats, list):
-        assert flag_artifacts(beats, record=record) == _flag_artifacts_loop(beats, record)
-        assert flag_artifacts(beats) == _flag_artifacts_loop(beats)
+    rows = _outcome(_segment_beats_loop, filtered)
+    if isinstance(rows, str):
+        assert beats == rows
+        return
+    _assert_table(beats, rows, [False] * len(rows))
+    _assert_table(flag_artifacts(beats, record=record), rows, _flag_artifacts_loop(beats, record))
+    _assert_table(flag_artifacts(beats), rows, _flag_artifacts_loop(beats))
+
+
+@settings(max_examples=30, deadline=None)
+@given(**STRESS)
+def test_beat_table_invariants(seed, fs, rr, hr_over_rr, hrv, noise, bursts, clip_quantile):
+    record = _stress_record(seed, fs, rr, hr_over_rr, hrv, noise, bursts, clip_quantile)
+    beats = _outcome(segment_beats, bandpass(record))
+    if isinstance(beats, str):
+        return
+    assert {getattr(beats, name).shape for name in (*BEAT_COLUMNS, "artifact")} == {(len(beats),)}
+    assert np.all(np.diff(beats.t_peak) > 0)
+    assert np.isnan(beats.period[0])
+    assert np.array_equal(beats.period[1:], np.diff(beats.t_peak))
+    assert np.all(beats.t_foot < beats.t_peak)
+    assert np.all(beats.v_peak > beats.v_foot)
+    for raw in (record, None):
+        once = flag_artifacts(beats, record=raw)
+        assert np.array_equal(flag_artifacts(once, record=raw).artifact, once.artifact)
+        for name in BEAT_COLUMNS:
+            assert np.array_equal(getattr(once, name), getattr(beats, name), equal_nan=True), name
+
+
+# a small alphabet makes flat and linear triples, so zero curvature and ties are common
+_SAMPLE = st.one_of(
+    st.integers(-3, 3).map(float),
+    st.floats(-10.0, 10.0, allow_subnormal=False).filter(lambda v: v == 0 or abs(v) > 1e-3),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    x=st.lists(_SAMPLE, min_size=1, max_size=30),
+    fs=st.sampled_from([25.0, 100.0, 300.0]),
+    find_max=st.booleans(),
+)
+def test_refine_extremum_matches_scalar_oracle(x, fs, find_max):
+    x = np.array(x)
+    i = np.arange(x.size)  # every index, the first and last included
+    t, v = _refine_extremum(x, i, fs, find_max)
+    want_t, want_v = np.array([_refine_extremum_loop(x, j, fs, find_max) for j in i]).T
+    np.testing.assert_array_equal(t, want_t, strict=True)
+    np.testing.assert_array_equal(v, want_v, strict=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 3), min_size=1, max_size=40))
+@example([2, 2, 2, 2, 2])  # constant record: every sample is at both extremes
+@example([2, 2])
+@example([0, 0, 0, 1, 2, 1, 3, 3, 3])  # runs touching both ends
+@example([3, 3, 1, 2, 0, 0])  # short runs at both ends
+def test_clip_runs_match_run_length_oracle(values):
+    raw = np.array(values, dtype=float)
+    np.testing.assert_array_equal(_clip_runs(raw), np.array(_clip_runs_loop(raw), dtype=bool), strict=True)

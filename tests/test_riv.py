@@ -9,7 +9,7 @@ from rrcif.preprocess import bandpass, segment_beats
 from rrcif.riv import ALL_KINDS, GRID_STEP_S, RivKind, extract
 from rrcif.spectral import DEFAULT_THRESHOLD, estimate_rr, fit_power_law, window_spectrum
 
-from conftest import make_beats, make_synth
+from conftest import edit_beat, make_beats, make_synth
 
 
 def test_exactly_five_kinds():
@@ -19,64 +19,76 @@ def test_exactly_five_kinds():
 
 def test_grid_step_and_extent():
     beats = make_beats(n=50, t0=0.6)
-    t_end = beats[-1].t_peak
-    series = extract(beats, RivKind.RIAV, t_end)
+    t_end = beats.t_peak[-1]
+    series = extract(beats, t_end)[RivKind.RIAV]
     times = series.times
     np.testing.assert_allclose(np.diff(times), GRID_STEP_S, rtol=0, atol=1e-12)
-    assert abs(times[0] - beats[0].t_peak) < GRID_STEP_S + 1e-12
-    assert abs(times[-1] - beats[-1].t_peak) < GRID_STEP_S + 1e-12
+    assert abs(times[0] - beats.t_peak[0]) < GRID_STEP_S + 1e-12
+    assert abs(times[-1] - beats.t_peak[-1]) < GRID_STEP_S + 1e-12
 
 
 def test_interpolation_passes_through_knots():
     # peaks on exact grid times, so grid points coincide with knots
     beats = make_beats(n=40, period=0.8, t0=0.4)
-    values = {b.t_peak: 1.0 + 0.2 * math.sin(b.t_peak) for b in beats}
-    beats = [replace(b, v_peak=values[b.t_peak] + b.v_foot) for b in beats]
-    series = extract(beats, RivKind.RIAV, beats[-1].t_peak)
+    values = np.array([1.0 + 0.2 * math.sin(t) for t in beats.t_peak])
+    beats = replace(beats, v_peak=values + beats.v_foot)
+    series = extract(beats, beats.t_peak[-1])[RivKind.RIAV]
     times = series.times
-    for b in beats:
-        idx = int(round((b.t_peak - series.t0) / GRID_STEP_S))
-        assert abs(times[idx] - b.t_peak) < 1e-9
-        assert series.values[idx] == pytest.approx(values[b.t_peak], abs=1e-9)
+    for t_peak, value in zip(beats.t_peak, values):
+        idx = int(round((t_peak - series.t0) / GRID_STEP_S))
+        assert abs(times[idx] - t_peak) < 1e-9
+        assert series.values[idx] == pytest.approx(value, abs=1e-9)
 
 
 def test_rifv_linear_interpolation_between_knots():
     beats = make_beats(n=4, period=0.75, t0=0.75)
     # periods (0.75, 0.75, 0.80): stretch the final peak
-    beats[3] = replace(beats[3], t_peak=beats[2].t_peak + 0.80, period=0.80)
-    series = extract(beats, RivKind.RIFV, beats[3].t_peak)
+    beats = edit_beat(beats, 3, t_peak=beats.t_peak[2] + 0.80, period=0.80)
+    series = extract(beats, beats.t_peak[3])[RivKind.RIFV]
     times = series.times
-    expected = np.interp(times, [beats[1].t_peak, beats[2].t_peak, beats[3].t_peak], [0.75, 0.75, 0.80])
+    expected = np.interp(times, beats.t_peak[1:4], [0.75, 0.75, 0.80])
     np.testing.assert_allclose(series.values, expected, atol=1e-12)
-    inside = (times >= beats[2].t_peak) & (times <= beats[3].t_peak)
+    inside = (times >= beats.t_peak[2]) & (times <= beats.t_peak[3])
     assert np.all(series.values[inside] >= 0.75 - 1e-12)
     assert np.all(series.values[inside] <= 0.80 + 1e-12)
 
 
 def test_constant_train_gives_constant_series():
     beats = make_beats(n=60)
-    for kind in ALL_KINDS:
-        series = extract(beats, kind, beats[-1].t_peak)
+    rivs = extract(beats, beats.t_peak[-1])
+    assert list(rivs) == list(ALL_KINDS)
+    for series in rivs.values():
         assert np.ptp(series.values) == 0.0
 
 
 def test_artifact_beats_excluded_and_masked():
     beats = make_beats(n=40)
-    beats[20] = replace(beats[20], v_peak=beats[20].v_peak + 5.0, artifact=True)
-    series = extract(beats, RivKind.RIIV, beats[-1].t_peak)
+    beats = edit_beat(beats, 20, v_peak=beats.v_peak[20] + 5.0, artifact=True)
+    series = extract(beats, beats.t_peak[-1])[RivKind.RIIV]
     # the spike is not a knot, so values stay at the clean level
     assert np.ptp(series.values) == 0.0
     times = series.times
-    near = (times > beats[19].t_peak - 1e-9) & (times < beats[21].t_peak + 1e-9)
+    near = (times > beats.t_peak[19] - 1e-9) & (times < beats.t_peak[21] + 1e-9)
     assert series.artifact_mask[near].all()
     assert not series.artifact_mask[~near].any()
 
 
 def test_insufficient_beats():
     beats = make_beats(n=4)
-    flagged = [replace(b, artifact=True) for b in beats[:2]] + list(beats[2:])
-    with pytest.raises(InsufficientSignalError):
-        extract(flagged, RivKind.RIAV, beats[-1].t_peak)
+    flagged = replace(beats, artifact=np.array([True, True, False, False]))
+    with pytest.raises(InsufficientSignalError, match="^RIIV: only 2 usable beats, need >= 3$"):
+        extract(flagged, beats.t_peak[-1])
+
+
+def test_insufficient_beats_reported_in_kind_order():
+    # three beats give three knots to every kind but RIFV: the first beat has no period
+    beats = make_beats(n=3)
+    with pytest.raises(InsufficientSignalError, match="^RIFV: only 2 usable beats, need >= 3$"):
+        extract(beats, beats.t_peak[-1])
+    with pytest.raises(InsufficientSignalError, match="^RIIV: only 2 usable beats, need >= 3$"):
+        extract(edit_beat(beats, 1, artifact=True), beats.t_peak[-1])
+    with pytest.raises(InsufficientSignalError, match="^t_end precedes the first beat$"):
+        extract(make_beats(n=4), 0.0)
 
 
 def _series_ni(series, window=(10.0, 42.0)):
@@ -98,7 +110,7 @@ def test_single_feature_modulation_isolates_one_series():
         # exactly representable shift so v_peak + s and v_foot + s subtract
         # without rounding dust (the noise index is scale-free, so even
         # 1e-16-level coherent residue would register)
-        return round(0.2 * m * (1 << 20)) / (1 << 20)
+        return np.array([round(0.2 * v * (1 << 20)) / (1 << 20) for v in m])
 
     features = {
         RivKind.RIIV: lambda b, m: replace(b, v_peak=b.v_peak + dyadic(m), v_foot=b.v_foot + dyadic(m)),
@@ -107,8 +119,7 @@ def test_single_feature_modulation_isolates_one_series():
         RivKind.RISV: lambda b, m: replace(b, rise25_75=b.rise25_75 * (1 + 0.2 * m)),
     }
     def check(kind, beats):
-        for probe in ALL_KINDS:
-            series = extract(beats, probe, beats[-1].t_peak)
+        for probe, series in extract(beats, beats.t_peak[-1]).items():
             rr, ni = _series_ni(series)
             if probe is kind:
                 assert ni > DEFAULT_THRESHOLD
@@ -118,24 +129,25 @@ def test_single_feature_modulation_isolates_one_series():
 
     for kind, apply in features.items():
         beats = make_beats(n=80)
-        check(kind, [apply(b, math.sin(2 * math.pi * rr_bpm / 60.0 * b.t_peak)) for b in beats])
+        check(kind, apply(beats, np.array([math.sin(2 * math.pi * rr_bpm / 60.0 * t) for t in beats.t_peak])))
 
     # frequency: modulated peak-to-peak periods, every other feature constant
-    beats, t_pk = [], 0.5
-    base = make_beats(n=80)
+    t_peak, periods, t_pk = [], [], 0.5
     for i in range(80):
         period = 0.75 * (1 + 0.2 * math.sin(2 * math.pi * rr_bpm / 60.0 * t_pk)) if i else None
         t_pk = t_pk + period if period else t_pk
-        beats.append(replace(base[i], t_peak=t_pk, t_foot=t_pk - 0.2, period=period))
-    check(RivKind.RIFV, beats)
+        t_peak.append(t_pk)
+        periods.append(period)
+    t_peak = np.array(t_peak)
+    check(RivKind.RIFV, replace(make_beats(n=80), t_peak=t_peak, t_foot=t_peak - 0.2, period=np.array(periods, dtype=float)))
 
 
 def test_waveform_single_modulation_series_content():
     """Amplitude-only waveform: RIAV sinusoidal at rr/60, RIFV constant to 1%."""
     record, _ = make_synth(rr=20.0, hr=80.0, duration=240.0, depths=(0.0, 0.2, 0.0, 0.0, 0.0), noise=0.0)
     beats = segment_beats(bandpass(record))
-    riav = extract(beats, RivKind.RIAV, beats[-1].t_peak)
-    rifv = extract(beats, RivKind.RIFV, beats[-1].t_peak)
+    rivs = extract(beats, beats.t_peak[-1])
+    riav, rifv = rivs[RivKind.RIAV], rivs[RivKind.RIFV]
     rr, ni = _series_ni(riav)
     assert rr == pytest.approx(20.0, abs=0.5)
     assert ni > DEFAULT_THRESHOLD
