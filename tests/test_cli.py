@@ -1,12 +1,19 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
+from rrcif import pipeline, spectral
 from rrcif.cli import main
+from rrcif.riv import ALL_KINDS, RivKind
 from rrcif.signal_io import read_record, read_reference
 
 from conftest import make_synth
+
+
+# sha256 of the `--dump-spectrum 10 riav` file of the seed-1 120 s subject
+DUMP_SPECTRUM_SHA256 = "2fd881b39cca93ba4e0afe53f2cbe3a12a43a578f8170da86b137d0546068699"
 
 
 def _write_subject(tmp_path, name, rr=20.0, hr=80.0, duration=120.0, seed=1, noise=0.02):
@@ -95,9 +102,28 @@ def test_estimate_dump_flags(tmp_path):
     assert {line.rsplit(",", 1)[1] for line in beats_lines[1:]} <= {"0", "1"}
     for kind in ("riiv", "riav", "rifv", "riwv", "risv"):
         assert (tmp_path / "rivs" / f"{kind}.csv").exists()
-    spectrum_lines = (tmp_path / "spectrum_w10_riav.csv").read_text().splitlines()
+    spectrum_path = tmp_path / "spectrum_w10_riav.csv"
+    spectrum_lines = spectrum_path.read_text().splitlines()
     assert spectrum_lines[0] == "f,P,P_fit,P_out"
     assert len(spectrum_lines) == 2050  # 4096-point rfft grid + header
+    assert hashlib.sha256(spectrum_path.read_bytes()).hexdigest() == DUMP_SPECTRUM_SHA256
+
+    # the dumped window is the one the estimate table rates
+    analysis = pipeline.analyze_record(read_record(rec_path))
+    estimates = analysis.estimates
+    riav = ALL_KINDS.index(RivKind.RIAV)
+    P, P_fit, P_out = np.loadtxt(spectrum_path, delimiter=",", skiprows=1, usecols=(1, 2, 3), unpack=True)
+    freqs = np.fft.rfftfreq(spectral.NFFT, d=0.2) * 60.0  # row i is rfft bin i
+    band = (freqs >= 4.0) & (freqs <= 65.0)
+    assert freqs[band][np.argmax(P_out[band])] == estimates.rr[10, riav]
+    # P_out is printed to 8 significant digits, which bounds the noise index recomputed from the file
+    _, ni = spectral._rate_ni(freqs[band], P_out[band], 160)
+    assert ni == pytest.approx(estimates.ni[10, riav], rel=1e-7)
+    np.testing.assert_allclose(P_out, P - P_fit, rtol=1e-7, atol=1e-7 * np.abs(P).max())
+    # unrounded, the residual behind the file gives the table's noise index to 1e-12
+    series = analysis.rivs[RivKind.RIAV]
+    _, ni = spectral.estimate_rr(spectral.fit_power_law(spectral.window_spectrum(series, (20.0, 52.0))))
+    assert ni == pytest.approx(estimates.ni[10, riav], abs=1e-12)
 
 
 def test_sweep_default_31_rows(tmp_path):
