@@ -34,7 +34,7 @@ from .errors import RrcifError  # noqa: E402
 from .fusion import FusionResult  # noqa: E402
 from .riv import ALL_KINDS, RivKind  # noqa: E402
 from .signal_io import ModDepths, SynthSpec  # noqa: E402
-from .spectral import DEFAULT_THRESHOLD, fit_power_law, window_spectrum  # noqa: E402
+from .spectral import DEFAULT_THRESHOLD, window_spectrum  # noqa: E402
 
 EXIT_OK = 0
 EXIT_IO = 2
@@ -106,17 +106,11 @@ def _dump_riv(directory, rivs):
         _emit(directory / f"{kind.name.lower()}.csv", lines)
 
 
-def _dump_spectrum(out_dir, analysis, window_index, kind):
-    window = analysis.grid.windows[window_index]
-    spectrum = window_spectrum(analysis.rivs[kind], window)
-    if spectrum is None:
-        raise RrcifError(f"window {window_index} of {kind.name} is artifact-skipped")
-    spectrum = fit_power_law(spectrum)
+def _dump_spectrum(out_dir, window_index, kind, spectrum):
     lines = ["f,P,P_fit,P_out\n"]
-    for f, p, pf, po in zip(spectrum.freqs, spectrum.P, spectrum.P_fit, spectrum.P_out):
-        lines.append(f"{f:.6g},{p:.8g},{pf:.8g},{po:.8g}\n")
-    path = Path(out_dir) / f"spectrum_w{window_index}_{kind.name.lower()}.csv"
-    _emit(path, lines)
+    for f, p, pf in zip(*spectrum):
+        lines.append(f"{f:.6g},{p:.8g},{pf:.8g},{p - pf:.8g}\n")
+    _emit(Path(out_dir) / f"spectrum_w{window_index}_{kind.name.lower()}.csv", lines)
 
 
 def _spectrum_request(parser, raw):
@@ -141,8 +135,12 @@ def _cmd_estimate(args, parser):
     spectrum_at = _spectrum_request(parser, args.dump_spectrum) if args.dump_spectrum else None
     record = signal_io.read_record(args.input)
     analysis = pipeline.analyze_record(record)
-    if spectrum_at and not 0 <= spectrum_at[0] < analysis.grid.count:
-        parser.error(f"--dump-spectrum window {spectrum_at[0]} outside 0..{analysis.grid.count - 1}")
+    if spectrum_at:
+        window_index, kind = spectrum_at
+        if not 0 <= window_index < analysis.grid.count:
+            parser.error(f"--dump-spectrum window {window_index} outside 0..{analysis.grid.count - 1}")
+        # an unrated window is a data error, raised before any output is written
+        spectrum = window_spectrum(analysis.rivs[kind], analysis.grid, window_index)
     fusion = pipeline.fuse_estimates(analysis.estimates, args.method, args.t)
     _write_estimates(args.out, fusion, analysis.grid, args.method, args.t)
     if args.dump_beats:
@@ -151,7 +149,7 @@ def _cmd_estimate(args, parser):
         _dump_riv(args.dump_riv, analysis.rivs)
     if spectrum_at:
         out_dir = Path(args.out).parent if args.out != "-" else Path(".")
-        _dump_spectrum(out_dir, analysis, *spectrum_at)
+        _dump_spectrum(out_dir, window_index, kind, spectrum)
     return EXIT_OK
 
 

@@ -23,7 +23,3 @@ class InsufficientSignalError(RrcifError):
 
 class EmptyFusionError(RrcifError):
     """Fusion was requested with zero input estimates."""
-
-
-class BoundsError(RrcifError):
-    """A requested analysis window lies outside the series extent."""

@@ -10,26 +10,20 @@ FFT. A line is fitted to log(P) vs log(f) over 2-4 and 65-100 breaths/min
 is subtracted to give the residual spectrum P_out. The rate estimate is the
 frequency of the residual maximum within 4-65 breaths/min, and the noise
 index is the positive residual peak over the positive residual sum in that
-band.
-
-Zero-padding refines peak localization (the native bin is 1.875 breaths/min)
-but spreads each spectral feature over ``nfft / n_window`` interpolated bins,
-which would shrink the peak-to-sum ratio by that same factor. The noise-index
-denominator is therefore rescaled to the native (pre-padding) resolution so
-its 0-1 range and the 0.13 default gate keep their meaning regardless of
-padding; see :func:`estimate_rr`.
+band, rescaled as :func:`rate_windows` explains.
 
 One kernel works over the last array axis: :func:`rate_windows` runs it on
-all windows of a series at once, the single-window functions on one.
+all windows of a series at once, and :func:`window_spectrum` returns the
+full spectrum and background of one of those windows for inspection.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundsError
+from .errors import RrcifError
 from .riv import RivSeries
 
 WINDOW_S = 32.0
@@ -61,20 +55,6 @@ class WindowGrid:
     @property
     def windows(self) -> list[tuple[float, float]]:
         return [(i * self.shift_s, i * self.shift_s + self.window_s) for i in range(self.count)]
-
-
-@dataclass(frozen=True)
-class PowerSpectrum:
-    """Raw and background-subtracted power on a breaths/min frequency grid."""
-
-    freqs: np.ndarray
-    P: np.ndarray
-    n_window: int
-    P_fit: np.ndarray | None = None
-    P_out: np.ndarray | None = None
-    a: float = float("nan")
-    k: float = float("nan")
-    fit_degenerate: bool = False
 
 
 @dataclass(frozen=True)
@@ -118,7 +98,7 @@ def _band(f: np.ndarray) -> np.ndarray:
     return (f >= RR_BAND_BPM[0]) & (f <= RR_BAND_BPM[1])
 
 
-def _fit(f: np.ndarray, P: np.ndarray):
+def fit_power_law(f: np.ndarray, P: np.ndarray):
     """Least-squares line log P = k + a*log f over the fit bands.
 
     Only bins with positive power count: with weights w = (P > 0) and
@@ -174,14 +154,13 @@ def _rate_ni(f: np.ndarray, residual: np.ndarray, n_window: int):
 # one record: every window of one series
 
 
-def rate_windows(series: RivSeries, grid: WindowGrid):
-    """Rate and noise index of every grid window of one series.
+def _window_rows(series: RivSeries, grid: WindowGrid):
+    """First sample and unrated reason of every grid window of one series.
 
-    Returns (rr, ni, reason) arrays of length grid.count. A window not fully
-    inside the series is "out_of_range" (as the first window is when the
-    first beat comes 0.2 s or more into the record), one touched by an
-    artifact is "artifact", and one whose background fit is degenerate is
-    "fit_degenerate"; all three carry NaN rate and noise index.
+    Returns (i0, n_win, reason): window i covers series samples
+    i0[i] to i0[i] + n_win. Its reason is "out_of_range" when that span is
+    not fully inside the series, "artifact" when an artifact sample lies in
+    it, and "none" otherwise.
     """
     n_win = int(round(grid.window_s * series.fs))
     starts = np.arange(grid.count) * grid.shift_s
@@ -193,7 +172,26 @@ def rate_windows(series: RivSeries, grid: WindowGrid):
     reason = np.full(grid.count, "none", dtype="<U14")
     reason[~inside] = "out_of_range"
     reason[inside & touched] = "artifact"
+    return i0, n_win, reason
 
+
+def rate_windows(series: RivSeries, grid: WindowGrid):
+    """Rate and noise index of every grid window of one series.
+
+    Returns (rr, ni, reason) arrays of length grid.count. A window not fully
+    inside the series is "out_of_range" (as the first window is when the
+    first beat comes 0.2 s or more into the record), one touched by an
+    artifact is "artifact", and one whose background fit is degenerate is
+    "fit_degenerate"; all three carry NaN rate and noise index.
+
+    The noise index is the positive residual peak over the in-band positive
+    residual sum times n_window / nfft, clipped to [0, 1]. Zero-padding
+    spreads each spectral feature over nfft / n_window bins, which would
+    shrink the ratio by that factor; rescaled to the native resolution, a
+    lone native-resolution peak scores about 1 and the 0.13 default gate
+    keeps its meaning whatever the padding.
+    """
+    i0, n_win, reason = _window_rows(series, grid)
     rated = np.flatnonzero(reason == "none")
     freqs = _freqs(series.fs)
     freqs = freqs[freqs <= MAX_BPM]
@@ -203,7 +201,7 @@ def rate_windows(series: RivSeries, grid: WindowGrid):
     spectra = np.empty((blocks[0].size, NFFT // 2 + 1), dtype=complex)  # one rFFT output for every block
     for block in blocks:
         P = _power(series.values[i0[block, None] + np.arange(n_win)], freqs.size, out=spectra[: block.size])
-        a, k, degenerate = _fit(freqs, P)
+        a, k, degenerate = fit_power_law(freqs, P)
         residual = P[:, band] - _power_law(freqs[band], a, k)  # the background only where rates are read
         rr[block], ni[block] = _rate_ni(freqs[band], residual, n_win)
         reason[block[degenerate]] = "fit_degenerate"
@@ -212,51 +210,19 @@ def rate_windows(series: RivSeries, grid: WindowGrid):
     return rr, ni, reason
 
 
-# ---------------------------------------------------------------------------
-# one window, for inspection
+def window_spectrum(series: RivSeries, grid: WindowGrid, index: int):
+    """Full spectrum of grid window ``index`` of one series, for inspection.
 
-
-def window_spectrum(series: RivSeries, window: tuple[float, float]) -> PowerSpectrum | None:
-    """Magnitude-squared spectrum of one window, or None on an artifact skip.
-
-    Raises :class:`BoundsError` when the window is not fully inside the series.
+    Returns (freqs, P, P_fit) on all NFFT // 2 + 1 bins, freqs in
+    breaths/min; P - P_fit is the residual :func:`rate_windows` reads its
+    rate and noise index from. A degenerate fit gives P_fit = 0. Raises
+    :class:`RrcifError` for a window that is "out_of_range" or "artifact".
     """
-    start, end = window
-    n_win = int(round((end - start) * series.fs))
-    i0 = int(np.ceil((start - series.t0) * series.fs - 1e-9))
-    if i0 < 0 or i0 + n_win > series.values.size:
-        raise BoundsError(f"window [{start:g}, {end:g}) s outside series extent")
-    if series.artifact_mask[i0 : i0 + n_win].any():
-        return None
-    return PowerSpectrum(freqs=_freqs(series.fs), P=_power(series.values[i0 : i0 + n_win]), n_window=n_win)
-
-
-def fit_power_law(spectrum: PowerSpectrum) -> PowerSpectrum:
-    """Fit log(P) = a*log(f) + k over the fit bands and subtract the model.
-
-    Only bins with positive power count toward the fit; with fewer than
-    MIN_FIT_BINS usable bins the spectrum is flagged and returned with
-    P_fit = 0, i.e. no subtraction.
-    """
-    a, k, degenerate = _fit(spectrum.freqs, spectrum.P)
-    P_fit = _power_law(spectrum.freqs, a, k)
-    if degenerate:
-        return replace(spectrum, P_fit=P_fit, P_out=spectrum.P - P_fit, fit_degenerate=True)
-    return replace(spectrum, P_fit=P_fit, P_out=spectrum.P - P_fit, a=float(a), k=float(k))
-
-
-def estimate_rr(spectrum: PowerSpectrum) -> tuple[float, float]:
-    """Rate and noise index from the residual spectrum.
-
-    The rate is the frequency of the (unclamped) residual maximum within the
-    4-65 breaths/min band. The noise index clamps negative residuals to zero
-    and divides the peak by the in-band positive residual sum, rescaled to
-    the native spectral resolution (sum times n_window/nfft) so a lone native
-    -resolution peak scores ~1 and a uniform residual scores 1 over the band
-    width in native bins; the result is clipped to [0, 1].
-    """
-    if spectrum.P_out is None:
-        raise ValueError("call fit_power_law before estimate_rr")
-    band = _band(spectrum.freqs)
-    rr, ni = _rate_ni(spectrum.freqs[band], spectrum.P_out[..., band], spectrum.n_window)
-    return float(rr), float(ni)
+    i0, n_win, reason = _window_rows(series, grid)
+    if reason[index] != "none":
+        start, end = grid.windows[index]
+        raise RrcifError(f"window {index} [{start:g}, {end:g}) s of {series.kind.name} is not rated: {reason[index]}")
+    freqs = _freqs(series.fs)
+    P = _power(series.values[i0[index] : i0[index] + n_win])
+    a, k, _ = fit_power_law(freqs, P)
+    return freqs, P, _power_law(freqs, a, k)

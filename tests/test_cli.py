@@ -121,8 +121,8 @@ def test_estimate_dump_flags(tmp_path):
     assert ni == pytest.approx(estimates.ni[10, riav], rel=1e-7)
     np.testing.assert_allclose(P_out, P - P_fit, rtol=1e-7, atol=1e-7 * np.abs(P).max())
     # unrounded, the residual behind the file gives the table's noise index to 1e-12
-    series = analysis.rivs[RivKind.RIAV]
-    _, ni = spectral.estimate_rr(spectral.fit_power_law(spectral.window_spectrum(series, (20.0, 52.0))))
+    _, P, P_fit = spectral.window_spectrum(analysis.rivs[RivKind.RIAV], analysis.grid, 10)
+    _, ni = spectral._rate_ni(freqs[band], (P - P_fit)[band], 160)
     assert ni == pytest.approx(estimates.ni[10, riav], abs=1e-12)
 
 
@@ -168,6 +168,16 @@ def test_dump_spectrum_bad_args_write_nothing(tmp_path):
               "--dump-spectrum", "9999", "riav"])
     assert exc.value.code == 64
     assert sorted(p.name for p in tmp_path.iterdir()) == ["s1.csv", "s1_ref.csv"]
+
+
+def test_dump_spectrum_unrated_window_writes_nothing(tmp_path, capsys):
+    # the first peak comes 0.204 s in, so window 0 is not fully inside the variation series
+    rec_path = _write_subject(tmp_path, "s1", rr=18.0, hr=78.0, noise=0.03, seed=1)
+    out = tmp_path / "o"
+    assert main(["estimate", str(rec_path), "--out", str(out / "est.csv"), "--dump-beats", str(out / "beats.csv"),
+                 "--dump-riv", str(out / "rivs"), "--dump-spectrum", "0", "riiv"]) == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["s1.csv", "s1_ref.csv"]
+    assert "window 0 [0, 32) s of RIIV is not rated: out_of_range" in capsys.readouterr().err
 
 
 def test_sweep_bad_range_exit_64(tmp_path):

@@ -7,7 +7,7 @@ import pytest
 from rrcif.errors import InsufficientSignalError
 from rrcif.preprocess import bandpass, segment_beats
 from rrcif.riv import ALL_KINDS, GRID_STEP_S, RivKind, extract
-from rrcif.spectral import DEFAULT_THRESHOLD, estimate_rr, fit_power_law, window_spectrum
+from rrcif.spectral import DEFAULT_THRESHOLD, WindowGrid, rate_windows
 
 from conftest import edit_beat, make_beats, make_synth
 
@@ -91,18 +91,19 @@ def test_insufficient_beats_reported_in_kind_order():
         extract(make_beats(n=4), 0.0)
 
 
-def _series_ni(series, window=(10.0, 42.0)):
-    spectrum = window_spectrum(series, window)
-    assert spectrum is not None
-    return estimate_rr(fit_power_law(spectrum))
+def _series_ni(series, window=5):
+    """(rr, ni, reason) of grid window 5, [10, 42) s, as rate_windows rates it."""
+    rr, ni, reason = rate_windows(series, WindowGrid(duration_s=42.0))
+    return rr[window], ni[window], reason[window]
 
 
 def test_single_feature_modulation_isolates_one_series():
     """One modulated beat feature must light up only its own series.
 
     Exercised at the beat interface: with every other feature analytically
-    constant, the four unmatched series are flat and score a noise index of
-    zero, while the matching one scores far above the default gate.
+    constant, the four unmatched series are flat, so their window has no
+    power to fit and is left unrated ("fit_degenerate", NaN noise index),
+    while the matching one scores far above the default gate.
     """
     rr_bpm = 20.0
 
@@ -120,12 +121,13 @@ def test_single_feature_modulation_isolates_one_series():
     }
     def check(kind, beats):
         for probe, series in extract(beats, beats.t_peak[-1]).items():
-            rr, ni = _series_ni(series)
+            rr, ni, reason = _series_ni(series)
             if probe is kind:
+                assert reason == "none"
                 assert ni > DEFAULT_THRESHOLD
                 assert rr == pytest.approx(rr_bpm, abs=0.5)
             else:
-                assert ni < DEFAULT_THRESHOLD
+                assert reason == "fit_degenerate" and np.isnan(ni)  # never passes a noise-index gate
 
     for kind, apply in features.items():
         beats = make_beats(n=80)
@@ -148,7 +150,8 @@ def test_waveform_single_modulation_series_content():
     beats = segment_beats(bandpass(record))
     rivs = extract(beats, beats.t_peak[-1])
     riav, rifv = rivs[RivKind.RIAV], rivs[RivKind.RIFV]
-    rr, ni = _series_ni(riav)
+    rr, ni, reason = _series_ni(riav)
+    assert reason == "none"
     assert rr == pytest.approx(20.0, abs=0.5)
     assert ni > DEFAULT_THRESHOLD
     assert np.ptp(rifv.values) / np.mean(rifv.values) < 0.01

@@ -1,17 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rrcif import spectral
-from rrcif.errors import BoundsError
+from rrcif.errors import RrcifError
 from rrcif.fusion import cif
 from rrcif.riv import RivKind, RivSeries
 from rrcif.spectral import (
     FIT_BANDS_BPM,
     MIN_FIT_BINS,
     NFFT,
-    PowerSpectrum,
+    REASONS,
     WindowGrid,
-    estimate_rr,
     fit_power_law,
     rate_windows,
     window_spectrum,
@@ -31,6 +32,34 @@ def _tone_series(f_hz, duration=64.0, amp=0.1, offset=1.0):
 
 def _grid_freqs():
     return np.fft.rfftfreq(NFFT, d=0.2) * 60.0
+
+
+def _first_window(series):
+    """window_spectrum of the first 32 s window."""
+    return window_spectrum(series, WindowGrid(duration_s=32.0), 0)
+
+
+def _first_rate(series):
+    """(rr, ni) of the first 32 s window, as rate_windows rates it."""
+    rr, ni, reason = rate_windows(series, WindowGrid(duration_s=32.0))
+    assert reason[0] == "none"
+    return rr[0], ni[0]
+
+
+def _fitted(P):
+    """(a, k, degenerate, P_fit, P_out) of one spectrum on the padded 5 Hz grid."""
+    f = _grid_freqs()
+    P = np.asarray(P, dtype=float)
+    a, k, degenerate = fit_power_law(f, P)
+    P_fit = spectral._power_law(f, a, k)
+    return a, k, degenerate, P_fit, P - P_fit
+
+
+def _rate_ni(P_out):
+    """(rr, ni) from a residual on the padded 5 Hz grid of a 160-sample window."""
+    f = _grid_freqs()
+    band = spectral._band(f)
+    return spectral._rate_ni(f[band], P_out[band], 160)
 
 
 # ---------------------------------------------------------------------------
@@ -59,62 +88,64 @@ def test_window_geometry():
 
 def test_tone_peak_position():
     series, _ = _tone_series(1.0 / 3.0)
-    spectrum = window_spectrum(series, (0.0, 32.0))
-    peak = spectrum.freqs[np.argmax(spectrum.P)]
+    freqs, P, _ = _first_window(series)
+    peak = freqs[np.argmax(P)]
     assert peak == pytest.approx(20.0, abs=0.1)
 
 
 def test_window_uses_160_samples():
-    series, _ = _tone_series(0.3)
-    spectrum = window_spectrum(series, (0.0, 32.0))
-    assert spectrum.n_window == 160
-    assert spectrum.freqs.size == NFFT // 2 + 1
+    series, _ = _tone_series(0.3, duration=32.0)
+    assert series.values.size == 160
+    freqs, P, P_fit = _first_window(series)
+    assert freqs.size == P.size == P_fit.size == NFFT // 2 + 1
+    # samples past the 160th do not enter the window
+    longer = _series(np.concatenate([series.values, np.full(40, 9.0)]))
+    np.testing.assert_array_equal(_first_window(longer)[1], P)
+    with pytest.raises(RrcifError, match="out_of_range"):
+        _first_window(_series(series.values[:159]))
 
 
 def test_constant_series_no_power():
-    spectrum = window_spectrum(_series(np.full(200, 4.2)), (0.0, 32.0))
-    nonzero = spectrum.freqs > 0
-    assert np.max(spectrum.P[nonzero]) < 1e-18
+    freqs, P, _ = _first_window(_series(np.full(200, 4.2)))
+    nonzero = freqs > 0
+    assert np.max(P[nonzero]) < 1e-18
 
 
 def test_artifact_skip():
     mask = np.zeros(200, dtype=bool)
     mask[50] = True
-    assert window_spectrum(_series(np.ones(200), mask=mask), (0.0, 32.0)) is None
+    with pytest.raises(RrcifError, match=r"^window 0 \[0, 32\) s of RIIV is not rated: artifact$"):
+        _first_window(_series(np.ones(200), mask=mask))
 
 
 def test_window_out_of_range():
     series = _series(np.ones(200), t0=1.0)
-    with pytest.raises(BoundsError):
-        window_spectrum(series, (0.0, 32.0))
-    with pytest.raises(BoundsError):
-        window_spectrum(series, (20.0, 52.0))
+    grid = WindowGrid(duration_s=52.0)
+    with pytest.raises(RrcifError, match=r"^window 0 \[0, 32\) s of RIIV is not rated: out_of_range$"):
+        window_spectrum(series, grid, 0)
+    with pytest.raises(RrcifError, match=r"^window 10 \[20, 52\) s of RIIV is not rated: out_of_range$"):
+        window_spectrum(series, grid, 10)
 
 
 # ---------------------------------------------------------------------------
 # fit_power_law
 
 
-def _spectrum_from_power(P):
-    f = _grid_freqs()
-    return PowerSpectrum(freqs=f, P=np.asarray(P, dtype=float), n_window=160)
-
-
 def test_fit_exact_inverse_square():
     f = _grid_freqs()
     P = np.zeros_like(f)
     P[1:] = f[1:] ** -2.0
-    fitted = fit_power_law(_spectrum_from_power(P))
-    assert fitted.a == pytest.approx(-2.0, abs=1e-6)
-    assert fitted.k == pytest.approx(0.0, abs=1e-6)
+    a, k, _, _, P_out = _fitted(P)
+    assert a == pytest.approx(-2.0, abs=1e-6)
+    assert k == pytest.approx(0.0, abs=1e-6)
     bands = ((f >= 2) & (f <= 4)) | ((f >= 65) & (f <= 100))
-    np.testing.assert_allclose(fitted.P_out[bands], 0.0, atol=1e-9)
+    np.testing.assert_allclose(P_out[bands], 0.0, atol=1e-9)
 
 
 def test_fit_flat_spectrum():
-    fitted = fit_power_law(_spectrum_from_power(np.full(_grid_freqs().size, 3.0)))
-    assert fitted.a == pytest.approx(0.0, abs=1e-9)
-    assert fitted.k == pytest.approx(np.log(3.0), abs=1e-9)
+    a, k, *_ = _fitted(np.full(_grid_freqs().size, 3.0))
+    assert a == pytest.approx(0.0, abs=1e-9)
+    assert k == pytest.approx(np.log(3.0), abs=1e-9)
 
 
 def test_fit_leaves_in_band_spike():
@@ -123,18 +154,19 @@ def test_fit_leaves_in_band_spike():
     P[1:] = f[1:] ** -2.0
     spike = int(np.argmin(np.abs(f - 20.0)))
     P[spike] += 7.0
-    fitted = fit_power_law(_spectrum_from_power(P))
-    residual = np.abs(fitted.P_out.copy())
-    assert fitted.P_out[spike] == pytest.approx(7.0, rel=1e-6)
+    P_out = _fitted(P)[4]
+    residual = np.abs(P_out.copy())
+    assert P_out[spike] == pytest.approx(7.0, rel=1e-6)
     residual[spike] = 0.0
     assert residual.max() < 1e-6 * 7.0
 
 
 def test_fit_degenerate_fallback():
-    fitted = fit_power_law(_spectrum_from_power(np.zeros(_grid_freqs().size)))
-    assert fitted.fit_degenerate
-    np.testing.assert_array_equal(fitted.P_fit, 0.0)
-    np.testing.assert_array_equal(fitted.P_out, fitted.P)
+    P = np.zeros(_grid_freqs().size)
+    _, _, degenerate, P_fit, P_out = _fitted(P)
+    assert degenerate
+    np.testing.assert_array_equal(P_fit, 0.0)
+    np.testing.assert_array_equal(P_out, P)
 
 
 def test_fit_partially_masked_matches_polyfit():
@@ -149,39 +181,42 @@ def test_fit_partially_masked_matches_polyfit():
     assert MIN_FIT_BINS <= usable.size < fit_bins.size
     a_want, k_want = np.polyfit(np.log(f[usable]), np.log(P[usable]), 1)
 
-    fitted = fit_power_law(_spectrum_from_power(P))
-    assert not fitted.fit_degenerate
-    assert fitted.a == pytest.approx(a_want, rel=1e-9)
-    assert fitted.k == pytest.approx(k_want, rel=1e-9)
-    np.testing.assert_allclose(fitted.P_fit[1:], np.exp(k_want) * f[1:] ** a_want, rtol=1e-9)
-    assert fitted.P_fit[0] == 0.0
+    a, k, degenerate, P_fit, _ = _fitted(P)
+    assert not degenerate
+    assert a == pytest.approx(a_want, rel=1e-9)
+    assert k == pytest.approx(k_want, rel=1e-9)
+    np.testing.assert_allclose(P_fit[1:], np.exp(k_want) * f[1:] ** a_want, rtol=1e-9)
+    assert P_fit[0] == 0.0
 
     # one row of a batch, next to an unmasked row, as rate_windows fits it
     f_batch = f[f <= FIT_BANDS_BPM[-1][1]]
     unmasked = np.zeros_like(f_batch)
     unmasked[1:] = 2.0 / f_batch[1:]
-    a, k, degenerate = spectral._fit(f_batch, np.stack([unmasked, P[: f_batch.size]]))
+    a, k, degenerate = fit_power_law(f_batch, np.stack([unmasked, P[: f_batch.size]]))
     assert not degenerate.any()
     assert a[1] == pytest.approx(a_want, rel=1e-9) and k[1] == pytest.approx(k_want, rel=1e-9)
     assert a[0] == pytest.approx(-1.0, rel=1e-9) and k[0] == pytest.approx(np.log(2.0), rel=1e-9)
 
 
 def test_p_out_identity():
+    # the residual P - P_fit of window_spectrum is the one rate_windows rates
     series, _ = _tone_series(0.25)
-    fitted = fit_power_law(window_spectrum(series, (0.0, 32.0)))
-    np.testing.assert_allclose(fitted.P_out, fitted.P - fitted.P_fit, rtol=1e-12)
+    freqs, P, P_fit = _first_window(series)
+    band = spectral._band(freqs)
+    rr, ni = spectral._rate_ni(freqs[band], (P - P_fit)[band], 160)
+    rr_want, ni_want = _first_rate(series)
+    assert rr == rr_want
+    assert ni == pytest.approx(ni_want, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
-# estimate_rr / noise index
+# rate and noise index
 
 
 def test_uniform_residual_noise_index():
     f = _grid_freqs()
     band = (f >= 4.0) & (f <= 65.0)
-    P_out = np.where(band, 2.5, 0.0)
-    ps = PowerSpectrum(freqs=f, P=np.abs(P_out), n_window=160, P_fit=np.zeros_like(f), P_out=P_out)
-    rr, ni = estimate_rr(ps)
+    rr, ni = _rate_ni(np.where(band, 2.5, 0.0))
     native_bins_in_band = band.sum() * 160 / NFFT  # in-band width in native-resolution bins
     assert ni == pytest.approx(1.0 / native_bins_in_band, rel=1e-12)
 
@@ -191,44 +226,58 @@ def test_single_bin_noise_index_is_one():
     P_out = np.zeros_like(f)
     target = int(np.argmin(np.abs(f - 23.0)))
     P_out[target] = 5.0
-    ps = PowerSpectrum(freqs=f, P=np.abs(P_out), n_window=160, P_fit=np.zeros_like(f), P_out=P_out)
-    rr, ni = estimate_rr(ps)
+    rr, ni = _rate_ni(P_out)
     assert ni == 1.0
     assert rr == pytest.approx(23.0, abs=0.05)
 
 
 def test_all_nonpositive_residual_gives_zero_ni():
-    f = _grid_freqs()
-    ps = PowerSpectrum(freqs=f, P=np.zeros_like(f), n_window=160, P_fit=np.zeros_like(f), P_out=np.full_like(f, -1.0))
-    _, ni = estimate_rr(ps)
+    _, ni = _rate_ni(np.full_like(_grid_freqs(), -1.0))
     assert ni == 0.0
 
 
 def test_peak_localization_across_band():
     for f0_bpm in (5.0, 9.0, 14.5, 20.0, 33.3, 47.0, 60.0):
         series, _ = _tone_series(f0_bpm / 60.0)
-        rr, _ = estimate_rr(fit_power_law(window_spectrum(series, (0.0, 32.0))))
+        rr, _ = _first_rate(series)
         assert abs(rr - f0_bpm) <= 0.5
 
 
 def test_scale_invariance():
     series, _ = _tone_series(0.3, amp=0.07)
-    base = estimate_rr(fit_power_law(window_spectrum(series, (0.0, 32.0))))
-    scaled_series = _series(series.values * 137.0)
-    scaled = estimate_rr(fit_power_law(window_spectrum(scaled_series, (0.0, 32.0))))
+    base = _first_rate(series)
+    scaled = _first_rate(_series(series.values * 137.0))
     assert scaled[0] == base[0]
     assert scaled[1] == pytest.approx(base[1], rel=1e-9)
 
 
-def test_ni_in_unit_interval_fuzz():
-    rng = np.random.default_rng(99)
-    f = _grid_freqs()
-    for _ in range(50):
-        P = rng.exponential(1.0, f.size)
-        fitted = fit_power_law(PowerSpectrum(freqs=f, P=P, n_window=160))
-        rr, ni = estimate_rr(fitted)
-        assert 0.0 <= ni <= 1.0
-        assert 4.0 <= rr <= 65.0
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(0, 600),
+    t0=st.floats(-5.0, 10.0),
+    duration=st.floats(0.0, 130.0),
+    shape=st.sampled_from(["noise", "tone", "constant", "spiky"]),
+    artifacts=st.lists(st.integers(0, 599), max_size=4),
+)
+def test_rate_windows_properties(seed, n, t0, duration, shape, artifacts):
+    rng = np.random.default_rng(seed)
+    t = np.arange(n) * 0.2
+    values = {
+        "noise": rng.standard_normal(n),
+        "tone": np.sin(2 * np.pi * rng.uniform(0.05, 1.1) * t) + 0.3 * rng.standard_normal(n),
+        "constant": np.full(n, rng.uniform(-5.0, 5.0)),
+        "spiky": rng.standard_normal(n) * (rng.uniform(size=n) < 0.05) * 1e3,
+    }[shape]
+    mask = np.zeros(n, dtype=bool)
+    mask[[i for i in artifacts if i < n]] = True
+    series = RivSeries(kind=RivKind.RIIV, t0=t0, values=values, artifact_mask=mask)
+    rr, ni, reason = rate_windows(series, WindowGrid(duration_s=duration))
+    assert set(reason) <= set(REASONS)
+    unrated = reason != "none"
+    assert np.array_equal(np.isnan(rr), unrated) and np.array_equal(np.isnan(ni), unrated)
+    assert np.all((ni[~unrated] >= 0.0) & (ni[~unrated] <= 1.0))
+    assert np.all((rr[~unrated] >= 4.0) & (rr[~unrated] <= 65.0))
 
 
 # ---------------------------------------------------------------------------
@@ -242,10 +291,16 @@ def test_batch_matches_single_window():
     grid = WindowGrid(duration_s=90.0)
     rr, ni, reason = rate_windows(series, grid)
     assert (reason == "none").all()
-    for i, window in enumerate(grid.windows):
-        single = estimate_rr(fit_power_law(window_spectrum(series, window)))
-        assert rr[i] == single[0]
-        assert ni[i] == pytest.approx(single[1], abs=1e-12)
+    # reference: the kernel steps on every window at once, over the full rfft grid
+    starts = np.round(np.array(grid.windows)[:, 0] / 0.2).astype(int)
+    P = spectral._power(series.values[starts[:, None] + np.arange(160)])
+    f = _grid_freqs()
+    a, k, degenerate = fit_power_law(f, P)
+    assert not degenerate.any()
+    band = spectral._band(f)
+    rr_want, ni_want = spectral._rate_ni(f[band], (P - spectral._power_law(f, a, k))[:, band], 160)
+    np.testing.assert_array_equal(rr, rr_want)
+    np.testing.assert_allclose(ni, ni_want, rtol=0, atol=1e-12)
 
 
 def test_batch_reasons():
@@ -284,7 +339,7 @@ def test_single_bin_spectrum_is_fit_degenerate():
     f = _grid_freqs()
     P = np.zeros_like(f)
     P[int(np.argmin(np.abs(f - 80.0)))] = 5.0  # one positive bin inside a fit band
-    assert fit_power_law(_spectrum_from_power(P)).fit_degenerate
+    assert _fitted(P)[2]
 
 
 def test_empty_grid():
