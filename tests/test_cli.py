@@ -14,6 +14,14 @@ from conftest import make_synth
 
 # sha256 of the `--dump-spectrum 10 riav` file of the seed-1 120 s subject
 DUMP_SPECTRUM_SHA256 = "2fd881b39cca93ba4e0afe53f2cbe3a12a43a578f8170da86b137d0546068699"
+# sha256 of each `--dump-riv` file of the same subject
+DUMP_RIV_SHA256 = {
+    "riiv": "862c4dc2f1b633d15cc05a034e990a21b6d924b6c9d3e895dae06305bdfe2d55",
+    "riav": "3603635af8d88232eb3220a4b4ca622fd9e13892a7d932b54406b05b2e04e710",
+    "rifv": "eac80c6ae82c7909f89f8bfbf63770c1aa198f4b654713e67c4e70ce6fc06e1f",
+    "riwv": "7fa3ca7496d99b0449f4e469691b581b0fc025bf0a3c1946ecfed55ac97063a5",
+    "risv": "a7d6d1c07d9dac2e81157fdc5f76ad4a3e7c991bb676a54b4225ce27038ad45f",
+}
 
 
 def _write_subject(tmp_path, name, rr=20.0, hr=80.0, duration=120.0, seed=1, noise=0.02):
@@ -100,8 +108,9 @@ def test_estimate_dump_flags(tmp_path):
     first, second = (line.split(",") for line in beats_lines[1:3])
     assert first[6] == "" and float(second[6]) > 0  # the first beat has no period
     assert {line.rsplit(",", 1)[1] for line in beats_lines[1:]} <= {"0", "1"}
-    for kind in ("riiv", "riav", "rifv", "riwv", "risv"):
-        assert (tmp_path / "rivs" / f"{kind}.csv").exists()
+    assert sorted(p.name for p in (tmp_path / "rivs").iterdir()) == sorted(f"{kind}.csv" for kind in DUMP_RIV_SHA256)
+    for kind, digest in DUMP_RIV_SHA256.items():
+        assert hashlib.sha256((tmp_path / "rivs" / f"{kind}.csv").read_bytes()).hexdigest() == digest
     spectrum_path = tmp_path / "spectrum_w10_riav.csv"
     spectrum_lines = spectrum_path.read_text().splitlines()
     assert spectrum_lines[0] == "f,P,P_fit,P_out"
