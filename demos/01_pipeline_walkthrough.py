@@ -27,9 +27,12 @@ period = np.nanmedian(beats.period)
 print(f"median beat period {period:.3f} s -> heart rate {60 / period:.1f} beats/min")
 
 # ------------------------------------------------- variation series (5 Hz)
-for kind, series in extract(beats, t_end=record.duration_s).items():
-    rel = np.ptp(series.values) / abs(np.mean(series.values))
-    print(f"  {kind.name}: {series.values.size} samples on the 5 Hz grid, peak-to-peak {100 * rel:.1f}% of mean")
+rivs = extract(beats, t_end=record.duration_s)
+print(f"variation table: {rivs.values.shape[1]} samples on the 5 Hz grid from t0 = {rivs.t0:.2f} s, "
+      f"{np.count_nonzero(rivs.artifact)} flagged as artifact")
+for kind, values in zip(ALL_KINDS, rivs.values):
+    rel = np.ptp(values) / abs(np.mean(values))
+    print(f"  {kind.name}: peak-to-peak {100 * rel:.1f}% of mean")
 
 # -------------------------------------------- spectral estimates + fusion
 analysis = pipeline.analyze_record(record)

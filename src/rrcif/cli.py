@@ -34,7 +34,7 @@ from .errors import RrcifError  # noqa: E402
 from .fusion import FusionResult  # noqa: E402
 from .riv import ALL_KINDS, RivKind  # noqa: E402
 from .signal_io import ModDepths, SynthSpec  # noqa: E402
-from .spectral import DEFAULT_THRESHOLD, window_spectrum  # noqa: E402
+from .spectral import DEFAULT_THRESHOLD, WINDOW_S, window_spectrum  # noqa: E402
 
 EXIT_OK = 0
 EXIT_IO = 2
@@ -99,9 +99,9 @@ def _dump_beats(path, beats):
 def _dump_riv(directory, rivs):
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    for kind, series in rivs.items():
+    for kind, values in zip(ALL_KINDS, rivs.values):
         lines = ["t,value,artifact\n"]
-        for t, v, a in zip(series.times, series.values, series.artifact_mask):
+        for t, v, a in zip(rivs.times, values, rivs.artifact):
             lines.append(f"{t:.4f},{v:.8g},{int(a)}\n")
         _emit(directory / f"{kind.name.lower()}.csv", lines)
 
@@ -137,10 +137,12 @@ def _cmd_estimate(args, parser):
     analysis = pipeline.analyze_record(record)
     if spectrum_at:
         window_index, kind = spectrum_at
+        if analysis.grid.count == 0:
+            parser.error(f"--dump-spectrum: the {analysis.grid.duration_s:g} s record has no {WINDOW_S:g} s window")
         if not 0 <= window_index < analysis.grid.count:
             parser.error(f"--dump-spectrum window {window_index} outside 0..{analysis.grid.count - 1}")
         # an unrated window is a data error, raised before any output is written
-        spectrum = window_spectrum(analysis.rivs[kind], analysis.grid, window_index)
+        spectrum = window_spectrum(analysis.rivs, analysis.grid, window_index, kind)
     fusion = pipeline.fuse_estimates(analysis.estimates, args.method, args.t)
     _write_estimates(args.out, fusion, analysis.grid, args.method, args.t)
     if args.dump_beats:
@@ -156,8 +158,8 @@ def _cmd_estimate(args, parser):
 def _analyze_subject(path):
     """Read and analyze one subject; returns (analysis, reference) or the error message.
 
-    Runs in a worker process, so the failure comes back as text for the
-    parent to report.
+    Runs in a worker process, so a data or I/O error comes back as text for
+    the parent to report; any other exception is a bug and propagates.
     """
     try:
         if path.suffix == ".json":
@@ -171,7 +173,7 @@ def _analyze_subject(path):
                 raise RrcifError(f"{path}: no matching *_ref.csv reference")
             reference = signal_io.read_reference(ref_path)
         return pipeline.analyze_record(record), reference
-    except Exception as exc:  # noqa: BLE001 - one bad subject must not end the run
+    except (RrcifError, OSError) as exc:  # one bad subject must not end the run
         return str(exc)
 
 

@@ -42,15 +42,13 @@ class SweepRow:
     retention_median: float
 
 
-def reference_at(reference: ReferenceRr, windows):
-    """Reference rate for a window: in-window mean, else value at the center.
+def reference_at(reference: ReferenceRr, windows) -> np.ndarray:
+    """Reference rate of each window: in-window mean, else value at the center.
 
-    `windows` is one (start, end) pair, giving a float, or a sequence of
-    them such as ``grid.windows``, giving one rate per window. A window
-    holds the reference samples with start <= time < end.
+    `windows` is a sequence of (start, end) pairs such as ``grid.windows``.
+    A window holds the reference samples with start <= time < end.
     """
-    windows = np.asarray(windows, dtype=float)
-    start, end = windows.reshape(-1, 2).T
+    start, end = np.asarray(windows, dtype=float).reshape(-1, 2).T
     times, rr = reference.times_s, reference.rr
     # times are non-decreasing, so each window's samples are one index range
     lo = np.searchsorted(times, start, side="left")
@@ -61,8 +59,7 @@ def reference_at(reference: ReferenceRr, windows):
     # relative error of every positive sum near one ulp.
     sums = np.add.reduceat(np.append(rr, 0.0), np.ravel([lo, hi], order="F"))[::2]
     centre_rates = np.interp(0.5 * (start + end), times, rr)
-    rates = np.where(hi > lo, sums / np.maximum(hi - lo, 1), centre_rates)
-    return float(rates[0]) if windows.shape == (2,) else rates
+    return np.where(hi > lo, sums / np.maximum(hi - lo, 1), centre_rates)
 
 
 def score(fusion: FusionResult, ref_rates):

@@ -60,7 +60,7 @@ def cif_weights(covariances) -> np.ndarray:
     """Weights over the last axis satisfying the equal-product condition and
     summing to one; an infinite covariance gets zero weight."""
     c = np.asarray(covariances, dtype=float)
-    if c.size < 1:
+    if c.shape[-1:] in ((), (0,)):
         raise ValueError("need at least one covariance")
     if np.any(c <= 0):
         raise ValueError(f"covariances must be positive, got {c}")

@@ -6,11 +6,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .fusion import SF3, SF5, FusionResult, cif, smart_fusion
 from .preprocess import BeatTable, bandpass, flag_artifacts, segment_beats
-from .riv import ALL_KINDS, RivKind, RivSeries, extract
+from .riv import RivTable, extract
 from .signal_io import PpgRecord
 from .spectral import DEFAULT_THRESHOLD, EstimateTable, WindowGrid, rate_windows
 
@@ -25,7 +23,7 @@ class RecordAnalysis:
     grid: WindowGrid
     estimates: EstimateTable
     beats: BeatTable
-    rivs: dict[RivKind, RivSeries]
+    rivs: RivTable
 
 
 def analyze_record(record: PpgRecord) -> RecordAnalysis:
@@ -39,10 +37,7 @@ def analyze_record(record: PpgRecord) -> RecordAnalysis:
     beats = flag_artifacts(segment_beats(filtered), record=record)
     rivs = extract(beats, t_end=record.duration_s)
     grid = WindowGrid(duration_s=record.duration_s)
-    columns = [rate_windows(rivs[kind], grid) for kind in ALL_KINDS]
-    rr, ni, reason = (np.stack(arrays, axis=-1) for arrays in zip(*columns))
-    estimates = EstimateTable(rr=rr, ni=ni, reason=reason)
-    return RecordAnalysis(record_id=record.id, grid=grid, estimates=estimates, beats=beats, rivs=rivs)
+    return RecordAnalysis(record_id=record.id, grid=grid, estimates=rate_windows(rivs, grid), beats=beats, rivs=rivs)
 
 
 def fuse_estimates(estimates: EstimateTable, method: str = "cif", t: float = DEFAULT_THRESHOLD) -> FusionResult:

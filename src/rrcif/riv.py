@@ -35,21 +35,23 @@ ALL_KINDS = tuple(RivKind)
 
 
 @dataclass(frozen=True)
-class RivSeries:
-    """One feature series resampled to the uniform 5 Hz grid."""
+class RivTable:
+    """The five feature series of one record, rows in ALL_KINDS order.
 
-    kind: RivKind
+    ``values`` is (5, samples) on the grid t0 + j / RIV_FS; ``artifact`` is
+    the one artifact mask that all five rows share.
+    """
+
     t0: float
     values: np.ndarray
-    artifact_mask: np.ndarray
-    fs: float = RIV_FS
+    artifact: np.ndarray
 
     @property
     def times(self) -> np.ndarray:
-        return self.t0 + np.arange(self.values.size) / self.fs
+        return self.t0 + np.arange(self.values.shape[-1]) / RIV_FS
 
 
-def extract(beats: BeatTable, t_end: float) -> dict[RivKind, RivSeries]:
+def extract(beats: BeatTable, t_end: float) -> RivTable:
     """Build all five series on the 5 Hz grid spanning [first peak, t_end].
 
     The knots of a series are the non-artifact beats with a finite feature
@@ -78,7 +80,5 @@ def extract(beats: BeatTable, t_end: float) -> dict[RivKind, RivSeries]:
     right = np.searchsorted(beats.t_peak, grid)
     last = len(beats) - 1
     mask = beats.artifact[np.clip(right - 1, 0, last)] | beats.artifact[np.clip(right, 0, last)]
-    return {
-        kind: RivSeries(kind, t0, np.interp(grid, beats.t_peak[used], features[kind][used]), mask)
-        for kind, used in knots.items()
-    }
+    values = np.stack([np.interp(grid, beats.t_peak[used], features[kind][used]) for kind, used in knots.items()])
+    return RivTable(t0, values, mask)

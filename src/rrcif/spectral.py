@@ -13,8 +13,9 @@ index is the positive residual peak over the positive residual sum in that
 band, rescaled as :func:`rate_windows` explains.
 
 One kernel works over the last array axis: :func:`rate_windows` runs it on
-all windows of a series at once, and :func:`window_spectrum` returns the
-full spectrum and background of one of those windows for inspection.
+all windows of each row of a record's RivTable and returns the record's
+EstimateTable, and :func:`window_spectrum` returns the full spectrum and
+background of one (window, variation) pair for inspection.
 """
 
 from __future__ import annotations
@@ -24,10 +25,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RrcifError
-from .riv import RivSeries
+from .riv import ALL_KINDS, RIV_FS, RivKind, RivTable
 
 WINDOW_S = 32.0
 SHIFT_S = 2.0
+WINDOW_SAMPLES = round(WINDOW_S * RIV_FS)
 NFFT = 4096
 RR_BAND_BPM = (4.0, 65.0)
 FIT_BANDS_BPM = ((2.0, 4.0), (65.0, 100.0))
@@ -40,21 +42,19 @@ REASONS = ("none", "artifact", "out_of_range", "fit_degenerate")
 
 @dataclass(frozen=True)
 class WindowGrid:
-    """The sliding analysis windows covering one recording."""
+    """The sliding WINDOW_S windows, SHIFT_S apart, covering one recording."""
 
     duration_s: float
-    window_s: float = WINDOW_S
-    shift_s: float = SHIFT_S
 
     @property
     def count(self) -> int:
-        if self.duration_s < self.window_s:
+        if self.duration_s < WINDOW_S:
             return 0
-        return int(np.floor((self.duration_s - self.window_s) / self.shift_s + 1e-9)) + 1
+        return int(np.floor((self.duration_s - WINDOW_S) / SHIFT_S + 1e-9)) + 1
 
     @property
     def windows(self) -> list[tuple[float, float]]:
-        return [(i * self.shift_s, i * self.shift_s + self.window_s) for i in range(self.count)]
+        return [(i * SHIFT_S, i * SHIFT_S + WINDOW_S) for i in range(self.count)]
 
 
 @dataclass(frozen=True)
@@ -75,8 +75,8 @@ class EstimateTable:
 # the kernel: every function works over the last axis
 
 
-def _freqs(fs: float) -> np.ndarray:
-    return np.fft.rfftfreq(NFFT, d=1.0 / fs) * 60.0
+def _freqs() -> np.ndarray:
+    return np.fft.rfftfreq(NFFT, d=1.0 / RIV_FS) * 60.0
 
 
 def _power(x: np.ndarray, n_bins: int | None = None, out: np.ndarray | None = None) -> np.ndarray:
@@ -151,38 +151,38 @@ def _rate_ni(f: np.ndarray, residual: np.ndarray, n_window: int):
 
 
 # ---------------------------------------------------------------------------
-# one record: every window of one series
+# one record: every window of every variation series
 
 
-def _window_rows(series: RivSeries, grid: WindowGrid):
-    """First sample and unrated reason of every grid window of one series.
+def _window_rows(rivs: RivTable, grid: WindowGrid):
+    """First sample and unrated reason of every grid window of a record.
 
-    Returns (i0, n_win, reason): window i covers series samples
-    i0[i] to i0[i] + n_win. Its reason is "out_of_range" when that span is
-    not fully inside the series, "artifact" when an artifact sample lies in
-    it, and "none" otherwise.
+    Returns (i0, reason): window i covers samples i0[i] to
+    i0[i] + WINDOW_SAMPLES of every row of ``rivs``. Its reason is
+    "out_of_range" when that span is not fully inside the series, "artifact"
+    when an artifact sample lies in it, and "none" otherwise.
     """
-    n_win = int(round(grid.window_s * series.fs))
-    starts = np.arange(grid.count) * grid.shift_s
-    i0 = np.ceil((starts - series.t0) * series.fs - 1e-9).astype(int)
-    size = series.values.size
-    inside = (i0 >= 0) & (i0 + n_win <= size)
-    hits = np.concatenate(([0], np.cumsum(series.artifact_mask)))
-    touched = hits[np.clip(i0 + n_win, 0, size)] > hits[np.clip(i0, 0, size)]
+    starts = np.arange(grid.count) * SHIFT_S
+    i0 = np.ceil((starts - rivs.t0) * RIV_FS - 1e-9).astype(int)
+    size = rivs.values.shape[-1]
+    inside = (i0 >= 0) & (i0 + WINDOW_SAMPLES <= size)
+    hits = np.concatenate(([0], np.cumsum(rivs.artifact)))
+    touched = hits[np.clip(i0 + WINDOW_SAMPLES, 0, size)] > hits[np.clip(i0, 0, size)]
     reason = np.full(grid.count, "none", dtype="<U14")
     reason[~inside] = "out_of_range"
     reason[inside & touched] = "artifact"
-    return i0, n_win, reason
+    return i0, reason
 
 
-def rate_windows(series: RivSeries, grid: WindowGrid):
-    """Rate and noise index of every grid window of one series.
+def rate_windows(rivs: RivTable, grid: WindowGrid) -> EstimateTable:
+    """Rate and noise index of every (grid window, variation) pair of a record.
 
-    Returns (rr, ni, reason) arrays of length grid.count. A window not fully
-    inside the series is "out_of_range" (as the first window is when the
-    first beat comes 0.2 s or more into the record), one touched by an
-    artifact is "artifact", and one whose background fit is degenerate is
-    "fit_degenerate"; all three carry NaN rate and noise index.
+    A window not fully inside the series is "out_of_range" (as the first
+    window is when the first beat comes 0.2 s or more into the record) and
+    one touched by an artifact is "artifact", for all five variations; a
+    pair whose background fit is degenerate is "fit_degenerate". All three
+    carry NaN rate and noise index. Each variation goes through the kernel
+    on its own, BATCH_ROWS windows per call.
 
     The noise index is the positive residual peak over the in-band positive
     residual sum times n_window / nfft, clipped to [0, 1]. Zero-padding
@@ -191,38 +191,41 @@ def rate_windows(series: RivSeries, grid: WindowGrid):
     lone native-resolution peak scores about 1 and the 0.13 default gate
     keeps its meaning whatever the padding.
     """
-    i0, n_win, reason = _window_rows(series, grid)
-    rated = np.flatnonzero(reason == "none")
-    freqs = _freqs(series.fs)
+    i0, window_reason = _window_rows(rivs, grid)
+    rated = np.flatnonzero(window_reason == "none")
+    freqs = _freqs()
     freqs = freqs[freqs <= MAX_BPM]
     band = _band(freqs)
-    rr, ni = np.full((2, grid.count), np.nan)
+    rr, ni = np.full((2, grid.count, len(ALL_KINDS)), np.nan)
+    reason = np.repeat(window_reason[:, None], len(ALL_KINDS), axis=1)
     blocks = np.array_split(rated, max(1, -(-rated.size // BATCH_ROWS)))
-    spectra = np.empty((blocks[0].size, NFFT // 2 + 1), dtype=complex)  # one rFFT output for every block
+    spectra = np.empty((blocks[0].size, NFFT // 2 + 1), dtype=complex)  # one rFFT output for every call
     for block in blocks:
-        P = _power(series.values[i0[block, None] + np.arange(n_win)], freqs.size, out=spectra[: block.size])
-        a, k, degenerate = fit_power_law(freqs, P)
-        residual = P[:, band] - _power_law(freqs[band], a, k)  # the background only where rates are read
-        rr[block], ni[block] = _rate_ni(freqs[band], residual, n_win)
-        reason[block[degenerate]] = "fit_degenerate"
+        samples = i0[block, None] + np.arange(WINDOW_SAMPLES)
+        for column, values in enumerate(rivs.values):
+            P = _power(values[samples], freqs.size, out=spectra[: block.size])
+            a, k, degenerate = fit_power_law(freqs, P)
+            residual = P[:, band] - _power_law(freqs[band], a, k)  # the background only where rates are read
+            rr[block, column], ni[block, column] = _rate_ni(freqs[band], residual, WINDOW_SAMPLES)
+            reason[block[degenerate], column] = "fit_degenerate"
     unfit = reason == "fit_degenerate"
     rr[unfit] = ni[unfit] = np.nan
-    return rr, ni, reason
+    return EstimateTable(rr=rr, ni=ni, reason=reason)
 
 
-def window_spectrum(series: RivSeries, grid: WindowGrid, index: int):
-    """Full spectrum of grid window ``index`` of one series, for inspection.
+def window_spectrum(rivs: RivTable, grid: WindowGrid, index: int, kind: RivKind):
+    """Full spectrum of grid window ``index`` of one variation, for inspection.
 
     Returns (freqs, P, P_fit) on all NFFT // 2 + 1 bins, freqs in
     breaths/min; P - P_fit is the residual :func:`rate_windows` reads its
     rate and noise index from. A degenerate fit gives P_fit = 0. Raises
     :class:`RrcifError` for a window that is "out_of_range" or "artifact".
     """
-    i0, n_win, reason = _window_rows(series, grid)
+    i0, reason = _window_rows(rivs, grid)
     if reason[index] != "none":
         start, end = grid.windows[index]
-        raise RrcifError(f"window {index} [{start:g}, {end:g}) s of {series.kind.name} is not rated: {reason[index]}")
-    freqs = _freqs(series.fs)
-    P = _power(series.values[i0[index] : i0[index] + n_win])
+        raise RrcifError(f"window {index} [{start:g}, {end:g}) s of {kind.name} is not rated: {reason[index]}")
+    freqs = _freqs()
+    P = _power(rivs.values[ALL_KINDS.index(kind), i0[index] : i0[index] + WINDOW_SAMPLES])
     a, k, _ = fit_power_law(freqs, P)
     return freqs, P, _power_law(freqs, a, k)

@@ -130,7 +130,7 @@ def test_estimate_dump_flags(tmp_path):
     assert ni == pytest.approx(estimates.ni[10, riav], rel=1e-7)
     np.testing.assert_allclose(P_out, P - P_fit, rtol=1e-7, atol=1e-7 * np.abs(P).max())
     # unrounded, the residual behind the file gives the table's noise index to 1e-12
-    _, P, P_fit = spectral.window_spectrum(analysis.rivs[RivKind.RIAV], analysis.grid, 10)
+    _, P, P_fit = spectral.window_spectrum(analysis.rivs, analysis.grid, 10, RivKind.RIAV)
     _, ni = spectral._rate_ni(freqs[band], (P - P_fit)[band], 160)
     assert ni == pytest.approx(estimates.ni[10, riav], abs=1e-12)
 
@@ -187,6 +187,43 @@ def test_dump_spectrum_unrated_window_writes_nothing(tmp_path, capsys):
                  "--dump-riv", str(out / "rivs"), "--dump-spectrum", "0", "riiv"]) == 2
     assert sorted(p.name for p in tmp_path.iterdir()) == ["s1.csv", "s1_ref.csv"]
     assert "window 0 [0, 32) s of RIIV is not rated: out_of_range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method", ["cif", "sf3", "sf5"])
+def test_estimate_record_shorter_than_a_window(tmp_path, method):
+    # 20 s holds no 32 s window: every method writes a table with no rows
+    rec_path = _write_subject(tmp_path, "short", rr=18.0, hr=78.0, duration=20.0, noise=0.03, seed=1)
+    out = tmp_path / "est.csv"
+    assert main(["estimate", str(rec_path), "--method", method, "--out", str(out)]) == 0
+    header, rows = _read_table(out)
+    assert header == ["window_start_s", "rr_fusion", "c_fusion", "retained", "contributors"]
+    assert rows == []
+
+
+def test_dump_spectrum_record_without_window_exit_64(tmp_path, capsys):
+    rec_path = _write_subject(tmp_path, "short", rr=18.0, hr=78.0, duration=20.0, noise=0.03, seed=1)
+    with pytest.raises(SystemExit) as exc:
+        main(["estimate", str(rec_path), "--out", str(tmp_path / "o" / "est.csv"), "--dump-spectrum", "0", "riav"])
+    assert exc.value.code == 64
+    assert "--dump-spectrum: the 20 s record has no 32 s window" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["short.csv", "short_ref.csv"]
+
+
+def test_dataset_with_record_shorter_than_a_window(tmp_path):
+    data = tmp_path / "data"
+    data.mkdir()
+    _write_subject(data, "long", rr=18.0, hr=78.0, noise=0.03, seed=1)
+    _write_subject(data, "short", rr=18.0, hr=78.0, duration=20.0, noise=0.03, seed=1)
+    out_dir = tmp_path / "out"
+    assert main(["benchmark", str(data), "--out", str(out_dir)]) == 0
+    _, rows = _read_table(out_dir / "subjects.csv")
+    short = [row for row in rows if row[0] == "short"]
+    assert [row[1] for row in short] == ["CIF", "SF3", "SF5"]
+    assert all(row[3] == "" and float(row[4]) == 0.0 for row in short)  # no window: no RMSE, nothing retained
+    assert all(row[3] != "" for row in rows if row[0] == "long")
+    sweep_csv = tmp_path / "sweep.csv"
+    assert main(["sweep", str(data), "--out", str(sweep_csv)]) == 0
+    assert len(_read_table(sweep_csv)[1]) == 31
 
 
 def test_sweep_bad_range_exit_64(tmp_path):
@@ -335,6 +372,20 @@ def test_estimate_not_utf8_exit_2(tmp_path, capsys, name, content):
     assert main(["estimate", str(path)]) == 2
     err = capsys.readouterr().err
     assert f"{name}: not UTF-8 text" in err and "0xff" in err and "Traceback" not in err
+
+
+def test_dataset_worker_bug_is_raised_not_skipped(tmp_path, capsys, monkeypatch):
+    from rrcif import cli
+
+    _write_subject(tmp_path, "a")
+
+    def broken(record):
+        raise ValueError("a bug, not a bad subject")
+
+    monkeypatch.setattr(pipeline, "analyze_record", broken)
+    with pytest.raises(ValueError, match="a bug, not a bad subject"):
+        cli._analyze_dataset(tmp_path)
+    assert "skipping" not in capsys.readouterr().err
 
 
 def test_dataset_pool_matches_serial_analysis(tmp_path, capsys, monkeypatch):

@@ -38,19 +38,25 @@ def test_reference_at_constant():
     ref = _reference(np.arange(0, 480, 2.0), np.full(240, 20.0))
     grid = WindowGrid(duration_s=480.0)
     for window in grid.windows[:20]:
-        assert reference_at(ref, window) == 20.0
+        assert reference_at(ref, [window])[0] == 20.0
 
 
 def test_reference_at_symmetric_step():
     # step 15 -> 25 at the window center with symmetric samples
     ref = _reference([2.0, 6.0, 10.0, 14.0, 18.0, 22.0, 26.0, 30.0],
                      [15.0, 15.0, 15.0, 15.0, 25.0, 25.0, 25.0, 25.0])
-    assert reference_at(ref, (0.0, 32.0)) == pytest.approx(20.0)
+    assert reference_at(ref, [(0.0, 32.0)])[0] == pytest.approx(20.0)
 
 
 def test_reference_at_outside_interpolates_center():
     ref = _reference([0.0, 100.0], [10.0, 30.0])
-    assert reference_at(ref, (40.0, 72.0)) == pytest.approx(10.0 + 20.0 * 56.0 / 100.0)
+    assert reference_at(ref, [(40.0, 72.0)])[0] == pytest.approx(10.0 + 20.0 * 56.0 / 100.0)
+
+
+def test_reference_at_no_windows():
+    # a record shorter than one window has an empty grid
+    ref = _reference([0.0, 100.0], [10.0, 30.0])
+    assert reference_at(ref, WindowGrid(duration_s=20.0).windows).shape == (0,)
 
 
 def _reference_at_loop(reference, windows):
@@ -83,7 +89,7 @@ def test_reference_at_matches_window_loop(times, windows):
     expected = _reference_at_loop(ref, windows)
     np.testing.assert_allclose(reference_at(ref, windows), expected, rtol=1e-12, atol=0)
     for window, value in zip(windows, expected):
-        assert reference_at(ref, window) == pytest.approx(value, rel=1e-12, abs=0)
+        assert reference_at(ref, [window])[0] == pytest.approx(value, rel=1e-12, abs=0)
 
 
 def test_reference_at_matches_window_loop_on_grid():

@@ -79,6 +79,16 @@ def test_weights_reject_nonpositive():
         cif_weights([0.5, 0.0])
     with pytest.raises(ValueError):
         cif_weights([])
+    with pytest.raises(ValueError):
+        cif_weights(np.empty((3, 0)))
+
+
+def test_cif_weights_over_no_windows():
+    # the covariances of a record with no window: zero rows of five
+    assert cif_weights(np.ones((0, 5))).shape == (0, 5)
+    fused = cif(np.empty((0, 5)), np.empty((0, 5)), [0.0, 0.13])
+    assert fused.rr_fusion.shape == fused.retained.shape == (2, 0)
+    assert fused.contributors.shape == (2, 0, 5)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,8 @@ from rrcif.spectral import DEFAULT_THRESHOLD, WindowGrid, rate_windows
 
 from conftest import edit_beat, make_beats, make_synth
 
+RIIV, RIAV, RIFV = (ALL_KINDS.index(kind) for kind in (RivKind.RIIV, RivKind.RIAV, RivKind.RIFV))
+
 
 def test_exactly_five_kinds():
     assert len(ALL_KINDS) == 5
@@ -20,8 +22,9 @@ def test_exactly_five_kinds():
 def test_grid_step_and_extent():
     beats = make_beats(n=50, t0=0.6)
     t_end = beats.t_peak[-1]
-    series = extract(beats, t_end)[RivKind.RIAV]
-    times = series.times
+    rivs = extract(beats, t_end)
+    times = rivs.times
+    assert rivs.values.shape == (len(ALL_KINDS), times.size) and rivs.artifact.shape == (times.size,)
     np.testing.assert_allclose(np.diff(times), GRID_STEP_S, rtol=0, atol=1e-12)
     assert abs(times[0] - beats.t_peak[0]) < GRID_STEP_S + 1e-12
     assert abs(times[-1] - beats.t_peak[-1]) < GRID_STEP_S + 1e-12
@@ -32,45 +35,45 @@ def test_interpolation_passes_through_knots():
     beats = make_beats(n=40, period=0.8, t0=0.4)
     values = np.array([1.0 + 0.2 * math.sin(t) for t in beats.t_peak])
     beats = replace(beats, v_peak=values + beats.v_foot)
-    series = extract(beats, beats.t_peak[-1])[RivKind.RIAV]
-    times = series.times
+    rivs = extract(beats, beats.t_peak[-1])
+    times = rivs.times
     for t_peak, value in zip(beats.t_peak, values):
-        idx = int(round((t_peak - series.t0) / GRID_STEP_S))
+        idx = int(round((t_peak - rivs.t0) / GRID_STEP_S))
         assert abs(times[idx] - t_peak) < 1e-9
-        assert series.values[idx] == pytest.approx(value, abs=1e-9)
+        assert rivs.values[RIAV, idx] == pytest.approx(value, abs=1e-9)
 
 
 def test_rifv_linear_interpolation_between_knots():
     beats = make_beats(n=4, period=0.75, t0=0.75)
     # periods (0.75, 0.75, 0.80): stretch the final peak
     beats = edit_beat(beats, 3, t_peak=beats.t_peak[2] + 0.80, period=0.80)
-    series = extract(beats, beats.t_peak[3])[RivKind.RIFV]
-    times = series.times
+    rivs = extract(beats, beats.t_peak[3])
+    times, rifv = rivs.times, rivs.values[RIFV]
     expected = np.interp(times, beats.t_peak[1:4], [0.75, 0.75, 0.80])
-    np.testing.assert_allclose(series.values, expected, atol=1e-12)
+    np.testing.assert_allclose(rifv, expected, atol=1e-12)
     inside = (times >= beats.t_peak[2]) & (times <= beats.t_peak[3])
-    assert np.all(series.values[inside] >= 0.75 - 1e-12)
-    assert np.all(series.values[inside] <= 0.80 + 1e-12)
+    assert np.all(rifv[inside] >= 0.75 - 1e-12)
+    assert np.all(rifv[inside] <= 0.80 + 1e-12)
 
 
 def test_constant_train_gives_constant_series():
     beats = make_beats(n=60)
     rivs = extract(beats, beats.t_peak[-1])
-    assert list(rivs) == list(ALL_KINDS)
-    for series in rivs.values():
-        assert np.ptp(series.values) == 0.0
+    assert rivs.values.shape[0] == len(ALL_KINDS)
+    for row in rivs.values:
+        assert np.ptp(row) == 0.0
 
 
 def test_artifact_beats_excluded_and_masked():
     beats = make_beats(n=40)
     beats = edit_beat(beats, 20, v_peak=beats.v_peak[20] + 5.0, artifact=True)
-    series = extract(beats, beats.t_peak[-1])[RivKind.RIIV]
+    rivs = extract(beats, beats.t_peak[-1])
     # the spike is not a knot, so values stay at the clean level
-    assert np.ptp(series.values) == 0.0
-    times = series.times
+    assert np.ptp(rivs.values[RIIV]) == 0.0
+    times = rivs.times
     near = (times > beats.t_peak[19] - 1e-9) & (times < beats.t_peak[21] + 1e-9)
-    assert series.artifact_mask[near].all()
-    assert not series.artifact_mask[~near].any()
+    assert rivs.artifact[near].all()
+    assert not rivs.artifact[~near].any()
 
 
 def test_insufficient_beats():
@@ -91,10 +94,10 @@ def test_insufficient_beats_reported_in_kind_order():
         extract(make_beats(n=4), 0.0)
 
 
-def _series_ni(series, window=5):
-    """(rr, ni, reason) of grid window 5, [10, 42) s, as rate_windows rates it."""
-    rr, ni, reason = rate_windows(series, WindowGrid(duration_s=42.0))
-    return rr[window], ni[window], reason[window]
+def _window_estimates(rivs, window=5):
+    """(rr, ni, reason) of every variation in grid window 5, [10, 42) s, as rate_windows rates it."""
+    table = rate_windows(rivs, WindowGrid(duration_s=42.0))
+    return table.rr[window], table.ni[window], table.reason[window]
 
 
 def test_single_feature_modulation_isolates_one_series():
@@ -120,8 +123,8 @@ def test_single_feature_modulation_isolates_one_series():
         RivKind.RISV: lambda b, m: replace(b, rise25_75=b.rise25_75 * (1 + 0.2 * m)),
     }
     def check(kind, beats):
-        for probe, series in extract(beats, beats.t_peak[-1]).items():
-            rr, ni, reason = _series_ni(series)
+        estimates = _window_estimates(extract(beats, beats.t_peak[-1]))
+        for probe, rr, ni, reason in zip(ALL_KINDS, *estimates):
             if probe is kind:
                 assert reason == "none"
                 assert ni > DEFAULT_THRESHOLD
@@ -149,9 +152,9 @@ def test_waveform_single_modulation_series_content():
     record, _ = make_synth(rr=20.0, hr=80.0, duration=240.0, depths=(0.0, 0.2, 0.0, 0.0, 0.0), noise=0.0)
     beats = segment_beats(bandpass(record))
     rivs = extract(beats, beats.t_peak[-1])
-    riav, rifv = rivs[RivKind.RIAV], rivs[RivKind.RIFV]
-    rr, ni, reason = _series_ni(riav)
+    rr, ni, reason = (column[RIAV] for column in _window_estimates(rivs))
     assert reason == "none"
     assert rr == pytest.approx(20.0, abs=0.5)
     assert ni > DEFAULT_THRESHOLD
-    assert np.ptp(rifv.values) / np.mean(rifv.values) < 0.01
+    rifv = rivs.values[RIFV]
+    assert np.ptp(rifv) / np.mean(rifv) < 0.01

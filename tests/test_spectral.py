@@ -6,12 +6,13 @@ from hypothesis import strategies as st
 from rrcif import spectral
 from rrcif.errors import RrcifError
 from rrcif.fusion import cif
-from rrcif.riv import RivKind, RivSeries
+from rrcif.riv import ALL_KINDS, RivKind, RivTable
 from rrcif.spectral import (
     FIT_BANDS_BPM,
     MIN_FIT_BINS,
     NFFT,
     REASONS,
+    EstimateTable,
     WindowGrid,
     fit_power_law,
     rate_windows,
@@ -19,15 +20,28 @@ from rrcif.spectral import (
 )
 
 
-def _series(values, t0=0.0, mask=None):
+def _table(values, t0=0.0, mask=None):
+    """A table whose five rows all hold `values`."""
     values = np.asarray(values, dtype=float)
     mask = np.zeros(values.size, dtype=bool) if mask is None else mask
-    return RivSeries(kind=RivKind.RIIV, t0=t0, values=values, artifact_mask=mask)
+    return RivTable(t0=t0, values=np.tile(values, (len(ALL_KINDS), 1)), artifact=mask)
 
 
-def _tone_series(f_hz, duration=64.0, amp=0.1, offset=1.0):
+def _rate(rivs, grid):
+    """(rr, ni, reason) of the first variation, after checking that the five equal rows rate alike."""
+    table = rate_windows(rivs, grid)
+    assert isinstance(table, EstimateTable)
+    assert table.rr.shape == table.ni.shape == table.reason.shape == (grid.count, len(ALL_KINDS))
+    for column in range(1, len(ALL_KINDS)):
+        np.testing.assert_array_equal(table.rr[:, column], table.rr[:, 0])
+        np.testing.assert_array_equal(table.ni[:, column], table.ni[:, 0])
+        np.testing.assert_array_equal(table.reason[:, column], table.reason[:, 0])
+    return table.rr[:, 0], table.ni[:, 0], table.reason[:, 0]
+
+
+def _tone_table(f_hz, duration=64.0, amp=0.1, offset=1.0):
     t = np.arange(0.0, duration, 0.2)
-    return _series(offset + amp * np.sin(2 * np.pi * f_hz * t)), t
+    return _table(offset + amp * np.sin(2 * np.pi * f_hz * t)), t
 
 
 def _grid_freqs():
@@ -35,13 +49,13 @@ def _grid_freqs():
 
 
 def _first_window(series):
-    """window_spectrum of the first 32 s window."""
-    return window_spectrum(series, WindowGrid(duration_s=32.0), 0)
+    """window_spectrum of the first 32 s window of RIIV."""
+    return window_spectrum(series, WindowGrid(duration_s=32.0), 0, RivKind.RIIV)
 
 
 def _first_rate(series):
     """(rr, ni) of the first 32 s window, as rate_windows rates it."""
-    rr, ni, reason = rate_windows(series, WindowGrid(duration_s=32.0))
+    rr, ni, reason = _rate(series, WindowGrid(duration_s=32.0))
     assert reason[0] == "none"
     return rr[0], ni[0]
 
@@ -87,26 +101,26 @@ def test_window_geometry():
 
 
 def test_tone_peak_position():
-    series, _ = _tone_series(1.0 / 3.0)
+    series, _ = _tone_table(1.0 / 3.0)
     freqs, P, _ = _first_window(series)
     peak = freqs[np.argmax(P)]
     assert peak == pytest.approx(20.0, abs=0.1)
 
 
 def test_window_uses_160_samples():
-    series, _ = _tone_series(0.3, duration=32.0)
-    assert series.values.size == 160
+    series, _ = _tone_table(0.3, duration=32.0)
+    assert series.values.shape == (len(ALL_KINDS), 160)
     freqs, P, P_fit = _first_window(series)
     assert freqs.size == P.size == P_fit.size == NFFT // 2 + 1
     # samples past the 160th do not enter the window
-    longer = _series(np.concatenate([series.values, np.full(40, 9.0)]))
+    longer = _table(np.concatenate([series.values[0], np.full(40, 9.0)]))
     np.testing.assert_array_equal(_first_window(longer)[1], P)
     with pytest.raises(RrcifError, match="out_of_range"):
-        _first_window(_series(series.values[:159]))
+        _first_window(_table(series.values[0, :159]))
 
 
 def test_constant_series_no_power():
-    freqs, P, _ = _first_window(_series(np.full(200, 4.2)))
+    freqs, P, _ = _first_window(_table(np.full(200, 4.2)))
     nonzero = freqs > 0
     assert np.max(P[nonzero]) < 1e-18
 
@@ -115,16 +129,16 @@ def test_artifact_skip():
     mask = np.zeros(200, dtype=bool)
     mask[50] = True
     with pytest.raises(RrcifError, match=r"^window 0 \[0, 32\) s of RIIV is not rated: artifact$"):
-        _first_window(_series(np.ones(200), mask=mask))
+        _first_window(_table(np.ones(200), mask=mask))
 
 
 def test_window_out_of_range():
-    series = _series(np.ones(200), t0=1.0)
+    series = _table(np.ones(200), t0=1.0)
     grid = WindowGrid(duration_s=52.0)
     with pytest.raises(RrcifError, match=r"^window 0 \[0, 32\) s of RIIV is not rated: out_of_range$"):
-        window_spectrum(series, grid, 0)
-    with pytest.raises(RrcifError, match=r"^window 10 \[20, 52\) s of RIIV is not rated: out_of_range$"):
-        window_spectrum(series, grid, 10)
+        window_spectrum(series, grid, 0, RivKind.RIIV)
+    with pytest.raises(RrcifError, match=r"^window 10 \[20, 52\) s of RISV is not rated: out_of_range$"):
+        window_spectrum(series, grid, 10, RivKind.RISV)
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +214,7 @@ def test_fit_partially_masked_matches_polyfit():
 
 def test_p_out_identity():
     # the residual P - P_fit of window_spectrum is the one rate_windows rates
-    series, _ = _tone_series(0.25)
+    series, _ = _tone_table(0.25)
     freqs, P, P_fit = _first_window(series)
     band = spectral._band(freqs)
     rr, ni = spectral._rate_ni(freqs[band], (P - P_fit)[band], 160)
@@ -238,17 +252,35 @@ def test_all_nonpositive_residual_gives_zero_ni():
 
 def test_peak_localization_across_band():
     for f0_bpm in (5.0, 9.0, 14.5, 20.0, 33.3, 47.0, 60.0):
-        series, _ = _tone_series(f0_bpm / 60.0)
+        series, _ = _tone_table(f0_bpm / 60.0)
         rr, _ = _first_rate(series)
         assert abs(rr - f0_bpm) <= 0.5
 
 
 def test_scale_invariance():
-    series, _ = _tone_series(0.3, amp=0.07)
+    series, _ = _tone_table(0.3, amp=0.07)
     base = _first_rate(series)
-    scaled = _first_rate(_series(series.values * 137.0))
+    scaled = _first_rate(_table(series.values[0] * 137.0))
     assert scaled[0] == base[0]
     assert scaled[1] == pytest.approx(base[1], rel=1e-9)
+
+
+def _random_table(seed, n, t0, shapes, artifacts):
+    """A table of n samples whose rows follow `shapes`, with artifacts at the given sample indices."""
+    rng = np.random.default_rng(seed)
+    t = np.arange(n) * 0.2
+    rows = {
+        "noise": lambda: rng.standard_normal(n),
+        "tone": lambda: np.sin(2 * np.pi * rng.uniform(0.05, 1.1) * t) + 0.3 * rng.standard_normal(n),
+        "constant": lambda: np.full(n, rng.uniform(-5.0, 5.0)),
+        "spiky": lambda: rng.standard_normal(n) * (rng.uniform(size=n) < 0.05) * 1e3,
+    }
+    mask = np.zeros(n, dtype=bool)
+    mask[[i for i in artifacts if i < n]] = True
+    return RivTable(t0=t0, values=np.stack([rows[shape]() for shape in shapes]), artifact=mask)
+
+
+_SHAPES = st.lists(st.sampled_from(["noise", "tone", "constant", "spiky"]), min_size=5, max_size=5)
 
 
 @settings(max_examples=100, deadline=None)
@@ -257,59 +289,80 @@ def test_scale_invariance():
     n=st.integers(0, 600),
     t0=st.floats(-5.0, 10.0),
     duration=st.floats(0.0, 130.0),
-    shape=st.sampled_from(["noise", "tone", "constant", "spiky"]),
+    shapes=_SHAPES,
     artifacts=st.lists(st.integers(0, 599), max_size=4),
 )
-def test_rate_windows_properties(seed, n, t0, duration, shape, artifacts):
-    rng = np.random.default_rng(seed)
-    t = np.arange(n) * 0.2
-    values = {
-        "noise": rng.standard_normal(n),
-        "tone": np.sin(2 * np.pi * rng.uniform(0.05, 1.1) * t) + 0.3 * rng.standard_normal(n),
-        "constant": np.full(n, rng.uniform(-5.0, 5.0)),
-        "spiky": rng.standard_normal(n) * (rng.uniform(size=n) < 0.05) * 1e3,
-    }[shape]
-    mask = np.zeros(n, dtype=bool)
-    mask[[i for i in artifacts if i < n]] = True
-    series = RivSeries(kind=RivKind.RIIV, t0=t0, values=values, artifact_mask=mask)
-    rr, ni, reason = rate_windows(series, WindowGrid(duration_s=duration))
-    assert set(reason) <= set(REASONS)
+def test_rate_windows_properties(seed, n, t0, duration, shapes, artifacts):
+    grid = WindowGrid(duration_s=duration)
+    table = rate_windows(_random_table(seed, n, t0, shapes, artifacts), grid)
+    rr, ni, reason = table.rr, table.ni, table.reason
+    assert rr.shape == ni.shape == reason.shape == (grid.count, len(ALL_KINDS))
+    assert set(reason.ravel()) <= set(REASONS)
     unrated = reason != "none"
     assert np.array_equal(np.isnan(rr), unrated) and np.array_equal(np.isnan(ni), unrated)
     assert np.all((ni[~unrated] >= 0.0) & (ni[~unrated] <= 1.0))
     assert np.all((rr[~unrated] >= 4.0) & (rr[~unrated] <= 65.0))
+    # out_of_range and artifact are decided per window, for all five variations at once
+    window_level = np.isin(reason, ("out_of_range", "artifact")).any(axis=1)
+    assert (reason[window_level] == reason[window_level, :1]).all()
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(0, 500),
+    t0=st.floats(-5.0, 10.0),
+    duration=st.floats(0.0, 110.0),
+    shapes=_SHAPES,
+    artifacts=st.lists(st.integers(0, 499), max_size=3),
+    order=st.permutations(range(len(ALL_KINDS))),
+)
+def test_row_permutation_permutes_columns(seed, n, t0, duration, shapes, artifacts, order):
+    """Each row is rated on its own: permuting the rows permutes the columns, bit for bit."""
+    grid = WindowGrid(duration_s=duration)
+    rivs = _random_table(seed, n, t0, shapes, artifacts)
+    table = rate_windows(rivs, grid)
+    permuted = rate_windows(RivTable(t0=rivs.t0, values=rivs.values[order], artifact=rivs.artifact), grid)
+    for name in ("rr", "ni"):
+        want = getattr(table, name)[:, order]
+        assert np.array_equal(getattr(permuted, name).view(np.uint64), want.view(np.uint64)), name
+    assert np.array_equal(permuted.reason, table.reason[:, order])
 
 
 # ---------------------------------------------------------------------------
-# rate_windows: the batch over every window of a series
+# rate_windows: the batch over every window of every variation
 
 
 def test_batch_matches_single_window():
     rng = np.random.default_rng(4)
     t = np.arange(0.0, 90.0, 0.2)
-    series = _series(1.0 + 0.1 * np.sin(2 * np.pi * 0.3 * t) + 0.02 * rng.standard_normal(t.size))
+    values = np.stack([
+        offset + 0.1 * np.sin(2 * np.pi * f_hz * t) + 0.02 * rng.standard_normal(t.size)
+        for offset, f_hz in ((1.0, 0.3), (2.0, 0.2), (0.5, 0.45), (1.0, 0.3), (3.0, 0.12))
+    ])
     grid = WindowGrid(duration_s=90.0)
-    rr, ni, reason = rate_windows(series, grid)
-    assert (reason == "none").all()
-    # reference: the kernel steps on every window at once, over the full rfft grid
+    table = rate_windows(RivTable(t0=0.0, values=values, artifact=np.zeros(t.size, dtype=bool)), grid)
+    assert (table.reason == "none").all()
+    # reference: the kernel steps on every window of each row at once, over the full rfft grid
     starts = np.round(np.array(grid.windows)[:, 0] / 0.2).astype(int)
-    P = spectral._power(series.values[starts[:, None] + np.arange(160)])
     f = _grid_freqs()
-    a, k, degenerate = fit_power_law(f, P)
-    assert not degenerate.any()
     band = spectral._band(f)
-    rr_want, ni_want = spectral._rate_ni(f[band], (P - spectral._power_law(f, a, k))[:, band], 160)
-    np.testing.assert_array_equal(rr, rr_want)
-    np.testing.assert_allclose(ni, ni_want, rtol=0, atol=1e-12)
+    for column, row in enumerate(values):
+        P = spectral._power(row[starts[:, None] + np.arange(160)])
+        a, k, degenerate = fit_power_law(f, P)
+        assert not degenerate.any()
+        rr_want, ni_want = spectral._rate_ni(f[band], (P - spectral._power_law(f, a, k))[:, band], 160)
+        np.testing.assert_array_equal(table.rr[:, column], rr_want)
+        np.testing.assert_allclose(table.ni[:, column], ni_want, rtol=0, atol=1e-12)
 
 
 def test_batch_reasons():
     mask = np.zeros(450, dtype=bool)
     mask[300] = True  # t = 61 s, on a 1 s grid offset
-    series, _ = _tone_series(0.3, duration=90.0)
-    series = _series(series.values, t0=1.0, mask=mask)
+    series, _ = _tone_table(0.3, duration=90.0)
+    series = _table(series.values[0], t0=1.0, mask=mask)
     grid = WindowGrid(duration_s=90.0)
-    rr, ni, reason = rate_windows(series, grid)
+    rr, ni, reason = _rate(series, grid)
     assert reason[0] == "out_of_range"  # starts before the series does
     touched = [i for i, (start, end) in enumerate(grid.windows) if start <= 61.0 < end]
     assert touched and (reason[touched] == "artifact").all()
@@ -319,20 +372,20 @@ def test_batch_reasons():
 
 
 def test_constant_window_is_fit_degenerate():
-    values = np.concatenate([np.full(160, 4.2), 1.0 + 0.1 * np.sin(2 * np.pi * 0.3 * np.arange(160, 400) * 0.2)])
-    rr, ni, reason = rate_windows(_series(values), WindowGrid(duration_s=80.0))
+    tone = 1.0 + 0.1 * np.sin(2 * np.pi * 0.3 * np.arange(400) * 0.2)
+    values = np.stack([np.concatenate([np.full(160, 4.2), tone[160:]])] + [tone] * 4)
+    table = rate_windows(RivTable(t0=0.0, values=values, artifact=np.zeros(400, dtype=bool)), WindowGrid(duration_s=80.0))
+    rr, ni, reason = table.rr[:, 0], table.ni[:, 0], table.reason[:, 0]
     assert reason[0] == "fit_degenerate"
     assert np.isnan(rr[0]) and np.isnan(ni[0])
     assert reason[-1] == "none" and rr[-1] == pytest.approx(18.0, abs=0.5)
+    # the reason is set per (window, variation) pair: the four tone rows rate window 0
+    assert (table.reason[0, 1:] == "none").all() and np.isfinite(table.rr[0, 1:]).all()
 
     # fused with four rated variations, CIF leaves the degenerate one out even at t = 0
-    tone, _ = _tone_series(0.3, duration=80.0)
-    good_rr, good_ni, _ = rate_windows(tone, WindowGrid(duration_s=80.0))
-    table_rr = np.column_stack([rr] + [good_rr] * 4)
-    table_ni = np.column_stack([ni] + [good_ni] * 4)
-    fused = cif(table_rr, table_ni, 0.0)
+    fused = cif(table.rr, table.ni, 0.0)
     assert fused.retained[0] and not fused.contributors[0, 0]
-    assert fused.rr_fusion[0] == pytest.approx(good_rr[0])
+    assert fused.rr_fusion[0] == pytest.approx(table.rr[0, 1])
 
 
 def test_single_bin_spectrum_is_fit_degenerate():
@@ -343,5 +396,5 @@ def test_single_bin_spectrum_is_fit_degenerate():
 
 
 def test_empty_grid():
-    rr, ni, reason = rate_windows(_series(np.ones(100)), WindowGrid(duration_s=20.0))
+    rr, ni, reason = _rate(_table(np.ones(100)), WindowGrid(duration_s=20.0))
     assert rr.shape == ni.shape == reason.shape == (0,)
