@@ -8,6 +8,7 @@ import numpy as np
 from rrcif import evaluation, pipeline, signal_io
 from rrcif.preprocess import bandpass, flag_artifacts, segment_beats
 from rrcif.riv import ALL_KINDS, extract
+from rrcif.spectral import WINDOW_S
 from rrcif.signal_io import ModDepths, SynthSpec
 
 # ------------------------------------------------------------------ generate
@@ -37,12 +38,12 @@ for kind, values in zip(ALL_KINDS, rivs.values):
 # -------------------------------------------- spectral estimates + fusion
 analysis = pipeline.analyze_record(record)
 table = analysis.estimates
-print("\nwindow 10 per-variation estimates:")
+print(f"\nwindow 10, [{table.start_s[10]:g}, {table.start_s[10] + WINDOW_S:g}) s, per-variation estimates:")
 for kind, rr, ni in zip(ALL_KINDS, table.rr[10], table.ni[10]):
     print(f"  {kind.name}: rr={rr:.2f} breaths/min, noise index {ni:.2f}, passes t=0.13: {ni >= 0.13}")
 reasons, counts = np.unique(table.reason, return_counts=True)
 print("estimate table reasons: " + ", ".join(f"{r}={c}" for r, c in zip(reasons, counts)))
 
 fusion = pipeline.fuse_estimates(table, method="cif", t=0.13)
-rmse, retention = evaluation.score(fusion, evaluation.reference_at(reference, analysis.grid.windows))
-print(f"\nCIF at t=0.13 over {analysis.grid.count} windows: RMSE {rmse:.3f} breaths/min, retention {retention:.3f}")
+rmse, retention = evaluation.score(fusion, evaluation.reference_at(reference, table.start_s))
+print(f"\nCIF at t=0.13 over {table.start_s.size} windows: RMSE {rmse:.3f} breaths/min, retention {retention:.3f}")

@@ -20,10 +20,10 @@ for seed in (1, 2, 3):
         noise_sd=0.1, seed=seed,
     )
     record, reference = signal_io.synthesize(spec)
-    analysis = pipeline.analyze_record(record)
-    ref_rates = evaluation.reference_at(reference, analysis.grid.windows)
+    estimates = pipeline.analyze_record(record).estimates
+    ref_rates = evaluation.reference_at(reference, estimates.start_s)
     for method in ("cif", "sf3", "sf5"):
-        fusion = pipeline.fuse_estimates(analysis.estimates, method, t=0.13)
+        fusion = pipeline.fuse_estimates(estimates, method, t=0.13)
         rmse, retention = evaluation.score(fusion, ref_rates)
         rmse = "  n/a" if math.isnan(rmse) else f"{rmse:.3f}"
         print(f"{'s' + str(seed):>8} {method.upper():>6} {rmse:>7} {retention:>10.3f}")

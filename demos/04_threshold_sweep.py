@@ -17,7 +17,7 @@ for rr, hr, seed in [(12.0, 74.0, 1), (20.0, 80.0, 2), (30.0, 76.0, 3), (16.0, 8
     spec = SynthSpec(rr=rr, hr=hr, duration_s=480.0, fs=100.0,
                      depths=ModDepths(*([0.015] * 5)), noise_sd=0.1, seed=seed)
     record, reference = signal_io.synthesize(spec)
-    subjects.append((pipeline.analyze_record(record), reference))
+    subjects.append((pipeline.analyze_record(record).estimates, reference))
 
 rows = evaluation.sweep(subjects)
 

@@ -34,7 +34,7 @@ from .errors import RrcifError  # noqa: E402
 from .fusion import FusionResult  # noqa: E402
 from .riv import ALL_KINDS, RivKind  # noqa: E402
 from .signal_io import ModDepths, SynthSpec  # noqa: E402
-from .spectral import DEFAULT_THRESHOLD, WINDOW_S, window_spectrum  # noqa: E402
+from .spectral import DEFAULT_THRESHOLD, EstimateTable, window_spectrum  # noqa: E402
 
 EXIT_OK = 0
 EXIT_IO = 2
@@ -63,10 +63,11 @@ def _check_t(parser, t):
         parser.error(f"--t must lie in [0, 1], got {t}")
 
 
-def _write_estimates(path, fusion: FusionResult, grid, method, t):
+def _write_estimates(path, fusion: FusionResult, estimates: EstimateTable, method, t):
     lines = [_header(method, t), "window_start_s,rr_fusion,c_fusion,retained,contributors\n"]
-    rows = zip(grid.windows, fusion.rr_fusion.tolist(), fusion.c_fusion.tolist(), fusion.retained, fusion.contributors)
-    for (start, _), rr, c, retained, contributors in rows:
+    starts = estimates.start_s.tolist()
+    rows = zip(starts, fusion.rr_fusion.tolist(), fusion.c_fusion.tolist(), fusion.retained, fusion.contributors)
+    for start, rr, c, retained, contributors in rows:
         rr = f"{rr:.4f}" if retained else ""
         c = f"{c:.6g}" if retained and not np.isnan(c) else ""
         names = "|".join(k.name for k, used in zip(ALL_KINDS, contributors) if used)
@@ -137,14 +138,10 @@ def _cmd_estimate(args, parser):
     analysis = pipeline.analyze_record(record)
     if spectrum_at:
         window_index, kind = spectrum_at
-        if analysis.grid.count == 0:
-            parser.error(f"--dump-spectrum: the {analysis.grid.duration_s:g} s record has no {WINDOW_S:g} s window")
-        if not 0 <= window_index < analysis.grid.count:
-            parser.error(f"--dump-spectrum window {window_index} outside 0..{analysis.grid.count - 1}")
-        # an unrated window is a data error, raised before any output is written
-        spectrum = window_spectrum(analysis.rivs, analysis.grid, window_index, kind)
+        # a missing or unrated window is a data error, raised before any output is written
+        spectrum = window_spectrum(analysis.rivs, analysis.estimates, window_index, kind)
     fusion = pipeline.fuse_estimates(analysis.estimates, args.method, args.t)
-    _write_estimates(args.out, fusion, analysis.grid, args.method, args.t)
+    _write_estimates(args.out, fusion, analysis.estimates, args.method, args.t)
     if args.dump_beats:
         _dump_beats(args.dump_beats, analysis.beats)
     if args.dump_riv:
@@ -156,10 +153,11 @@ def _cmd_estimate(args, parser):
 
 
 def _analyze_subject(path):
-    """Read and analyze one subject; returns (analysis, reference) or the error message.
+    """Read and analyze one subject; returns (record id, estimates, reference) or the error message.
 
     Runs in a worker process, so a data or I/O error comes back as text for
-    the parent to report; any other exception is a bug and propagates.
+    the parent to report; any other exception is a bug and propagates. The
+    beats and variation series stay in the worker.
     """
     try:
         if path.suffix == ".json":
@@ -172,7 +170,8 @@ def _analyze_subject(path):
             if not ref_path.exists():
                 raise RrcifError(f"{path}: no matching *_ref.csv reference")
             reference = signal_io.read_reference(ref_path)
-        return pipeline.analyze_record(record), reference
+        analysis = pipeline.analyze_record(record)
+        return analysis.record_id, analysis.estimates, reference
     except (RrcifError, OSError) as exc:  # one bad subject must not end the run
         return str(exc)
 
@@ -199,7 +198,7 @@ def _analyze_dataset(directory):
     available CPU but no more than there are subjects. Workers are forked, so
     they start with the modules this process has already imported. One that
     cannot be read or analyzed is warned about and skipped, in path order.
-    Returns ((analysis, reference) pairs, skipped names).
+    Returns ((record id, estimates, reference) triples, skipped names).
     """
     directory = Path(directory)
     records = sorted(p for p in directory.glob("*.csv") if not p.stem.endswith("_ref"))
@@ -223,7 +222,7 @@ def _analyze_dataset(directory):
             subjects.append(result)
     if not subjects:
         raise RrcifError(f"{directory}: no subject could be analyzed")
-    subjects.sort(key=lambda s: s[0].record_id)
+    subjects.sort(key=lambda s: s[0])
     return subjects, skipped
 
 
@@ -240,17 +239,17 @@ def _cmd_benchmark(args, parser):
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    ref_rates = [evaluation.reference_at(ref, a.grid.windows) for a, ref in subjects]
+    ref_rates = [evaluation.reference_at(ref, estimates.start_s) for _, estimates, ref in subjects]
     fused, rmse, retention = {}, {}, {}
     for method in methods:
-        fused[method] = [pipeline.fuse_estimates(a.estimates, method, args.t) for a, _ in subjects]
+        fused[method] = [pipeline.fuse_estimates(estimates, method, args.t) for _, estimates, _ in subjects]
         rmse[method], retention[method] = np.array([evaluation.score(f, r) for f, r in zip(fused[method], ref_rates)]).T
 
     lines = [_header(",".join(methods), args.t), "id,method,t,rmse,retention\n"]
     for method in methods:
-        for (a, _), subject_rmse, subject_retention in zip(subjects, rmse[method], retention[method]):
+        for (record_id, _, _), subject_rmse, subject_retention in zip(subjects, rmse[method], retention[method]):
             subject_rmse = "" if np.isnan(subject_rmse) else f"{subject_rmse:.6g}"
-            lines.append(f"{a.record_id},{method.upper()},{args.t:.2f},{subject_rmse},{subject_retention:.6g}\n")
+            lines.append(f"{record_id},{method.upper()},{args.t:.2f},{subject_rmse},{subject_retention:.6g}\n")
     _emit(out_dir / "subjects.csv", lines)
 
     report = {
@@ -308,7 +307,7 @@ def _cmd_sweep(args, parser):
     t_grid = [round(args.t_min + i * args.t_step, 10) for i in range(n_steps)]
 
     subjects, _ = _analyze_dataset(args.dataset)
-    rows = evaluation.sweep(subjects, t_grid)
+    rows = evaluation.sweep([(estimates, ref) for _, estimates, ref in subjects], t_grid)
     lines = [_header("cif", args.t_min), "t,rmse_p25,rmse_median,rmse_p75,retention_median\n"]
     for row in rows:
         lines.append(
@@ -319,19 +318,12 @@ def _cmd_sweep(args, parser):
 
 
 def _cmd_synth(args, parser):
-    depths = ModDepths(
-        intensity=args.depths[0],
-        amplitude=args.depths[1],
-        frequency=args.depths[2],
-        width=args.depths[3],
-        slope=args.depths[4],
-    )
     spec = SynthSpec(
         rr=args.rr,
         hr=args.hr,
         duration_s=args.duration,
         fs=args.fs,
-        depths=depths,
+        depths=ModDepths(*args.depths),
         noise_sd=args.noise_sd,
         seed=args.seed,
     )

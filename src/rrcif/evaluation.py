@@ -18,6 +18,7 @@ from scipy.stats import rankdata
 
 from .fusion import FusionResult, cif
 from .signal_io import ReferenceRr
+from .spectral import WINDOW_S, EstimateTable
 
 T_GRID_DEFAULT = tuple(round(0.01 * i, 2) for i in range(31))  # 0 .. 0.3
 LOA_FACTOR = 1.96
@@ -42,13 +43,14 @@ class SweepRow:
     retention_median: float
 
 
-def reference_at(reference: ReferenceRr, windows) -> np.ndarray:
+def reference_at(reference: ReferenceRr, start_s) -> np.ndarray:
     """Reference rate of each window: in-window mean, else value at the center.
 
-    `windows` is a sequence of (start, end) pairs such as ``grid.windows``.
-    A window holds the reference samples with start <= time < end.
+    `start_s` holds window starts such as ``EstimateTable.start_s``; a window
+    holds the reference samples with start <= time < start + WINDOW_S.
     """
-    start, end = np.asarray(windows, dtype=float).reshape(-1, 2).T
+    start = np.asarray(start_s, dtype=float)
+    end = start + WINDOW_S
     times, rr = reference.times_s, reference.rr
     # times are non-decreasing, so each window's samples are one index range
     lo = np.searchsorted(times, start, side="left")
@@ -78,18 +80,18 @@ def score(fusion: FusionResult, ref_rates):
     return rmse, n_kept / max(kept.shape[-1], 1)
 
 
-def sweep(subjects, t_grid=T_GRID_DEFAULT) -> list[SweepRow]:
+def sweep(subjects: list[tuple[EstimateTable, ReferenceRr]], t_grid=T_GRID_DEFAULT) -> list[SweepRow]:
     """Across-subject RMSE quartiles and median retention per CIF threshold.
 
-    `subjects` holds (RecordAnalysis, ReferenceRr) pairs; each subject is
-    fused at every threshold of `t_grid` in one call.
+    Each subject, an (EstimateTable, ReferenceRr) pair, is fused at every
+    threshold of `t_grid` in one call.
     """
     if not subjects:
         raise ValueError("need at least one subject")
     t_grid = np.asarray(t_grid, dtype=float)
     rmse, retention = zip(*(
-        score(cif(analysis.estimates.rr, analysis.estimates.ni, t_grid), reference_at(reference, analysis.grid.windows))
-        for analysis, reference in subjects
+        score(cif(table.rr, table.ni, t_grid), reference_at(reference, table.start_s))
+        for table, reference in subjects
     ))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # a threshold no subject retains gives NaN

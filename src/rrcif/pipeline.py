@@ -10,7 +10,7 @@ from .fusion import SF3, SF5, FusionResult, cif, smart_fusion
 from .preprocess import BeatTable, bandpass, flag_artifacts, segment_beats
 from .riv import RivTable, extract
 from .signal_io import PpgRecord
-from .spectral import DEFAULT_THRESHOLD, EstimateTable, WindowGrid, rate_windows
+from .spectral import DEFAULT_THRESHOLD, EstimateTable, rate_windows
 
 METHODS = ("cif", "sf3", "sf5")
 
@@ -20,7 +20,6 @@ class RecordAnalysis:
     """Everything extracted from one recording, before fusion."""
 
     record_id: str
-    grid: WindowGrid
     estimates: EstimateTable
     beats: BeatTable
     rivs: RivTable
@@ -36,8 +35,8 @@ def analyze_record(record: PpgRecord) -> RecordAnalysis:
     filtered = bandpass(record)
     beats = flag_artifacts(segment_beats(filtered), record=record)
     rivs = extract(beats, t_end=record.duration_s)
-    grid = WindowGrid(duration_s=record.duration_s)
-    return RecordAnalysis(record_id=record.id, grid=grid, estimates=rate_windows(rivs, grid), beats=beats, rivs=rivs)
+    estimates = rate_windows(rivs, record.duration_s)
+    return RecordAnalysis(record_id=record.id, estimates=estimates, beats=beats, rivs=rivs)
 
 
 def fuse_estimates(estimates: EstimateTable, method: str = "cif", t: float = DEFAULT_THRESHOLD) -> FusionResult:

@@ -40,32 +40,23 @@ DEFAULT_THRESHOLD = 0.13
 REASONS = ("none", "artifact", "out_of_range", "fit_degenerate")
 
 
-@dataclass(frozen=True)
-class WindowGrid:
-    """The sliding WINDOW_S windows, SHIFT_S apart, covering one recording."""
-
-    duration_s: float
-
-    @property
-    def count(self) -> int:
-        if self.duration_s < WINDOW_S:
-            return 0
-        return int(np.floor((self.duration_s - WINDOW_S) / SHIFT_S + 1e-9)) + 1
-
-    @property
-    def windows(self) -> list[tuple[float, float]]:
-        return [(i * SHIFT_S, i * SHIFT_S + WINDOW_S) for i in range(self.count)]
+def window_starts(duration_s: float) -> np.ndarray:
+    """Start times of the sliding WINDOW_S windows, SHIFT_S apart, covering a recording."""
+    count = 0 if duration_s < WINDOW_S else int(np.floor((duration_s - WINDOW_S) / SHIFT_S + 1e-9)) + 1
+    return np.arange(count) * SHIFT_S
 
 
 @dataclass(frozen=True)
 class EstimateTable:
     """Rate and noise index of every (window, variation) pair of one record.
 
-    Arrays have shape (n_windows, 5), columns in ALL_KINDS order. ``rr`` and
-    ``ni`` are NaN where a pair was not rated, and ``reason`` (one of
-    REASONS; "none" when rated) says why. Gating is left to fusion.
+    Window i covers [start_s[i], start_s[i] + WINDOW_S) s. The other arrays
+    have shape (n_windows, 5), columns in ALL_KINDS order. ``rr`` and ``ni``
+    are NaN where a pair was not rated, and ``reason`` (one of REASONS;
+    "none" when rated) says why. Gating is left to fusion.
     """
 
+    start_s: np.ndarray
     rr: np.ndarray
     ni: np.ndarray
     reason: np.ndarray
@@ -154,28 +145,32 @@ def _rate_ni(f: np.ndarray, residual: np.ndarray, n_window: int):
 # one record: every window of every variation series
 
 
-def _window_rows(rivs: RivTable, grid: WindowGrid):
-    """First sample and unrated reason of every grid window of a record.
+def _first_samples(rivs: RivTable, start_s) -> np.ndarray:
+    """Index of the first series sample at or after each window start."""
+    return np.ceil((np.asarray(start_s) - rivs.t0) * RIV_FS - 1e-9).astype(int)
 
-    Returns (i0, reason): window i covers samples i0[i] to
-    i0[i] + WINDOW_SAMPLES of every row of ``rivs``. Its reason is
+
+def _window_rows(rivs: RivTable, start_s: np.ndarray):
+    """First sample and unrated reason of every window of a record.
+
+    Returns (i0, reason): the window starting at start_s[i] covers samples
+    i0[i] to i0[i] + WINDOW_SAMPLES of every row of ``rivs``. Its reason is
     "out_of_range" when that span is not fully inside the series, "artifact"
     when an artifact sample lies in it, and "none" otherwise.
     """
-    starts = np.arange(grid.count) * SHIFT_S
-    i0 = np.ceil((starts - rivs.t0) * RIV_FS - 1e-9).astype(int)
+    i0 = _first_samples(rivs, start_s)
     size = rivs.values.shape[-1]
     inside = (i0 >= 0) & (i0 + WINDOW_SAMPLES <= size)
     hits = np.concatenate(([0], np.cumsum(rivs.artifact)))
     touched = hits[np.clip(i0 + WINDOW_SAMPLES, 0, size)] > hits[np.clip(i0, 0, size)]
-    reason = np.full(grid.count, "none", dtype="<U14")
+    reason = np.full(start_s.size, "none", dtype="<U14")
     reason[~inside] = "out_of_range"
     reason[inside & touched] = "artifact"
     return i0, reason
 
 
-def rate_windows(rivs: RivTable, grid: WindowGrid) -> EstimateTable:
-    """Rate and noise index of every (grid window, variation) pair of a record.
+def rate_windows(rivs: RivTable, duration_s: float) -> EstimateTable:
+    """Rate and noise index of every (window, variation) pair of a ``duration_s`` long record.
 
     A window not fully inside the series is "out_of_range" (as the first
     window is when the first beat comes 0.2 s or more into the record) and
@@ -191,12 +186,13 @@ def rate_windows(rivs: RivTable, grid: WindowGrid) -> EstimateTable:
     lone native-resolution peak scores about 1 and the 0.13 default gate
     keeps its meaning whatever the padding.
     """
-    i0, window_reason = _window_rows(rivs, grid)
+    start_s = window_starts(duration_s)
+    i0, window_reason = _window_rows(rivs, start_s)
     rated = np.flatnonzero(window_reason == "none")
     freqs = _freqs()
     freqs = freqs[freqs <= MAX_BPM]
     band = _band(freqs)
-    rr, ni = np.full((2, grid.count, len(ALL_KINDS)), np.nan)
+    rr, ni = np.full((2, start_s.size, len(ALL_KINDS)), np.nan)
     reason = np.repeat(window_reason[:, None], len(ALL_KINDS), axis=1)
     blocks = np.array_split(rated, max(1, -(-rated.size // BATCH_ROWS)))
     spectra = np.empty((blocks[0].size, NFFT // 2 + 1), dtype=complex)  # one rFFT output for every call
@@ -210,22 +206,29 @@ def rate_windows(rivs: RivTable, grid: WindowGrid) -> EstimateTable:
             reason[block[degenerate], column] = "fit_degenerate"
     unfit = reason == "fit_degenerate"
     rr[unfit] = ni[unfit] = np.nan
-    return EstimateTable(rr=rr, ni=ni, reason=reason)
+    return EstimateTable(start_s=start_s, rr=rr, ni=ni, reason=reason)
 
 
-def window_spectrum(rivs: RivTable, grid: WindowGrid, index: int, kind: RivKind):
-    """Full spectrum of grid window ``index`` of one variation, for inspection.
+def window_spectrum(rivs: RivTable, table: EstimateTable, index: int, kind: RivKind):
+    """Full spectrum of window ``index`` of one variation, for inspection.
 
-    Returns (freqs, P, P_fit) on all NFFT // 2 + 1 bins, freqs in
-    breaths/min; P - P_fit is the residual :func:`rate_windows` reads its
-    rate and noise index from. A degenerate fit gives P_fit = 0. Raises
-    :class:`RrcifError` for a window that is "out_of_range" or "artifact".
+    ``table`` is the EstimateTable that :func:`rate_windows` made from
+    ``rivs``. Returns (freqs, P, P_fit) on all NFFT // 2 + 1 bins, freqs in
+    breaths/min; P - P_fit is the residual the table's rate and noise index
+    were read from. A degenerate fit gives P_fit = 0. Raises
+    :class:`RrcifError` for an index outside the table and for a window that
+    is "out_of_range" or "artifact".
     """
-    i0, reason = _window_rows(rivs, grid)
-    if reason[index] != "none":
-        start, end = grid.windows[index]
-        raise RrcifError(f"window {index} [{start:g}, {end:g}) s of {kind.name} is not rated: {reason[index]}")
+    n = table.start_s.size
+    if not 0 <= index < n:
+        valid = f"0..{n - 1}" if n else f"none, the record is shorter than {WINDOW_S:g} s"
+        raise RrcifError(f"window {index} does not exist (valid windows: {valid})")
+    start, column = table.start_s[index], ALL_KINDS.index(kind)
+    reason = table.reason[index, column]
+    if reason in ("out_of_range", "artifact"):
+        raise RrcifError(f"window {index} [{start:g}, {start + WINDOW_S:g}) s of {kind.name} is not rated: {reason}")
+    i0 = _first_samples(rivs, start)
     freqs = _freqs()
-    P = _power(rivs.values[ALL_KINDS.index(kind), i0[index] : i0[index] + WINDOW_SAMPLES])
+    P = _power(rivs.values[column, i0 : i0 + WINDOW_SAMPLES])
     a, k, _ = fit_power_law(freqs, P)
     return freqs, P, _power_law(freqs, a, k)

@@ -120,7 +120,7 @@ def recovery_results():
         record, reference = signal_io.synthesize(spec)
         analysis = pipeline.analyze_record(record)
         fusions = pipeline.fuse_estimates(analysis.estimates, "cif", t=0.13)
-        results.append(evaluation.score(fusions, evaluation.reference_at(reference, analysis.grid.windows)))
+        results.append(evaluation.score(fusions, evaluation.reference_at(reference, analysis.estimates.start_s)))
     return results, time.perf_counter() - start
 
 
@@ -143,7 +143,7 @@ def test_criterion_4_tradeoff_shape():
     subjects = []
     for rr, hr, seed in [(12.0, 74.0, 1), (20.0, 80.0, 2), (30.0, 76.0, 3), (16.0, 84.0, 4), (24.0, 78.0, 5)]:
         record, reference = make_synth(rr=rr, hr=hr, depths=(0.015,) * 5, noise=0.1, seed=seed)
-        subjects.append((pipeline.analyze_record(record), reference))
+        subjects.append((pipeline.analyze_record(record).estimates, reference))
     rows = evaluation.sweep(subjects)
     retention = np.array([r.retention_median for r in rows])
     rmse = np.array([r.rmse_median for r in rows])
@@ -171,7 +171,7 @@ def test_criterion_5_cif_beats_sf5_without_rifv():
         scores = {}
         for method in ("cif", "sf5"):
             fusions = pipeline.fuse_estimates(analysis.estimates, method, t=0.13)
-            _, scores[method] = evaluation.score(fusions, evaluation.reference_at(reference, analysis.grid.windows))
+            _, scores[method] = evaluation.score(fusions, evaluation.reference_at(reference, analysis.estimates.start_s))
         ordering_holds &= scores["cif"] > scores["sf5"]
         details.append(f"{scores['cif']:.2f}>{scores['sf5']:.2f}")
     _check("5 CIF vs SF5 retention ordering", ordering_holds, " ".join(details))
@@ -268,6 +268,6 @@ def test_criterion_8_performance():
     n_estimates = int(fusions.retained.sum())
     _check(
         "8 performance",
-        analysis.grid.count == 30 and elapsed <= 0.5,
-        f"{analysis.grid.count} windows ({n_estimates} retained) in {elapsed*1000:.0f} ms (<=500)",
+        analysis.estimates.start_s.size == 30 and elapsed <= 0.5,
+        f"{analysis.estimates.start_s.size} windows ({n_estimates} retained) in {elapsed*1000:.0f} ms (<=500)",
     )

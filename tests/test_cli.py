@@ -130,7 +130,7 @@ def test_estimate_dump_flags(tmp_path):
     assert ni == pytest.approx(estimates.ni[10, riav], rel=1e-7)
     np.testing.assert_allclose(P_out, P - P_fit, rtol=1e-7, atol=1e-7 * np.abs(P).max())
     # unrounded, the residual behind the file gives the table's noise index to 1e-12
-    _, P, P_fit = spectral.window_spectrum(analysis.rivs, analysis.grid, 10, RivKind.RIAV)
+    _, P, P_fit = spectral.window_spectrum(analysis.rivs, estimates, 10, RivKind.RIAV)
     _, ni = spectral._rate_ni(freqs[band], (P - P_fit)[band], 160)
     assert ni == pytest.approx(estimates.ni[10, riav], abs=1e-12)
 
@@ -157,7 +157,7 @@ def test_sweep_coarse_step_4_rows(tmp_path):
 
 def test_dump_spectrum_bad_args_exit_64(tmp_path):
     rec_path = _write_subject(tmp_path, "s1")
-    for bad in (["oops", "riav"], ["10", "nope"], ["9999", "riav"]):
+    for bad in (["oops", "riav"], ["10", "nope"]):
         with pytest.raises(SystemExit) as exc:
             main(["estimate", str(rec_path), "--out", str(tmp_path / "e.csv"), "--dump-spectrum", *bad])
         assert exc.value.code == 64
@@ -171,11 +171,10 @@ def test_dump_spectrum_bad_args_write_nothing(tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["estimate", str(tmp_path / "missing.csv"), "--out", str(out), "--dump-spectrum", *bad])
         assert exc.value.code == 64
-    # an out-of-range window fails before any output is written
-    with pytest.raises(SystemExit) as exc:
-        main(["estimate", str(rec_path), "--out", str(out), "--dump-beats", str(tmp_path / "beats.csv"),
-              "--dump-spectrum", "9999", "riav"])
-    assert exc.value.code == 64
+    # a window outside the record is a data error, raised before any output is written
+    for index in ("9999", "-1"):
+        assert main(["estimate", str(rec_path), "--out", str(out), "--dump-beats", str(tmp_path / "beats.csv"),
+                     "--dump-spectrum", index, "riav"]) == 2
     assert sorted(p.name for p in tmp_path.iterdir()) == ["s1.csv", "s1_ref.csv"]
 
 
@@ -200,12 +199,10 @@ def test_estimate_record_shorter_than_a_window(tmp_path, method):
     assert rows == []
 
 
-def test_dump_spectrum_record_without_window_exit_64(tmp_path, capsys):
+def test_dump_spectrum_record_without_window_exit_2(tmp_path, capsys):
     rec_path = _write_subject(tmp_path, "short", rr=18.0, hr=78.0, duration=20.0, noise=0.03, seed=1)
-    with pytest.raises(SystemExit) as exc:
-        main(["estimate", str(rec_path), "--out", str(tmp_path / "o" / "est.csv"), "--dump-spectrum", "0", "riav"])
-    assert exc.value.code == 64
-    assert "--dump-spectrum: the 20 s record has no 32 s window" in capsys.readouterr().err
+    assert main(["estimate", str(rec_path), "--out", str(tmp_path / "o" / "est.csv"), "--dump-spectrum", "0", "riav"]) == 2
+    assert "window 0 does not exist (valid windows: none, the record is shorter than 32 s)" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["short.csv", "short_ref.csv"]
 
 
@@ -323,7 +320,7 @@ def test_benchmark_bonferroni_counts_tested_pairs(tmp_path):
         reference = read_reference(data / f"s{i}_ref.csv")
         for method in scores:
             fused = pipeline.fuse_estimates(analysis.estimates, method, 0.13)
-            scores[method].append(evaluation.score(fused, evaluation.reference_at(reference, analysis.grid.windows)))
+            scores[method].append(evaluation.score(fused, evaluation.reference_at(reference, analysis.estimates.start_s)))
     for i, metric in enumerate(("rmse", "retention")):
         p = evaluation.wilcoxon_signed_rank(*([r[i] for r in scores[m]] for m in ("cif", "sf3")))
         assert report["wilcoxon_bonferroni"][metric] == {"cif_vs_sf3": pytest.approx(p, rel=1e-12)}
@@ -416,9 +413,28 @@ def test_dataset_pool_matches_serial_analysis(tmp_path, capsys, monkeypatch):
     assert len(warnings) == 2
     assert warnings[0].startswith("warning: skipping b.csv: ") and "line 3" in warnings[0]
     assert warnings[1].startswith("warning: skipping d.csv: ") and "not UTF-8" in warnings[1]
-    assert [a.record_id for a, _ in subjects] == ["a", "c", "e"]
-    for path, (analysis, reference) in zip(good, subjects):
-        direct = pipeline.analyze_record(read_record(path))
-        for field in ("rr", "ni", "reason"):
-            np.testing.assert_array_equal(getattr(analysis.estimates, field), getattr(direct.estimates, field))
+    assert [record_id for record_id, _, _ in subjects] == ["a", "c", "e"]
+    for path, (_, estimates, reference) in zip(good, subjects):
+        _assert_tables_bit_equal(estimates, pipeline.analyze_record(read_record(path)).estimates)
         np.testing.assert_array_equal(reference.rr, read_reference(path.with_name(f"{path.stem}_ref.csv")).rr)
+
+
+def _assert_tables_bit_equal(table, expected):
+    for field in ("start_s", "rr", "ni"):
+        assert np.array_equal(getattr(table, field).view(np.uint64), getattr(expected, field).view(np.uint64)), field
+    np.testing.assert_array_equal(table.reason, expected.reason)
+
+
+def test_analyze_subject_returns_id_estimates_and_reference(tmp_path):
+    from rrcif import cli
+    from rrcif.signal_io import ReferenceRr
+    from rrcif.spectral import EstimateTable
+
+    path = _write_subject(tmp_path, "s1", rr=18.0, hr=78.0, noise=0.03, seed=1)
+    result = cli._analyze_subject(path)
+    assert isinstance(result, tuple) and len(result) == 3
+    record_id, estimates, reference = result
+    assert record_id == "s1"
+    assert isinstance(estimates, EstimateTable) and isinstance(reference, ReferenceRr)
+    _assert_tables_bit_equal(estimates, pipeline.analyze_record(read_record(path)).estimates)
+    np.testing.assert_array_equal(reference.times_s, read_reference(tmp_path / "s1_ref.csv").times_s)

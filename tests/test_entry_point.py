@@ -69,6 +69,23 @@ def test_library_modules_leave_environment_and_threads_alone():
     assert _python(code) == ["True", "True", "None"]
 
 
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is new in Python 3.11")
+def test_source_tree_version_matches_pyproject():
+    # output headers print VERSION; from a source tree it is the fallback, which must track pyproject
+    import tomllib
+
+    with open(Path(SRC).parent / "pyproject.toml", "rb") as fh:
+        declared = tomllib.load(fh)["project"]["version"]
+    code = (
+        "import importlib.metadata as m\n"
+        "def missing(name): raise m.PackageNotFoundError(name)\n"
+        "m.version = missing\n"
+        "import rrcif.cli\n"
+        "print(rrcif.cli.VERSION)"
+    )
+    assert _python(code) == [declared]
+
+
 def test_help_exit_0():
     result = _cli("--help")
     assert result.returncode == 0

@@ -13,9 +13,8 @@ from rrcif.evaluation import (
     wilcoxon_signed_rank,
 )
 from rrcif.fusion import FusionResult, cif
-from rrcif.pipeline import RecordAnalysis
 from rrcif.signal_io import ReferenceRr
-from rrcif.spectral import EstimateTable, WindowGrid
+from rrcif.spectral import WINDOW_S, EstimateTable, window_starts
 
 
 def _reference(times, rates):
@@ -36,33 +35,33 @@ def _fusion(rates):
 
 def test_reference_at_constant():
     ref = _reference(np.arange(0, 480, 2.0), np.full(240, 20.0))
-    grid = WindowGrid(duration_s=480.0)
-    for window in grid.windows[:20]:
-        assert reference_at(ref, [window])[0] == 20.0
+    for start in window_starts(480.0)[:20]:
+        assert reference_at(ref, [start])[0] == 20.0
 
 
 def test_reference_at_symmetric_step():
     # step 15 -> 25 at the window center with symmetric samples
     ref = _reference([2.0, 6.0, 10.0, 14.0, 18.0, 22.0, 26.0, 30.0],
                      [15.0, 15.0, 15.0, 15.0, 25.0, 25.0, 25.0, 25.0])
-    assert reference_at(ref, [(0.0, 32.0)])[0] == pytest.approx(20.0)
+    assert reference_at(ref, [0.0])[0] == pytest.approx(20.0)
 
 
 def test_reference_at_outside_interpolates_center():
     ref = _reference([0.0, 100.0], [10.0, 30.0])
-    assert reference_at(ref, [(40.0, 72.0)])[0] == pytest.approx(10.0 + 20.0 * 56.0 / 100.0)
+    assert reference_at(ref, [40.0])[0] == pytest.approx(10.0 + 20.0 * 56.0 / 100.0)
 
 
 def test_reference_at_no_windows():
-    # a record shorter than one window has an empty grid
+    # a record shorter than one window has no window starts
     ref = _reference([0.0, 100.0], [10.0, 30.0])
-    assert reference_at(ref, WindowGrid(duration_s=20.0).windows).shape == (0,)
+    assert reference_at(ref, window_starts(20.0)).shape == (0,)
 
 
-def _reference_at_loop(reference, windows):
+def _reference_at_loop(reference, starts):
     """The window-by-window alignment rule, kept as the oracle for reference_at."""
     rates = []
-    for start, end in np.asarray(windows, dtype=float).reshape(-1, 2):
+    for start in starts:
+        end = start + WINDOW_S
         inside = (reference.times_s >= start) & (reference.times_s < end)
         if inside.any():
             rates.append(np.mean(reference.rr[inside]))
@@ -72,32 +71,32 @@ def _reference_at_loop(reference, windows):
 
 
 @pytest.mark.parametrize(
-    "times, windows",
+    "times, starts",
     [
         # windows with no samples: before the first, between two, at a gap
-        ([10.0, 11.0, 50.0, 90.0], [(0.0, 8.0), (12.0, 44.0), (11.5, 49.0), (9.0, 12.0), (50.0, 50.5)]),
+        ([40.0, 41.0, 80.0, 150.0], [0.0, 42.0, 41.5, 8.0, 80.0, 112.5]),
         # tied reference times, also on a window's start and end
-        ([0.0, 4.0, 4.0, 4.0, 8.0, 8.0, 12.0], [(4.0, 8.0), (0.0, 4.0), (8.0, 40.0), (3.0, 4.5), (4.0, 4.0)]),
+        ([0.0, 32.0, 32.0, 32.0, 64.0, 64.0, 96.0], [32.0, 0.0, 64.0, 30.0, 31.5]),
         # windows past the last sample
-        ([0.0, 2.0, 4.0], [(3.0, 35.0), (4.0, 36.0), (4.5, 36.5), (100.0, 132.0)]),
+        ([0.0, 2.0, 4.0], [3.0, 4.0, 4.5, 100.0]),
     ],
     ids=["empty", "tied", "past-end"],
 )
-def test_reference_at_matches_window_loop(times, windows):
+def test_reference_at_matches_window_loop(times, starts):
     rates = np.linspace(7.0, 41.0, len(times)) ** 1.1
     ref = _reference(times, rates)
-    expected = _reference_at_loop(ref, windows)
-    np.testing.assert_allclose(reference_at(ref, windows), expected, rtol=1e-12, atol=0)
-    for window, value in zip(windows, expected):
-        assert reference_at(ref, [window])[0] == pytest.approx(value, rel=1e-12, abs=0)
+    expected = _reference_at_loop(ref, starts)
+    np.testing.assert_allclose(reference_at(ref, starts), expected, rtol=1e-12, atol=0)
+    for start, value in zip(starts, expected):
+        assert reference_at(ref, [start])[0] == pytest.approx(value, rel=1e-12, abs=0)
 
 
 def test_reference_at_matches_window_loop_on_grid():
     rng = np.random.default_rng(11)
     times = np.sort(np.round(rng.uniform(0.0, 470.0, 300), 1))  # rounding makes ties
     ref = _reference(times, rng.uniform(0.5, 119.0, times.size))
-    windows = WindowGrid(duration_s=480.0).windows
-    np.testing.assert_allclose(reference_at(ref, windows), _reference_at_loop(ref, windows), rtol=1e-12, atol=0)
+    starts = window_starts(480.0)
+    np.testing.assert_allclose(reference_at(ref, starts), _reference_at_loop(ref, starts), rtol=1e-12, atol=0)
 
 
 # ---------------------------------------------------------------------------
@@ -105,46 +104,46 @@ def test_reference_at_matches_window_loop_on_grid():
 
 
 def test_score_perfect():
-    grid = WindowGrid(duration_s=480.0)
+    starts = window_starts(480.0)
     ref = _reference(np.arange(0, 481, 2.0), np.full(241, 20.0))
-    fusions = _fusion([20.0] * grid.count)
-    rmse, retention = score(fusions, reference_at(ref, grid.windows))
+    fusions = _fusion([20.0] * starts.size)
+    rmse, retention = score(fusions, reference_at(ref, starts))
     assert rmse == 0.0
     assert retention == 1.0
 
 
 def test_score_constant_error():
-    grid = WindowGrid(duration_s=480.0)
+    starts = window_starts(480.0)
     ref = _reference(np.arange(0, 481, 2.0), np.full(241, 20.0))
-    fusions = _fusion([22.0] * grid.count)
-    assert score(fusions, reference_at(ref, grid.windows))[0] == pytest.approx(2.0)
+    fusions = _fusion([22.0] * starts.size)
+    assert score(fusions, reference_at(ref, starts))[0] == pytest.approx(2.0)
 
 
 def test_score_retention_ratio():
-    grid = WindowGrid(duration_s=480.0)
-    assert grid.count == 225
+    starts = window_starts(480.0)
+    assert starts.size == 225
     ref = _reference(np.arange(0, 481, 2.0), np.full(241, 20.0))
-    fusions = _fusion([20.0 if i < 90 else None for i in range(grid.count)])
-    assert score(fusions, reference_at(ref, grid.windows))[1] == pytest.approx(90 / 225)
+    fusions = _fusion([20.0 if i < 90 else None for i in range(starts.size)])
+    assert score(fusions, reference_at(ref, starts))[1] == pytest.approx(90 / 225)
 
 
 def test_score_no_retained_windows():
-    grid = WindowGrid(duration_s=480.0)
+    starts = window_starts(480.0)
     ref = _reference([0.0, 480.0], [20.0, 20.0])
-    rmse, retention = score(_fusion([None] * grid.count), reference_at(ref, grid.windows))
+    rmse, retention = score(_fusion([None] * starts.size), reference_at(ref, starts))
     assert math.isnan(rmse)
     assert retention == 0.0
 
 
 def test_score_threshold_grid_matches_each_threshold():
     rng = np.random.default_rng(5)
-    analysis, ref = _subject(rng.uniform(0, 0.5, (100, 5)), list(rng.uniform(15, 25, 5)), duration=230.0)
-    ref_rates = reference_at(ref, analysis.grid.windows)
+    estimates, ref = _subject(rng.uniform(0, 0.5, (100, 5)), list(rng.uniform(15, 25, 5)), duration=230.0)
+    ref_rates = reference_at(ref, estimates.start_s)
     t_grid = np.array([0.0, 0.1, 0.2, 0.3, 0.45, 0.6])
-    rmse, retention = score(cif(analysis.estimates.rr, analysis.estimates.ni, t_grid), ref_rates)
+    rmse, retention = score(cif(estimates.rr, estimates.ni, t_grid), ref_rates)
     assert rmse.shape == retention.shape == t_grid.shape
     for i, t in enumerate(t_grid):
-        rmse_t, retention_t = score(cif(analysis.estimates.rr, analysis.estimates.ni, t), ref_rates)
+        rmse_t, retention_t = score(cif(estimates.rr, estimates.ni, t), ref_rates)
         assert retention[i] == retention_t
         np.testing.assert_allclose(rmse[i], rmse_t, rtol=1e-12)
     assert np.isnan(rmse[-1]) and retention[-1] == 0.0  # no noise index reaches 0.6
@@ -154,14 +153,14 @@ def test_score_threshold_grid_matches_each_threshold():
 # sweep
 
 
-def _subject(nis_per_window, rates, duration=480.0, ref_rate=20.0, sid="s"):
-    grid = WindowGrid(duration_s=duration)
+def _subject(nis_per_window, rates, duration=480.0, ref_rate=20.0):
+    """(EstimateTable, ReferenceRr) of a record rated alike in every window."""
     ni = np.array(nis_per_window, dtype=float)
     rr = np.broadcast_to(np.asarray(rates, dtype=float), ni.shape)
-    estimates = EstimateTable(rr=rr, ni=ni, reason=np.full(ni.shape, "none"))
+    estimates = EstimateTable(start_s=window_starts(duration), rr=rr, ni=ni, reason=np.full(ni.shape, "none"))
+    assert estimates.start_s.size == ni.shape[0]
     ref = _reference(np.arange(0, duration + 1, 2.0), np.full(int(duration // 2) + 1, ref_rate))
-    analysis = RecordAnalysis(record_id=sid, grid=grid, estimates=estimates, beats=[], rivs={})
-    return analysis, ref
+    return estimates, ref
 
 
 def test_sweep_all_valid_retention_one():
@@ -188,7 +187,7 @@ def test_sweep_default_grid_31_points():
 def test_sweep_retention_non_increasing():
     rng = np.random.default_rng(17)
     subjects = [
-        _subject(rng.uniform(0, 0.5, (100, 5)), list(rng.uniform(10, 30, 5)), duration=230.0, sid=f"s{i}")
+        _subject(rng.uniform(0, 0.5, (100, 5)), list(rng.uniform(10, 30, 5)), duration=230.0)
         for i in range(4)
     ]
     rows = sweep(subjects)

@@ -279,6 +279,38 @@ def test_cif_kernel_properties(pairs, thresholds):
     assert equal.rr_fusion == pytest.approx(np.mean(rr), rel=1e-12)
 
 
+@st.composite
+def _estimate_tables(draw):
+    """(rr, ni) of a table of 1-12 windows; NaN in both marks an unrated pair."""
+    n = draw(st.integers(1, 12))
+    rr = np.array(draw(st.lists(st.floats(4.0, 65.0), min_size=5 * n, max_size=5 * n))).reshape(n, 5)
+    nis = st.one_of(st.floats(0.0, 1.0), st.just(float("nan")))
+    ni = np.array(draw(st.lists(nis, min_size=5 * n, max_size=5 * n))).reshape(n, 5)
+    rr[np.isnan(ni)] = np.nan
+    return rr, ni
+
+
+@settings(max_examples=200, deadline=None)
+@given(_estimate_tables(), st.floats(0.0, 1.0))
+def test_cif_rate_within_contributors_range(table, t):
+    rr, ni = table
+    result = cif(rr, ni, t)
+    assert np.array_equal(result.retained, result.contributors.any(axis=-1))
+    for window in np.flatnonzero(result.retained):
+        rates = rr[window, result.contributors[window]]
+        assert rates.min() - 1e-9 <= result.rr_fusion[window] <= rates.max() + 1e-9
+
+
+@settings(max_examples=200, deadline=None)
+@given(_estimate_tables(), st.lists(st.floats(0.0, 1.0), min_size=2, max_size=10))
+def test_cif_retained_count_never_rises_with_t(table, thresholds):
+    rr, ni = table
+    result = cif(rr, ni, np.sort(thresholds))
+    # per window: the contributors to each row of the table, then whether it is retained at all
+    assert np.all(np.diff(result.contributors.sum(axis=-1), axis=0) <= 0)
+    assert np.all(np.diff(result.retained.astype(int), axis=0) <= 0)
+
+
 # ---------------------------------------------------------------------------
 # smart fusion
 

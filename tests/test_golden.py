@@ -67,7 +67,7 @@ def observe(record, reference):
 
 
 def sweep_rows(records):
-    subjects = [(pipeline.analyze_record(record), reference) for record, reference in records]
+    subjects = [(pipeline.analyze_record(record).estimates, reference) for record, reference in records]
     rows = evaluation.sweep(subjects)
     return np.array([[r.t, r.rmse_p25, r.rmse_median, r.rmse_p75, r.retention_median] for r in rows])
 

@@ -18,7 +18,7 @@ def late_start():
 
 def test_table_shape_and_reasons(late_start):
     table = late_start.estimates
-    assert table.rr.shape == table.ni.shape == table.reason.shape == (late_start.grid.count, 5)
+    assert table.rr.shape == table.ni.shape == table.reason.shape == (late_start.estimates.start_s.size, 5)
     assert set(np.unique(table.reason)) <= set(REASONS)
     rated = table.reason == "none"
     assert np.isfinite(table.rr[rated]).all() and np.isfinite(table.ni[rated]).all()
@@ -34,7 +34,7 @@ def test_late_first_beat_is_out_of_range(late_start):
 def test_fuse_estimates_methods(late_start):
     for method in pipeline.METHODS:
         fused = pipeline.fuse_estimates(late_start.estimates, method, 0.13)
-        assert fused.retained.shape == (late_start.grid.count,)
+        assert fused.retained.shape == (late_start.estimates.start_s.size,)
         assert not fused.retained[0]
         assert fused.retained[1:].all()
     with pytest.raises(ValueError):

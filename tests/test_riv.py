@@ -7,7 +7,7 @@ import pytest
 from rrcif.errors import InsufficientSignalError
 from rrcif.preprocess import bandpass, segment_beats
 from rrcif.riv import ALL_KINDS, GRID_STEP_S, RivKind, extract
-from rrcif.spectral import DEFAULT_THRESHOLD, WindowGrid, rate_windows
+from rrcif.spectral import DEFAULT_THRESHOLD, rate_windows
 
 from conftest import edit_beat, make_beats, make_synth
 
@@ -95,8 +95,8 @@ def test_insufficient_beats_reported_in_kind_order():
 
 
 def _window_estimates(rivs, window=5):
-    """(rr, ni, reason) of every variation in grid window 5, [10, 42) s, as rate_windows rates it."""
-    table = rate_windows(rivs, WindowGrid(duration_s=42.0))
+    """(rr, ni, reason) of every variation in window 5, [10, 42) s, as rate_windows rates it."""
+    table = rate_windows(rivs, 42.0)
     return table.rr[window], table.ni[window], table.reason[window]
 
 

@@ -12,11 +12,12 @@ from rrcif.spectral import (
     MIN_FIT_BINS,
     NFFT,
     REASONS,
+    WINDOW_S,
     EstimateTable,
-    WindowGrid,
     fit_power_law,
     rate_windows,
     window_spectrum,
+    window_starts,
 )
 
 
@@ -27,11 +28,12 @@ def _table(values, t0=0.0, mask=None):
     return RivTable(t0=t0, values=np.tile(values, (len(ALL_KINDS), 1)), artifact=mask)
 
 
-def _rate(rivs, grid):
+def _rate(rivs, duration):
     """(rr, ni, reason) of the first variation, after checking that the five equal rows rate alike."""
-    table = rate_windows(rivs, grid)
+    table = rate_windows(rivs, duration)
     assert isinstance(table, EstimateTable)
-    assert table.rr.shape == table.ni.shape == table.reason.shape == (grid.count, len(ALL_KINDS))
+    np.testing.assert_array_equal(table.start_s, window_starts(duration))
+    assert table.rr.shape == table.ni.shape == table.reason.shape == (table.start_s.size, len(ALL_KINDS))
     for column in range(1, len(ALL_KINDS)):
         np.testing.assert_array_equal(table.rr[:, column], table.rr[:, 0])
         np.testing.assert_array_equal(table.ni[:, column], table.ni[:, 0])
@@ -50,12 +52,12 @@ def _grid_freqs():
 
 def _first_window(series):
     """window_spectrum of the first 32 s window of RIIV."""
-    return window_spectrum(series, WindowGrid(duration_s=32.0), 0, RivKind.RIIV)
+    return window_spectrum(series, rate_windows(series, 32.0), 0, RivKind.RIIV)
 
 
 def _first_rate(series):
     """(rr, ni) of the first 32 s window, as rate_windows rates it."""
-    rr, ni, reason = _rate(series, WindowGrid(duration_s=32.0))
+    rr, ni, reason = _rate(series, 32.0)
     assert reason[0] == "none"
     return rr[0], ni[0]
 
@@ -77,7 +79,7 @@ def _rate_ni(P_out):
 
 
 # ---------------------------------------------------------------------------
-# window grid
+# window starts
 
 
 @pytest.mark.parametrize(
@@ -85,15 +87,14 @@ def _rate_ni(P_out):
     [(480.0, 225), (32.0, 1), (31.9, 0), (34.0, 2), (90.0, 30), (33.9, 1)],
 )
 def test_window_count_law(duration, count):
-    assert WindowGrid(duration_s=duration).count == count
-    assert len(WindowGrid(duration_s=duration).windows) == count
+    assert window_starts(duration).shape == (count,)
 
 
 def test_window_geometry():
-    grid = WindowGrid(duration_s=480.0)
-    assert grid.windows[0] == (0.0, 32.0)
-    assert grid.windows[1] == (2.0, 34.0)
-    assert grid.windows[-1][1] <= 480.0 + 1e-9
+    starts = window_starts(480.0)
+    assert starts.dtype == float
+    assert starts[0] == 0.0 and starts[1] == 2.0
+    assert starts[-1] + WINDOW_S <= 480.0 + 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -134,11 +135,27 @@ def test_artifact_skip():
 
 def test_window_out_of_range():
     series = _table(np.ones(200), t0=1.0)
-    grid = WindowGrid(duration_s=52.0)
+    table = rate_windows(series, 52.0)
     with pytest.raises(RrcifError, match=r"^window 0 \[0, 32\) s of RIIV is not rated: out_of_range$"):
-        window_spectrum(series, grid, 0, RivKind.RIIV)
+        window_spectrum(series, table, 0, RivKind.RIIV)
     with pytest.raises(RrcifError, match=r"^window 10 \[20, 52\) s of RISV is not rated: out_of_range$"):
-        window_spectrum(series, grid, 10, RivKind.RISV)
+        window_spectrum(series, table, 10, RivKind.RISV)
+
+
+@pytest.mark.parametrize("index", [-1, 45, 99])
+def test_window_index_outside_table(index):
+    series, _ = _tone_table(0.3, duration=120.0)
+    table = rate_windows(series, 120.0)
+    assert table.start_s.size == 45
+    with pytest.raises(RrcifError, match=rf"^window {index} does not exist \(valid windows: 0\.\.44\)$"):
+        window_spectrum(series, table, index, RivKind.RIAV)
+
+
+def test_window_index_in_empty_table():
+    series = _table(np.ones(100))
+    table = rate_windows(series, 20.0)
+    with pytest.raises(RrcifError, match=r"^window 0 does not exist \(valid windows: none, the record is shorter than 32 s\)$"):
+        window_spectrum(series, table, 0, RivKind.RIIV)
 
 
 # ---------------------------------------------------------------------------
@@ -293,10 +310,10 @@ _SHAPES = st.lists(st.sampled_from(["noise", "tone", "constant", "spiky"]), min_
     artifacts=st.lists(st.integers(0, 599), max_size=4),
 )
 def test_rate_windows_properties(seed, n, t0, duration, shapes, artifacts):
-    grid = WindowGrid(duration_s=duration)
-    table = rate_windows(_random_table(seed, n, t0, shapes, artifacts), grid)
+    table = rate_windows(_random_table(seed, n, t0, shapes, artifacts), duration)
     rr, ni, reason = table.rr, table.ni, table.reason
-    assert rr.shape == ni.shape == reason.shape == (grid.count, len(ALL_KINDS))
+    np.testing.assert_array_equal(table.start_s, window_starts(duration))
+    assert rr.shape == ni.shape == reason.shape == (table.start_s.size, len(ALL_KINDS))
     assert set(reason.ravel()) <= set(REASONS)
     unrated = reason != "none"
     assert np.array_equal(np.isnan(rr), unrated) and np.array_equal(np.isnan(ni), unrated)
@@ -319,10 +336,9 @@ def test_rate_windows_properties(seed, n, t0, duration, shapes, artifacts):
 )
 def test_row_permutation_permutes_columns(seed, n, t0, duration, shapes, artifacts, order):
     """Each row is rated on its own: permuting the rows permutes the columns, bit for bit."""
-    grid = WindowGrid(duration_s=duration)
     rivs = _random_table(seed, n, t0, shapes, artifacts)
-    table = rate_windows(rivs, grid)
-    permuted = rate_windows(RivTable(t0=rivs.t0, values=rivs.values[order], artifact=rivs.artifact), grid)
+    table = rate_windows(rivs, duration)
+    permuted = rate_windows(RivTable(t0=rivs.t0, values=rivs.values[order], artifact=rivs.artifact), duration)
     for name in ("rr", "ni"):
         want = getattr(table, name)[:, order]
         assert np.array_equal(getattr(permuted, name).view(np.uint64), want.view(np.uint64)), name
@@ -340,11 +356,10 @@ def test_batch_matches_single_window():
         offset + 0.1 * np.sin(2 * np.pi * f_hz * t) + 0.02 * rng.standard_normal(t.size)
         for offset, f_hz in ((1.0, 0.3), (2.0, 0.2), (0.5, 0.45), (1.0, 0.3), (3.0, 0.12))
     ])
-    grid = WindowGrid(duration_s=90.0)
-    table = rate_windows(RivTable(t0=0.0, values=values, artifact=np.zeros(t.size, dtype=bool)), grid)
+    table = rate_windows(RivTable(t0=0.0, values=values, artifact=np.zeros(t.size, dtype=bool)), 90.0)
     assert (table.reason == "none").all()
     # reference: the kernel steps on every window of each row at once, over the full rfft grid
-    starts = np.round(np.array(grid.windows)[:, 0] / 0.2).astype(int)
+    starts = np.round(table.start_s / 0.2).astype(int)
     f = _grid_freqs()
     band = spectral._band(f)
     for column, row in enumerate(values):
@@ -361,10 +376,9 @@ def test_batch_reasons():
     mask[300] = True  # t = 61 s, on a 1 s grid offset
     series, _ = _tone_table(0.3, duration=90.0)
     series = _table(series.values[0], t0=1.0, mask=mask)
-    grid = WindowGrid(duration_s=90.0)
-    rr, ni, reason = _rate(series, grid)
+    rr, ni, reason = _rate(series, 90.0)
     assert reason[0] == "out_of_range"  # starts before the series does
-    touched = [i for i, (start, end) in enumerate(grid.windows) if start <= 61.0 < end]
+    touched = [i for i, start in enumerate(window_starts(90.0)) if start <= 61.0 < start + WINDOW_S]
     assert touched and (reason[touched] == "artifact").all()
     unrated = reason != "none"
     assert np.isnan(rr[unrated]).all() and np.isnan(ni[unrated]).all()
@@ -374,7 +388,7 @@ def test_batch_reasons():
 def test_constant_window_is_fit_degenerate():
     tone = 1.0 + 0.1 * np.sin(2 * np.pi * 0.3 * np.arange(400) * 0.2)
     values = np.stack([np.concatenate([np.full(160, 4.2), tone[160:]])] + [tone] * 4)
-    table = rate_windows(RivTable(t0=0.0, values=values, artifact=np.zeros(400, dtype=bool)), WindowGrid(duration_s=80.0))
+    table = rate_windows(RivTable(t0=0.0, values=values, artifact=np.zeros(400, dtype=bool)), 80.0)
     rr, ni, reason = table.rr[:, 0], table.ni[:, 0], table.reason[:, 0]
     assert reason[0] == "fit_degenerate"
     assert np.isnan(rr[0]) and np.isnan(ni[0])
@@ -396,5 +410,5 @@ def test_single_bin_spectrum_is_fit_degenerate():
 
 
 def test_empty_grid():
-    rr, ni, reason = _rate(_table(np.ones(100)), WindowGrid(duration_s=20.0))
+    rr, ni, reason = _rate(_table(np.ones(100)), 20.0)
     assert rr.shape == ni.shape == reason.shape == (0,)
