@@ -63,10 +63,6 @@ class PpgRecord:
     def duration_s(self) -> float:
         return self.samples.size / self.fs
 
-    @property
-    def times(self) -> np.ndarray:
-        return np.arange(self.samples.size) / self.fs
-
 
 @dataclass(frozen=True)
 class ReferenceRr:
@@ -304,21 +300,20 @@ def write_record(record: PpgRecord, path, comment: str | None = None) -> None:
             json.dump({"id": record.id, "fs": record.fs, "samples": [float(v) for v in record.samples]}, fh)
             fh.write("\n")
         return
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        if comment:
-            fh.write(f"# {comment}\n")
-        fh.write("t,ppg\n")
-        for i, v in enumerate(record.samples):
-            fh.write(f"{repr(i / record.fs)},{repr(float(v))}\n")
+    _write_rows(path, "t,ppg", (np.arange(record.samples.size) / record.fs).tolist(), record.samples.tolist(), comment)
 
 
 def write_reference(reference: ReferenceRr, path, comment: str | None = None) -> None:
+    _write_rows(path, "t,rr", reference.times_s.tolist(), reference.rr.tolist(), comment)
+
+
+def _write_rows(path, header, first, second, comment):
+    """Write an optional ``# comment`` line, the header and one ``repr`` row per pair of values."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         if comment:
             fh.write(f"# {comment}\n")
-        fh.write("t,rr\n")
-        for t, v in zip(reference.times_s, reference.rr):
-            fh.write(f"{repr(float(t))},{repr(float(v))}\n")
+        fh.write(f"{header}\n")
+        fh.writelines(f"{a!r},{b!r}\n" for a, b in zip(first, second))
 
 
 # ---------------------------------------------------------------------------
@@ -337,8 +332,10 @@ _AMPLITUDE = 1.0        # nominal foot-to-peak amplitude
 def synthesize(spec: SynthSpec) -> tuple[PpgRecord, ReferenceRr]:
     """Generate a synthetic PPG with known per-feature respiratory modulation.
 
-    Each beat is a raised-cosine upstroke followed by an exponential decay.
-    The five beat features that downstream stages measure (peak value,
+    Each beat is a raised-cosine upstroke followed by an exponential decay,
+    written in one pass over the beats: the upstroke from the beat's onset
+    (from t = 0 for the first beat) to its peak, then the decay up to the next
+    beat's onset or the end of the record. The five beat features that downstream stages measure (peak value,
     foot-to-peak amplitude, peak-to-peak period, width at half amplitude,
     25-75% rise time) are controlled independently and each modulated
     sinusoidally at ``spec.rr / 60`` Hz with its depth from ``spec.depths``:
@@ -373,68 +370,48 @@ def synthesize(spec: SynthSpec) -> tuple[PpgRecord, ReferenceRr]:
     t_beat = 60.0 / spec.hr
     rise0 = _RISE_FRACTION * t_beat
     width0 = _WIDTH_FRACTION * t_beat
-    ln2 = math.log(2.0)
-
-    def phase(t):
-        return 2.0 * math.pi * f_resp * t
 
     # Peak-anchored beat schedule: the period recurrence uses the modulator at
     # the previous peak, so peak-to-peak periods follow the frequency depth
     # exactly and independently of every other depth.
-    peaks = [rise0]
+    beats = []  # (t_pk, v_foot, amp, onset, rise, tau) per beat
+    t_pk = rise0
     while True:
-        t_next = peaks[-1] + t_beat * (1.0 + d.frequency * math.sin(phase(peaks[-1])))
-        if t_next > spec.duration_s:
+        s = math.sin(2.0 * math.pi * f_resp * t_pk)
+        amp = _AMPLITUDE * (1.0 + d.amplitude * s)
+        rise = rise0 * (1.0 + d.slope * s)
+        width = width0 * (1.0 + d.width * s)
+        # decay constant set so width50 = rise/2 + tau*ln2 hits the target
+        tau = max((width - 0.5 * rise) / math.log(2.0), 0.02 * t_beat)
+        beats.append((t_pk, _PEAK_LEVEL * (1.0 + d.intensity * s) - amp, amp, t_pk - rise, rise, tau))
+        t_pk = t_pk + t_beat * (1.0 + d.frequency * s)
+        if t_pk > spec.duration_s:
             break
-        peaks.append(t_next)
-    if len(peaks) < 3:
+    if len(beats) < 3:
         raise ValidationError("duration too short for three beats at this heart rate")
 
     n = int(round(spec.duration_s * spec.fs))
     t_grid = np.arange(n) / spec.fs
     x = np.empty(n)
-
-    def beat_params(t_pk):
-        s = math.sin(phase(t_pk))
-        v_peak = _PEAK_LEVEL * (1.0 + d.intensity * s)
-        amp = _AMPLITUDE * (1.0 + d.amplitude * s)
-        rise = rise0 * (1.0 + d.slope * s)
-        width = width0 * (1.0 + d.width * s)
-        # decay constant set so width50 = rise/2 + tau*ln2 hits the target
-        tau = max((width - 0.5 * rise) / ln2, 0.02 * t_beat)
-        return v_peak, amp, rise, tau
-
-    params = [beat_params(t_pk) for t_pk in peaks]
-
-    def fill(sl, values):
-        x[sl] = values
-
-    # leading edge: first upstroke, clipped at t = 0 if the onset is negative
-    v_pk0, amp0, rise_0, _ = params[0]
-    onset0 = peaks[0] - rise_0
-    i_end = min(np.searchsorted(t_grid, peaks[0], side="right"), n)
-    seg = t_grid[:i_end]
-    u = np.clip((seg - onset0) / rise_0, 0.0, 1.0)
-    fill(slice(0, i_end), (v_pk0 - amp0) + amp0 * 0.5 * (1.0 - np.cos(np.pi * u)))
-
-    for i, t_pk in enumerate(peaks):
-        v_pk, amp, rise, tau = params[i]
-        v_foot = v_pk - amp
-        if i + 1 < len(peaks):
-            v_pk_next, amp_next, rise_next, _ = params[i + 1]
-            onset_next = peaks[i + 1] - rise_next
-            i0 = np.searchsorted(t_grid, t_pk, side="right")
-            i1 = min(np.searchsorted(t_grid, onset_next, side="right"), n)
-            seg = t_grid[i0:i1] - t_pk
-            y = v_foot + amp * np.exp(-seg / tau)
+    # beat i's upstroke starts at edges[i] (the first at t = 0, clipped if its
+    # onset is negative) and its decay ends at edges[i + 1]
+    edges = np.append(np.searchsorted(t_grid, [beat[3] for beat in beats], side="right"), n)
+    edges[0] = 0
+    peak_at = np.searchsorted(t_grid, [beat[0] for beat in beats], side="right")
+    for i, (t_pk, v_foot, amp, onset, rise, tau) in enumerate(beats):
+        u = np.clip((t_grid[edges[i] : peak_at[i]] - onset) / rise, 0.0, 1.0)
+        x[edges[i] : peak_at[i]] = v_foot + amp * 0.5 * (1.0 - np.cos(np.pi * u))
+        seg = t_grid[peak_at[i] : edges[i + 1]] - t_pk
+        y = v_foot + amp * np.exp(-seg / tau)
+        if i + 1 < len(beats):
             # route the tail onto the next foot value so the inter-peak minimum
             # is exactly the next beat's foot
+            _, bottom, _, onset_next, _, _ = beats[i + 1]
             top = v_foot + _BLEND_LEVEL * amp
-            bottom = v_pk_next - amp_next
-            gap = onset_next - t_pk
             if bottom <= top:
                 # half-cosine blend from the handover level down to the next foot
                 t_q = tau * math.log(1.0 / _BLEND_LEVEL)
+                gap = onset_next - t_pk
                 if gap > t_q:
                     in_blend = seg > t_q
                     ub = (seg[in_blend] - t_q) / (gap - t_q)
@@ -444,17 +421,7 @@ def synthesize(spec: SynthSpec) -> tuple[PpgRecord, ReferenceRr]:
                 # there and hold (reached before the handover since the level
                 # is higher)
                 np.maximum(y, bottom, out=y)
-            fill(slice(i0, i1), y)
-            # upstroke of the next beat
-            i2 = min(np.searchsorted(t_grid, peaks[i + 1], side="right"), n)
-            seg = t_grid[i1:i2] - onset_next
-            u = np.clip(seg / rise_next, 0.0, 1.0)
-            fill(slice(i1, i2), (v_pk_next - amp_next) + amp_next * 0.5 * (1.0 - np.cos(np.pi * u)))
-        else:
-            # final beat: plain exponential tail to the end of the record
-            i0 = np.searchsorted(t_grid, t_pk, side="right")
-            seg = t_grid[i0:] - t_pk
-            fill(slice(i0, n), v_foot + amp * np.exp(-seg / tau))
+        x[peak_at[i] : edges[i + 1]] = y
 
     if spec.noise_sd > 0:
         rng = np.random.default_rng(spec.seed)
