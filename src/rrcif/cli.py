@@ -7,8 +7,9 @@ Subcommands:
   sweep      threshold sweep over a dataset -> plot-ready CSV
   synth      write a synthetic recording and its reference
 
-Exit codes: 0 ok, 2 I/O or data errors, 64 usage errors. Output files start
-with a versioned provenance comment line.
+Exit codes: 0 ok, 2 I/O or data errors, 64 usage errors. The estimate CSV,
+subjects.csv, the sweep CSV and the synth files start with a versioned
+provenance comment line; the --dump-* files and report.json do not.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import argparse
 import ctypes
 import json
+import math
 import multiprocessing
 import os
 import signal
@@ -39,7 +41,7 @@ from .spectral import DEFAULT_THRESHOLD, EstimateTable, window_spectrum  # noqa:
 EXIT_OK = 0
 EXIT_IO = 2
 EXIT_USAGE = 64
-MIN_T_STEP = 0.01
+T_RESOLUTION = 0.01  # the printed t column has two decimals
 PR_SET_PDEATHSIG = 1  # from <linux/prctl.h>
 
 try:
@@ -61,6 +63,15 @@ def _header(method: str, t: float) -> str:
 def _check_t(parser, t):
     if not 0.0 <= t <= 1.0:
         parser.error(f"--t must lie in [0, 1], got {t}")
+
+
+def _check_on_grid(parser, option, value, zero_ok=False):
+    """Usage error unless `value` is a positive multiple of T_RESOLUTION (or 0
+    with `zero_ok`) within 1e-9, so the printed t column names the threshold used."""
+    k = round(value / T_RESOLUTION) if math.isfinite(value) else -1
+    if not (abs(value - k * T_RESOLUTION) <= 1e-9 and (k > 0 or zero_ok and k == 0)):
+        kind = "a non-negative" if zero_ok else "a positive"
+        parser.error(f"{option} must be {kind} multiple of {T_RESOLUTION}, got {value}")
 
 
 def _write_estimates(path, fusion: FusionResult, estimates: EstimateTable, method, t):
@@ -228,6 +239,7 @@ def _analyze_dataset(directory):
 
 def _cmd_benchmark(args, parser):
     _check_t(parser, args.t)
+    _check_on_grid(parser, "--t", args.t)
     methods = [m.strip().lower() for m in args.methods.split(",")]
     for i, m in enumerate(methods):
         if m not in pipeline.METHODS:
@@ -298,11 +310,10 @@ def _cmd_benchmark(args, parser):
 def _cmd_sweep(args, parser):
     if args.t_min > args.t_max:
         parser.error(f"--t-min {args.t_min} exceeds --t-max {args.t_max}")
-    # a finer step would repeat thresholds in the 2-decimal t column
-    if not args.t_step >= MIN_T_STEP:
-        parser.error(f"--t-step must be at least {MIN_T_STEP}, got {args.t_step}")
     for t in (args.t_min, args.t_max):
         _check_t(parser, t)
+    _check_on_grid(parser, "--t-min", args.t_min, zero_ok=True)
+    _check_on_grid(parser, "--t-step", args.t_step)
     n_steps = int(np.floor((args.t_max - args.t_min) / args.t_step + 1e-9)) + 1
     t_grid = [round(args.t_min + i * args.t_step, 10) for i in range(n_steps)]
 

@@ -14,7 +14,7 @@ class ValidationError(RrcifError):
 
 
 class UnsupportedRateError(RrcifError):
-    """Sampling rate too low for the processing stage."""
+    """Sampling rate outside the range the processing stage supports."""
 
 
 class InsufficientSignalError(RrcifError):

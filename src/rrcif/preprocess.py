@@ -31,6 +31,7 @@ from .signal_io import PpgRecord
 BAND_HZ = (0.4, 8.0)
 FILTER_ORDER = 3
 MIN_FS_HZ = 25.0
+MAX_FS_HZ = 10_000.0            # a 1.2 Hz tone keeps its band-pass gain here; at 1e9 Hz the design is singular
 
 REFRACTORY_S = 0.3              # caps detectable heart rate at 200 beats/min
 PROMINENCE_FACTOR = 0.5         # accept peaks above this fraction of the running median
@@ -65,11 +66,14 @@ class BeatTable:
 def bandpass(record: PpgRecord) -> PpgRecord:
     """Zero-phase 0.4-8 Hz band-pass; length preserved, DC removed.
 
-    Raises :class:`InsufficientSignalError` when the record is not longer
-    than the filter's edge padding.
+    Raises :class:`UnsupportedRateError` for a sampling rate outside
+    [MIN_FS_HZ, MAX_FS_HZ] and :class:`InsufficientSignalError` when the
+    record is not longer than the filter's edge padding.
     """
     if record.fs < MIN_FS_HZ:
         raise UnsupportedRateError(f"fs {record.fs:g} Hz < {MIN_FS_HZ:g} Hz minimum")
+    if record.fs > MAX_FS_HZ:
+        raise UnsupportedRateError(f"fs {record.fs:g} Hz > {MAX_FS_HZ:g} Hz maximum")
     sos = sp_signal.butter(FILTER_ORDER, BAND_HZ, btype="bandpass", output="sos", fs=record.fs)
     padlen = 3 * (2 * len(sos) + 1)  # the edge extension sosfiltfilt uses for this filter
     if record.samples.size <= padlen:
@@ -147,12 +151,12 @@ def segment_beats(filtered: PpgRecord) -> BeatTable:
             accepted.append(int(idx))
             recent.append(float(prom))
 
-    # each peak's foot lies after the previous peak; its decay runs to the next
+    # each peak's foot lies after the previous peak; its decay runs to the next.
+    # find_peaks never returns index 0 and its indices strictly increase, so
+    # every span x[prev:peak] below holds at least one sample
     peaks = np.array(accepted, dtype=int)
     prev = np.concatenate(([0], peaks))[:-1]
     nxt = np.append(peaks, x.size - 1)[1:]
-    has_search = peaks > prev
-    peaks, prev, nxt = peaks[has_search], prev[has_search], nxt[has_search]
     # a foot is the first minimum of x[prev:peak]; these spans tile x[:peaks[-1]]
     lowest = np.repeat(np.minimum.reduceat(x[: peaks[-1]], prev), peaks - prev)
     at_lowest = np.flatnonzero(x[: peaks[-1]] == lowest)

@@ -335,10 +335,11 @@ def synthesize(spec: SynthSpec) -> tuple[PpgRecord, ReferenceRr]:
     Each beat is a raised-cosine upstroke followed by an exponential decay,
     written in one pass over the beats: the upstroke from the beat's onset
     (from t = 0 for the first beat) to its peak, then the decay up to the next
-    beat's onset or the end of the record. The five beat features that downstream stages measure (peak value,
-    foot-to-peak amplitude, peak-to-peak period, width at half amplitude,
-    25-75% rise time) are controlled independently and each modulated
-    sinusoidally at ``spec.rr / 60`` Hz with its depth from ``spec.depths``:
+    beat's onset or the end of the record. The five beat features that
+    downstream stages measure (peak value, foot-to-peak amplitude,
+    peak-to-peak period, width at half amplitude, 25-75% rise time) are
+    controlled independently and each modulated sinusoidally at
+    ``spec.rr / 60`` Hz with its depth from ``spec.depths``:
 
     * intensity  - shifts peak and foot together (peak value varies,
       amplitude constant),

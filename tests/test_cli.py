@@ -236,6 +236,64 @@ def test_sweep_fine_step_exit_64(tmp_path):
     assert exc.value.code == 64
 
 
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["sweep", "--t-min", "0.005"], "--t-min"),
+        (["sweep", "--t-step", "0.015"], "--t-step"),
+        (["sweep", "--t-step", "0"], "--t-step"),
+        (["benchmark", "--t", "0.125"], "--t"),
+        (["benchmark", "--t", "0"], "--t"),
+    ],
+    ids=["sweep-t-min", "sweep-t-step", "sweep-t-step-0", "benchmark-t", "benchmark-t-0"],
+)
+def test_threshold_off_the_t_column_grid_exit_64(tmp_path, capsys, argv, option):
+    # the t column prints two decimals, so a threshold between them would be misreported;
+    # rejected before any record is read: an empty dataset would otherwise exit 2
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], str(tmp_path), *argv[1:]])
+    assert exc.value.code == 64
+    assert f"{option} must be a " in capsys.readouterr().err
+
+
+def test_threshold_on_the_t_column_grid_is_printed_as_fused(tmp_path):
+    _write_subject(tmp_path, "s1")
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", str(tmp_path), "--t-min", "0.05", "--t-max", "0.2", "--t-step", "0.05", "--out", str(out)]
+    assert main(argv) == 0
+    assert [row[0] for row in _read_table(out)[1]] == ["0.05", "0.10", "0.15", "0.20"]
+    assert main(["benchmark", str(tmp_path), "--t", "0.07", "--out", str(tmp_path / "b")]) == 0
+    assert {row[2] for row in _read_table(tmp_path / "b" / "subjects.csv")[1]} == {"0.07"}
+    # estimate prints no t column, so any threshold in [0, 1] is accepted
+    assert main(["estimate", str(tmp_path / "s1.csv"), "--t", "0.125", "--out", str(tmp_path / "e.csv")]) == 0
+
+
+def _write_fast_record(path):
+    """3000 samples at 1e9 Hz, where the band-pass design is singular; JSON records embed a reference."""
+    samples = np.sin(np.arange(3000) / 5.0)
+    if path.suffix == ".json":
+        obj = {"id": path.stem, "fs": 1e9, "samples": samples.tolist(), "reference": {"t": [0.0], "rr": [15.0]}}
+        path.write_text(json.dumps(obj))
+    else:
+        path.write_text("t,ppg\n" + "".join(f"{i * 1e-9!r},{v!r}\n" for i, v in enumerate(samples.tolist())))
+
+
+@pytest.mark.parametrize("name", ["fast.json", "fast.csv"])
+def test_estimate_fs_above_maximum_exit_2(tmp_path, capsys, name):
+    _write_fast_record(tmp_path / name)
+    assert main(["estimate", str(tmp_path / name)]) == 2
+    err = capsys.readouterr().err
+    assert "> 10000 Hz maximum" in err and "Traceback" not in err
+
+
+def test_benchmark_skips_fs_above_maximum(tmp_path, capsys):
+    _write_subject(tmp_path, "s1")
+    _write_fast_record(tmp_path / "fast.json")
+    assert main(["benchmark", str(tmp_path), "--out", str(tmp_path / "out")]) == 0
+    assert "warning: skipping fast.json: " in capsys.readouterr().err
+    assert json.loads((tmp_path / "out" / "report.json").read_text())["skipped"] == ["fast.json"]
+
+
 def test_estimate_nan_timestamp_exit_2(tmp_path, capsys):
     path = tmp_path / "nan_t.csv"
     path.write_text("t,ppg\n" + "".join(f"{'nan' if i == 50 else i / 100},{(i % 7) / 7:.3f}\n" for i in range(3000)))

@@ -12,6 +12,7 @@ from rrcif.preprocess import (
     ARTIFACT_FACTOR,
     ARTIFACT_WINDOW,
     CLIP_RUN,
+    MAX_FS_HZ,
     PROMINENCE_FACTOR,
     PROMINENCE_WINDOW,
     REFRACTORY_S,
@@ -58,6 +59,14 @@ def test_bandpass_removes_dc():
 def test_bandpass_low_fs_rejected():
     with pytest.raises(UnsupportedRateError):
         bandpass(PpgRecord("x", 20.0, np.ones(100)))
+
+
+def test_bandpass_fs_above_maximum_rejected():
+    tone = np.sin(2 * np.pi * 1.2 * np.arange(3000) / MAX_FS_HZ)
+    assert np.all(np.isfinite(bandpass(PpgRecord("x", MAX_FS_HZ, tone)).samples))
+    # at 1e9 Hz sosfiltfilt itself fails with a singular matrix
+    with pytest.raises(UnsupportedRateError, match="10000 Hz maximum"):
+        bandpass(PpgRecord("x", 1e9, tone))
 
 
 def test_segment_beat_count_matches_heart_rate():
