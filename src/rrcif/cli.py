@@ -31,9 +31,9 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np  # noqa: E402
 
-from . import evaluation, pipeline, signal_io  # noqa: E402
+from . import evaluation, signal_io  # noqa: E402
 from .errors import RrcifError  # noqa: E402
-from .fusion import FusionResult  # noqa: E402
+from .fusion import METHODS, FusionResult  # noqa: E402
 from .riv import ALL_KINDS, RivKind  # noqa: E402
 from .signal_io import ModDepths, SynthSpec  # noqa: E402
 from .spectral import DEFAULT_THRESHOLD, EstimateTable, window_spectrum  # noqa: E402
@@ -57,7 +57,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _header(method: str, t: float) -> str:
-    return f"# rrcif {VERSION} method={method} t={t:g}\n"
+    text = f"{t:g}"
+    if float(text) != t:  # :g keeps 6 significant digits; the header must name the t used
+        text = repr(t)
+    return f"# rrcif {VERSION} method={method} t={text}\n"
 
 
 def _check_t(parser, t):
@@ -145,6 +148,8 @@ def _cmd_estimate(args, parser):
     _check_t(parser, args.t)
     # usage errors come before any reading or writing
     spectrum_at = _spectrum_request(parser, args.dump_spectrum) if args.dump_spectrum else None
+    from . import pipeline
+
     record = signal_io.read_record(args.input)
     analysis = pipeline.analyze_record(record)
     if spectrum_at:
@@ -170,6 +175,8 @@ def _analyze_subject(path):
     the parent to report; any other exception is a bug and propagates. The
     beats and variation series stay in the worker.
     """
+    from . import pipeline
+
     try:
         if path.suffix == ".json":
             record, reference = signal_io.read_record_json(path)
@@ -217,6 +224,9 @@ def _analyze_dataset(directory):
     if not records:
         raise RrcifError(f"{directory}: no record files found")
     workers = min(len(records), len(os.sched_getaffinity(0)))
+    # forked workers inherit the filter stack, so none imports scipy itself
+    from . import pipeline  # noqa: F401
+
     with ProcessPoolExecutor(
         workers,
         mp_context=multiprocessing.get_context("fork"),
@@ -242,10 +252,12 @@ def _cmd_benchmark(args, parser):
     _check_on_grid(parser, "--t", args.t)
     methods = [m.strip().lower() for m in args.methods.split(",")]
     for i, m in enumerate(methods):
-        if m not in pipeline.METHODS:
+        if m not in METHODS:
             parser.error(f"unknown method {m!r}")
         if m in methods[:i]:
             parser.error(f"method {m!r} given twice")
+    from . import pipeline
+
     subjects, skipped = _analyze_dataset(args.dataset)
 
     out_dir = Path(args.out)
@@ -357,7 +369,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("estimate", help="per-window fused rates for one recording")
     p.add_argument("input", help="PPG CSV (t,ppg) or record JSON")
-    p.add_argument("--method", choices=pipeline.METHODS, default="cif")
+    p.add_argument("--method", choices=METHODS, default="cif")
     p.add_argument("--t", type=float, default=DEFAULT_THRESHOLD, help="noise index threshold")
     p.add_argument("--out", default="-", help="output CSV path, '-' for stdout")
     p.add_argument("--dump-beats", metavar="PATH", help="also write detected beats as CSV")

@@ -14,7 +14,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .fusion import FusionResult, cif
 from .signal_io import ReferenceRr
@@ -131,6 +130,18 @@ def agreement(est, ref) -> AgreementStats:
     )
 
 
+def _midranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of the values of `x`, each group of ties sharing the mean
+    of its positions (scipy.stats.rankdata's default, for finite input)."""
+    order = np.argsort(x, kind="stable")
+    ordered = x[order]
+    first = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    end = np.r_[first[1:], x.size]  # one past the last position of each group
+    ranks = np.empty(x.size)
+    ranks[order] = np.repeat((first + end + 1) / 2.0, end - first)
+    return ranks
+
+
 def wilcoxon_signed_rank(a, b) -> float:
     """Two-sided paired Wilcoxon signed-rank p-value.
 
@@ -138,8 +149,9 @@ def wilcoxon_signed_rank(a, b) -> float:
     Up to WILCOXON_EXACT_MAX_N effective pairs the p-value comes from the
     exact distribution of the positive-rank sum over all sign assignments
     (computed by dynamic programming); beyond that a normal approximation
-    with tie correction and continuity correction is used. Any Bonferroni
-    correction is the caller's responsibility.
+    with tie correction and continuity correction is used. A non-finite
+    difference is a ValueError. Any Bonferroni correction is the caller's
+    responsibility.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -148,11 +160,13 @@ def wilcoxon_signed_rank(a, b) -> float:
     if a.size < 6:
         raise ValueError(f"need >= 6 pairs, got {a.size}")
     d = a - b
+    if not np.all(np.isfinite(d)):
+        raise ValueError("differences must be finite")
     d = d[d != 0]
     n = d.size
     if n == 0:
         return 1.0
-    ranks = rankdata(np.abs(d))
+    ranks = _midranks(np.abs(d))
     w_plus = float(ranks[d > 0].sum())
 
     if n <= WILCOXON_EXACT_MAX_N:

@@ -6,13 +6,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fusion import SF3, SF5, FusionResult, cif, smart_fusion
+from .fusion import METHODS, SF3, SF5, FusionResult, cif, smart_fusion
 from .preprocess import BeatTable, bandpass, flag_artifacts, segment_beats
 from .riv import RivTable, extract
 from .signal_io import PpgRecord
 from .spectral import DEFAULT_THRESHOLD, EstimateTable, rate_windows
-
-METHODS = ("cif", "sf3", "sf5")
 
 
 @dataclass(frozen=True)

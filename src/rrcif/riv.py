@@ -11,11 +11,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import InsufficientSignalError
-from .preprocess import BeatTable
+
+if TYPE_CHECKING:
+    from .preprocess import BeatTable
 
 RIV_FS = 5.0
 GRID_STEP_S = 1.0 / RIV_FS

@@ -85,6 +85,19 @@ def test_t_out_of_range_exit_64(tmp_path):
     assert exc.value.code == 64
 
 
+@pytest.mark.parametrize(
+    "t, printed",
+    [("0", "0"), ("0.13", "0.13"), ("0.1234567", "0.1234567"), ("1e-7", "1e-07"), ("0.30000000000000004", "0.30000000000000004")],
+)
+def test_estimate_header_names_the_t_used(tmp_path, t, printed):
+    # :g text where it reads back as the same float, repr otherwise
+    rec_path = _write_subject(tmp_path, "short", duration=20.0)
+    out = tmp_path / "est.csv"
+    assert main(["estimate", str(rec_path), "--t", t, "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[0].endswith(f" method=cif t={printed}")
+    assert float(printed) == float(t)
+
+
 def test_estimate_deterministic_output(tmp_path):
     rec_path = _write_subject(tmp_path, "s1")
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -1,10 +1,11 @@
 """The command as a process: `python -m rrcif.cli` in a fresh interpreter.
 
 The other CLI tests call `main` in-process; these cover what only a real
-process shows: the BLAS thread pin, the exit path of `run` and the
-lifetime of the worker processes.
+process shows: the BLAS thread pin, the modules a command loads, the exit
+path of `run` and the lifetime of the worker processes.
 """
 
+import ast
 import os
 import signal
 import subprocess
@@ -67,6 +68,70 @@ def test_library_modules_leave_environment_and_threads_alone():
         "      os.environ.get('OPENBLAS_NUM_THREADS'))\n"
     )
     assert _python(code) == ["True", "True", "None"]
+
+
+def _scipy_modules_after(statements):
+    code = (
+        "import contextlib, io, sys\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        + "".join(f"    {line}\n" for line in statements)
+        + "print(sum(name == 'scipy' or name.startswith('scipy.') for name in sys.modules))\n"
+    )
+    return _python(code)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        None,
+        ["--help"],
+        ["benchmark", "no-such-dir", "--t", "0.125"],  # usage error, exit 64
+        ["synth", "--rr", "15", "--hr", "70", "--duration", "40", "--out", "{tmp}/s"],
+    ],
+    ids=["import", "help", "usage-error", "synth"],
+)
+def test_commands_that_analyze_no_record_load_no_scipy(tmp_path, argv):
+    statements = ["import rrcif.cli"]
+    if argv is not None:
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
+        statements += ["try:", f"    rrcif.cli.main({argv!r})", "except SystemExit:", "    pass"]
+    assert _scipy_modules_after(statements) == ["0"]
+    if argv and argv[0] == "synth":
+        assert (tmp_path / "s.csv").is_file()
+
+
+@pytest.mark.parametrize("command", ["benchmark", "sweep"])
+def test_pool_is_created_after_the_filter_stack_loads(tmp_path, command):
+    # Forked workers inherit the parent's modules, so scipy must be loaded
+    # before the pool exists or every worker pays for importing it.
+    for name in ("a.csv", "b.csv"):
+        (tmp_path / name).touch()
+    code = (
+        "import sys\n"
+        "from rrcif import cli\n"
+        "class Probe:\n"
+        "    def __init__(self, *args, **kwargs):\n"
+        "        print('scipy.signal' in sys.modules)\n"
+        "        raise SystemExit(0)\n"
+        "cli.ProcessPoolExecutor = Probe\n"
+        f"cli.main([{command!r}, {str(tmp_path)!r}, '--out', {str(tmp_path / 'out')!r}])\n"
+    )
+    assert _python(code) == ["True"]
+
+
+def test_only_preprocess_imports_scipy():
+    offenders = []
+    for path in sorted(Path(SRC, "rrcif").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module or ""]
+            else:
+                continue
+            if path.name != "preprocess.py" and any(m == "scipy" or m.startswith("scipy.") for m in modules):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
 
 
 @pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is new in Python 3.11")

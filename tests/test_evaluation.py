@@ -3,9 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import rankdata
 
 from rrcif.evaluation import (
+    _midranks,
     agreement,
     reference_at,
     score,
@@ -308,8 +311,46 @@ def test_wilcoxon_large_n_approximation():
     assert ours == pytest.approx(theirs, rel=1e-9)
 
 
+@st.composite
+def _tied_floats(draw):
+    """1-60 floats drawn from a pool of at most 6 values, so most draws tie."""
+    pool = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=6))
+    return np.array(draw(st.lists(st.sampled_from(pool), min_size=1, max_size=60)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tied_floats())
+def test_midranks_match_scipy_rankdata(x):
+    assert np.array_equal(_midranks(x).view(np.uint64), rankdata(x).view(np.uint64))
+
+
+_I20, _I25, _I60, _I40 = (np.arange(n, dtype=float) for n in (20, 25, 60, 40))
+
+
+@pytest.mark.parametrize(
+    "a, b, p_hex",
+    [
+        (_I20 % 6, _I20 * 7 % 5, "0x1.4388000000000p-1"),  # exact, 17 pairs, 5 distinct |d|
+        (_I25 * 0.37 % 1.9, _I25 * 0.53 % 2.1, "0x1.2ae8a40000000p-1"),  # exact, 24 pairs, no ties
+        (_I60 * 7 % 9, _I60 * 4 % 8 + 0.5, "0x1.69fbf49c6429ep-10"),  # normal, 60 pairs, 8 distinct |d|
+        (_I40 * 0.731 % 2.3, _I40 * 0.517 % 2.9, "0x1.118e645925071p-3"),  # normal, 39 pairs, no ties
+    ],
+)
+def test_wilcoxon_p_value_bits_pinned(a, b, p_hex):
+    # p-values of the version that ranked with scipy.stats.rankdata
+    assert wilcoxon_signed_rank(a, b).hex() == p_hex
+
+
 def test_wilcoxon_input_validation():
     with pytest.raises(ValueError):
         wilcoxon_signed_rank([1.0, 2.0], [1.0, 2.0])
     with pytest.raises(ValueError):
         wilcoxon_signed_rank(np.ones(8), np.ones(7))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_wilcoxon_rejects_non_finite_differences(bad):
+    a = np.arange(30, dtype=float)
+    a[3] = bad
+    with pytest.raises(ValueError, match="finite"):
+        wilcoxon_signed_rank(a, np.zeros(30))
