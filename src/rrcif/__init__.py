@@ -7,6 +7,14 @@ fused per window with covariance intersection of the estimates whose noise
 index passes the gate. Smart Fusion baselines and a benchmark
 evaluation harness are included.
 
-The package root re-exports nothing, so importing it loads neither numpy
-nor scipy. Import the submodules: ``from rrcif import pipeline``.
+The package root re-exports nothing and imports nothing, so importing it
+loads neither numpy nor scipy. It holds only the two constants that both
+the analysis modules and the command line's parser need. Import the
+submodules: ``from rrcif import pipeline``.
 """
+
+# The fusion methods by name: CIF and the two Smart Fusion baselines.
+METHODS = ("cif", "sf3", "sf5")
+
+# The noise-index threshold that fusion uses unless told otherwise.
+DEFAULT_THRESHOLD = 0.13

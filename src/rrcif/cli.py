@@ -10,33 +10,33 @@ Subcommands:
 Exit codes: 0 ok, 2 I/O or data errors, 64 usage errors. The estimate CSV,
 subjects.csv, the sweep CSV and the synth files start with a versioned
 provenance comment line; the --dump-* files and report.json do not.
+
+Importing this module loads the standard library alone: each command
+imports the numpy-backed modules it needs once its usage checks pass, so
+--help and usage errors load no numpy (except the --dump-spectrum check,
+which needs the variation kinds).
 """
 
 from __future__ import annotations
 
 import argparse
-import ctypes
-import json
+import functools
 import math
-import multiprocessing
 import os
-import signal
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from importlib.metadata import PackageNotFoundError, version
 from pathlib import Path
+from typing import TYPE_CHECKING
+
+from . import DEFAULT_THRESHOLD, METHODS
+from .errors import RrcifError
+
+if TYPE_CHECKING:
+    from .fusion import FusionResult
+    from .spectral import EstimateTable
 
 # Before numpy loads OpenBLAS: parallelism is the worker pool, so BLAS helper threads only spin.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-
-import numpy as np  # noqa: E402
-
-from . import evaluation, signal_io  # noqa: E402
-from .errors import RrcifError  # noqa: E402
-from .fusion import METHODS, FusionResult  # noqa: E402
-from .riv import ALL_KINDS, RivKind  # noqa: E402
-from .signal_io import ModDepths, SynthSpec  # noqa: E402
-from .spectral import DEFAULT_THRESHOLD, EstimateTable, window_spectrum  # noqa: E402
 
 EXIT_OK = 0
 EXIT_IO = 2
@@ -44,10 +44,24 @@ EXIT_USAGE = 64
 T_RESOLUTION = 0.01  # the printed t column has two decimals
 PR_SET_PDEATHSIG = 1  # from <linux/prctl.h>
 
-try:
-    VERSION = version("rrcif")
-except PackageNotFoundError:  # running from a source tree
-    VERSION = "0.1.0"
+
+@functools.cache
+def _version() -> str:
+    """The installed package version, looked up on first use: the metadata
+    lookup costs more than building the parser."""
+    from importlib.metadata import PackageNotFoundError, version
+
+    try:
+        return version("rrcif")
+    except PackageNotFoundError:  # running from a source tree
+        return "0.1.0"
+
+
+def __getattr__(name):
+    """``VERSION``, looked up on first use."""
+    if name == "VERSION":
+        return _version()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -60,7 +74,7 @@ def _header(method: str, t: float) -> str:
     text = f"{t:g}"
     if float(text) != t:  # :g keeps 6 significant digits; the header must name the t used
         text = repr(t)
-    return f"# rrcif {VERSION} method={method} t={text}\n"
+    return f"# rrcif {_version()} method={method} t={text}\n"
 
 
 def _check_t(parser, t):
@@ -78,12 +92,14 @@ def _check_on_grid(parser, option, value, zero_ok=False):
 
 
 def _write_estimates(path, fusion: FusionResult, estimates: EstimateTable, method, t):
+    from .riv import ALL_KINDS
+
     lines = [_header(method, t), "window_start_s,rr_fusion,c_fusion,retained,contributors\n"]
     starts = estimates.start_s.tolist()
     rows = zip(starts, fusion.rr_fusion.tolist(), fusion.c_fusion.tolist(), fusion.retained, fusion.contributors)
     for start, rr, c, retained, contributors in rows:
         rr = f"{rr:.4f}" if retained else ""
-        c = f"{c:.6g}" if retained and not np.isnan(c) else ""
+        c = f"{c:.6g}" if retained and not math.isnan(c) else ""
         names = "|".join(k.name for k, used in zip(ALL_KINDS, contributors) if used)
         lines.append(f"{start:.1f},{rr},{c},{int(retained)},{names}\n")
     _emit(path, lines)
@@ -103,7 +119,7 @@ def _dump_beats(path, beats):
     lines = [header + "\n"]
     rows = zip(*(getattr(beats, name).tolist() for name in header.split(",")))
     for t_foot, v_foot, t_peak, v_peak, width50, rise, period, artifact in rows:
-        period = "" if np.isnan(period) else f"{period:.6g}"
+        period = "" if math.isnan(period) else f"{period:.6g}"
         lines.append(
             f"{t_foot:.4f},{v_foot:.6g},{t_peak:.4f},{v_peak:.6g},"
             f"{width50:.6g},{rise:.6g},{period},{int(artifact)}\n"
@@ -112,6 +128,8 @@ def _dump_beats(path, beats):
 
 
 def _dump_riv(directory, rivs):
+    from .riv import ALL_KINDS
+
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     for kind, values in zip(ALL_KINDS, rivs.values):
@@ -130,6 +148,8 @@ def _dump_spectrum(out_dir, window_index, kind, spectrum):
 
 def _spectrum_request(parser, raw):
     """(window index, kind) from the two --dump-spectrum words; usage error if malformed."""
+    from .riv import RivKind
+
     raw_index, raw_kind = raw
     try:
         window_index = int(raw_index)
@@ -148,7 +168,8 @@ def _cmd_estimate(args, parser):
     _check_t(parser, args.t)
     # usage errors come before any reading or writing
     spectrum_at = _spectrum_request(parser, args.dump_spectrum) if args.dump_spectrum else None
-    from . import pipeline
+    from . import pipeline, signal_io
+    from .spectral import window_spectrum
 
     record = signal_io.read_record(args.input)
     analysis = pipeline.analyze_record(record)
@@ -175,7 +196,7 @@ def _analyze_subject(path):
     the parent to report; any other exception is a bug and propagates. The
     beats and variation series stay in the worker.
     """
-    from . import pipeline
+    from . import pipeline, signal_io
 
     try:
         if path.suffix == ".json":
@@ -198,6 +219,9 @@ def _end_with_parent(parent_pid):
     """Pool initializer: have the kernel send this worker SIGTERM when the
     command that forked it dies, so a killed command leaves no worker behind.
     """
+    import ctypes
+    import signal
+
     libc = ctypes.CDLL(None, use_errno=True)
     libc.prctl.argtypes = (ctypes.c_int, ctypes.c_ulong)
     libc.prctl.restype = ctypes.c_int
@@ -216,6 +240,7 @@ def _analyze_dataset(directory):
     available CPU but no more than there are subjects. Workers are forked, so
     they start with the modules this process has already imported. One that
     cannot be read or analyzed is warned about and skipped, in path order.
+    Two subjects with the same record id are a data error.
     Returns ((record id, estimates, reference) triples, skipped names).
     """
     directory = Path(directory)
@@ -224,6 +249,8 @@ def _analyze_dataset(directory):
     if not records:
         raise RrcifError(f"{directory}: no record files found")
     workers = min(len(records), len(os.sched_getaffinity(0)))
+    import multiprocessing
+
     # forked workers inherit the filter stack, so none imports scipy itself
     from . import pipeline  # noqa: F401
 
@@ -234,12 +261,16 @@ def _analyze_dataset(directory):
         initargs=(os.getpid(),),
     ) as pool:
         results = list(pool.map(_analyze_subject, records))
-    subjects, skipped = [], []
+    subjects, skipped, paths = [], [], {}
     for path, result in zip(records, results):
         if isinstance(result, str):
             print(f"warning: skipping {path.name}: {result}", file=sys.stderr)
             skipped.append(path.name)
+        elif result[0] in paths:
+            first = paths[result[0]].name
+            raise RrcifError(f"{directory}: record id {result[0]!r} is used by both {first} and {path.name}")
         else:
+            paths[result[0]] = path
             subjects.append(result)
     if not subjects:
         raise RrcifError(f"{directory}: no subject could be analyzed")
@@ -256,7 +287,11 @@ def _cmd_benchmark(args, parser):
             parser.error(f"unknown method {m!r}")
         if m in methods[:i]:
             parser.error(f"method {m!r} given twice")
-    from . import pipeline
+    import json
+
+    import numpy as np
+
+    from . import evaluation, pipeline
 
     subjects, skipped = _analyze_dataset(args.dataset)
 
@@ -277,7 +312,7 @@ def _cmd_benchmark(args, parser):
     _emit(out_dir / "subjects.csv", lines)
 
     report = {
-        "version": VERSION,
+        "version": _version(),
         "t": args.t,
         "subjects": len(subjects),
         "skipped": skipped,
@@ -326,8 +361,9 @@ def _cmd_sweep(args, parser):
         _check_t(parser, t)
     _check_on_grid(parser, "--t-min", args.t_min, zero_ok=True)
     _check_on_grid(parser, "--t-step", args.t_step)
-    n_steps = int(np.floor((args.t_max - args.t_min) / args.t_step + 1e-9)) + 1
+    n_steps = math.floor((args.t_max - args.t_min) / args.t_step + 1e-9) + 1
     t_grid = [round(args.t_min + i * args.t_step, 10) for i in range(n_steps)]
+    from . import evaluation
 
     subjects, _ = _analyze_dataset(args.dataset)
     rows = evaluation.sweep([(estimates, ref) for _, estimates, ref in subjects], t_grid)
@@ -341,12 +377,14 @@ def _cmd_sweep(args, parser):
 
 
 def _cmd_synth(args, parser):
-    spec = SynthSpec(
+    from . import signal_io
+
+    spec = signal_io.SynthSpec(
         rr=args.rr,
         hr=args.hr,
         duration_s=args.duration,
         fs=args.fs,
-        depths=ModDepths(*args.depths),
+        depths=signal_io.ModDepths(*args.depths),
         noise_sd=args.noise_sd,
         seed=args.seed,
     )
@@ -354,7 +392,7 @@ def _cmd_synth(args, parser):
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     provenance = (
-        f"rrcif {VERSION} synth rr={spec.rr:g} hr={spec.hr:g} fs={spec.fs:g} "
+        f"rrcif {_version()} synth rr={spec.rr:g} hr={spec.hr:g} fs={spec.fs:g} "
         f"noise_sd={spec.noise_sd:g} seed={spec.seed}"
     )
     signal_io.write_record(record, out.with_suffix(".csv"), comment=provenance)

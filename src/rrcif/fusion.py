@@ -41,9 +41,6 @@ SF_SD_LIMIT_BPM = 4.0
 SF3 = (RivKind.RIIV, RivKind.RIAV, RivKind.RIFV)
 SF5 = ALL_KINDS
 
-# The fusion methods by name: CIF and the two Smart Fusion baselines.
-METHODS = ("cif", "sf3", "sf5")
-
 
 @dataclass(frozen=True)
 class FusionResult:

@@ -6,11 +6,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fusion import METHODS, SF3, SF5, FusionResult, cif, smart_fusion
+from . import DEFAULT_THRESHOLD, METHODS
+from .fusion import SF3, SF5, FusionResult, cif, smart_fusion
 from .preprocess import BeatTable, bandpass, flag_artifacts, segment_beats
 from .riv import RivTable, extract
 from .signal_io import PpgRecord
-from .spectral import DEFAULT_THRESHOLD, EstimateTable, rate_windows
+from .spectral import EstimateTable, rate_windows
 
 
 @dataclass(frozen=True)

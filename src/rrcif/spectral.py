@@ -36,7 +36,6 @@ FIT_BANDS_BPM = ((2.0, 4.0), (65.0, 100.0))
 MAX_BPM = FIT_BANDS_BPM[-1][1]
 MIN_FIT_BINS = 5
 BATCH_ROWS = 64  # windows per rFFT call, which bounds the complex spectra held at once
-DEFAULT_THRESHOLD = 0.13
 REASONS = ("none", "artifact", "out_of_range", "fit_degenerate")
 
 

@@ -362,6 +362,34 @@ def test_benchmark_empty_dataset_exit_2(tmp_path):
     assert main(["benchmark", str(empty)]) == 2
 
 
+def _write_json_subject(path, record_id, seed):
+    record, reference = make_synth(duration=120.0, seed=seed)
+    reference = {"t": reference.times_s.tolist(), "rr": reference.rr.tolist()}
+    path.write_text(json.dumps({"id": record_id, "fs": record.fs, "samples": record.samples.tolist(), "reference": reference}))
+
+
+def test_benchmark_id_of_a_csv_and_a_json_exit_2(tmp_path, capsys):
+    _write_subject(tmp_path, "s00", seed=1)
+    _write_subject(tmp_path, "s01", seed=2)
+    _write_json_subject(tmp_path / "s00.json", "s00", seed=3)
+    out_dir = tmp_path / "out"
+    assert main(["benchmark", str(tmp_path), "--out", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert "record id 's00' is used by both s00.csv and s00.json" in err
+    assert not out_dir.exists()
+
+
+def test_sweep_id_of_two_jsons_exit_2(tmp_path, capsys):
+    _write_subject(tmp_path, "s00", seed=1)
+    _write_json_subject(tmp_path / "a.json", "s01", seed=2)
+    _write_json_subject(tmp_path / "b.json", "s01", seed=3)
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", str(tmp_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "record id 's01' is used by both a.json and b.json" in err
+    assert not out.exists()
+
+
 def test_benchmark_unknown_method_exit_64(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["benchmark", str(tmp_path), "--methods", "cif,magic"])

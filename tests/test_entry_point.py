@@ -70,14 +70,14 @@ def test_library_modules_leave_environment_and_threads_alone():
     assert _python(code) == ["True", "True", "None"]
 
 
-def _scipy_modules_after(statements):
+def _numpy_and_scipy_modules_after(statements):
     code = (
         "import contextlib, io, sys\n"
         "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
         + "".join(f"    {line}\n" for line in statements)
-        + "print(sum(name == 'scipy' or name.startswith('scipy.') for name in sys.modules))\n"
+        + "print(*(sum(n == top or n.startswith(top + '.') for n in sys.modules) for top in ('numpy', 'scipy')))\n"
     )
-    return _python(code)
+    return [int(count) for count in _python(code)]
 
 
 @pytest.mark.parametrize(
@@ -85,19 +85,32 @@ def _scipy_modules_after(statements):
     [
         None,
         ["--help"],
+        ["estimate", "--help"],
+        ["benchmark", "--help"],
+        ["sweep", "--help"],
+        ["synth", "--help"],
         ["benchmark", "no-such-dir", "--t", "0.125"],  # usage error, exit 64
+        ["frobnicate"],  # unknown subcommand, exit 64
         ["synth", "--rr", "15", "--hr", "70", "--duration", "40", "--out", "{tmp}/s"],
     ],
-    ids=["import", "help", "usage-error", "synth"],
+    ids=[
+        "import", "help", "estimate-help", "benchmark-help", "sweep-help", "synth-help",
+        "usage-error", "unknown-subcommand", "synth",
+    ],
 )
 def test_commands_that_analyze_no_record_load_no_scipy(tmp_path, argv):
+    # Only synth needs numpy; the rest load the standard library alone.
     statements = ["import rrcif.cli"]
     if argv is not None:
         argv = [arg.format(tmp=tmp_path) for arg in argv]
         statements += ["try:", f"    rrcif.cli.main({argv!r})", "except SystemExit:", "    pass"]
-    assert _scipy_modules_after(statements) == ["0"]
-    if argv and argv[0] == "synth":
+    numpy_modules, scipy_modules = _numpy_and_scipy_modules_after(statements)
+    assert scipy_modules == 0
+    if argv and argv[0] == "synth" and "--help" not in argv:
+        assert numpy_modules > 0
         assert (tmp_path / "s.csv").is_file()
+    else:
+        assert numpy_modules == 0
 
 
 @pytest.mark.parametrize("command", ["benchmark", "sweep"])

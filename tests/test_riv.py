@@ -4,10 +4,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from rrcif import DEFAULT_THRESHOLD
 from rrcif.errors import InsufficientSignalError
 from rrcif.preprocess import bandpass, segment_beats
 from rrcif.riv import ALL_KINDS, GRID_STEP_S, RivKind, extract
-from rrcif.spectral import DEFAULT_THRESHOLD, rate_windows
+from rrcif.spectral import rate_windows
 
 from conftest import edit_beat, make_beats, make_synth
 
