@@ -24,7 +24,6 @@ import functools
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -58,9 +57,14 @@ def _version() -> str:
 
 
 def __getattr__(name):
-    """``VERSION``, looked up on first use."""
+    """``VERSION`` and ``ProcessPoolExecutor``, looked up on first use: the
+    pool class loads multiprocessing, which only the dataset commands need."""
     if name == "VERSION":
         return _version()
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+
+        return ProcessPoolExecutor
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
@@ -215,6 +219,27 @@ def _analyze_subject(path):
         return str(exc)
 
 
+def _record_id(path):
+    """The record id that reading `path` gives: a CSV's stem or a JSON record's
+    ``"id"``; None for a JSON file whose id cannot be read, which its worker reports.
+
+    When ``"id"`` is the object's first key, as `signal_io.write_record` writes
+    it, only that value is decoded, not the samples after it.
+    """
+    if path.suffix != ".json":
+        return path.stem
+    import json
+    import re
+
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        head = re.match(r'\s*\{\s*"id"\s*:\s*', text)
+        return str(json.JSONDecoder().raw_decode(text, head.end())[0] if head else json.loads(text)["id"])
+    except (OSError, ValueError, TypeError, KeyError):
+        return None
+
+
 def _end_with_parent(parent_pid):
     """Pool initializer: have the kernel send this worker SIGTERM when the
     command that forked it dies, so a killed command leaves no worker behind.
@@ -240,7 +265,8 @@ def _analyze_dataset(directory):
     available CPU but no more than there are subjects. Workers are forked, so
     they start with the modules this process has already imported. One that
     cannot be read or analyzed is warned about and skipped, in path order.
-    Two subjects with the same record id are a data error.
+    Two files with the same record id are a data error, found before any
+    subject is analyzed.
     Returns ((record id, estimates, reference) triples, skipped names).
     """
     directory = Path(directory)
@@ -248,29 +274,33 @@ def _analyze_dataset(directory):
     records += sorted(directory.glob("*.json"))
     if not records:
         raise RrcifError(f"{directory}: no record files found")
+    paths = {}
+    for path in records:
+        record_id = _record_id(path)
+        if record_id in paths:
+            raise RrcifError(f"{directory}: record id {record_id!r} is used by both {paths[record_id].name} and {path.name}")
+        if record_id is not None:
+            paths[record_id] = path
     workers = min(len(records), len(os.sched_getaffinity(0)))
     import multiprocessing
 
-    # forked workers inherit the filter stack, so none imports scipy itself
+    # forked workers inherit the filter stack and its compiled kernels, so none loads them itself
     from . import pipeline  # noqa: F401
 
-    with ProcessPoolExecutor(
+    # looked up on the module, where tests may replace it
+    with sys.modules[__name__].ProcessPoolExecutor(
         workers,
         mp_context=multiprocessing.get_context("fork"),
         initializer=_end_with_parent,
         initargs=(os.getpid(),),
     ) as pool:
         results = list(pool.map(_analyze_subject, records))
-    subjects, skipped, paths = [], [], {}
+    subjects, skipped = [], []
     for path, result in zip(records, results):
         if isinstance(result, str):
             print(f"warning: skipping {path.name}: {result}", file=sys.stderr)
             skipped.append(path.name)
-        elif result[0] in paths:
-            first = paths[result[0]].name
-            raise RrcifError(f"{directory}: record id {result[0]!r} is used by both {first} and {path.name}")
         else:
-            paths[result[0]] = path
             subjects.append(result)
     if not subjects:
         raise RrcifError(f"{directory}: no subject could be analyzed")

@@ -3,6 +3,10 @@
 The filter is a 3rd-order Butterworth band-pass (0.4-8 Hz) applied forward
 and backward (zero phase), which keeps the cardiac pulse shape and all five
 respiratory modulations while removing drift and high-frequency noise.
+The filter design, the filtering and the peak search are scipy's
+``butter``, ``sosfiltfilt`` and ``find_peaks``, bit for bit, run on scipy's
+compiled kernels through :mod:`rrcif._sigkernels`, which does not import
+``scipy.signal`` unless it has to fall back to it.
 
 Segmentation finds pulse peaks with an adaptive prominence threshold (half
 the median of the last 10 accepted prominences) and a 0.3 s refractory
@@ -23,8 +27,8 @@ from statistics import median
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy import signal as sp_signal
 
+from . import _sigkernels
 from .errors import InsufficientSignalError, UnsupportedRateError
 from .signal_io import PpgRecord
 
@@ -74,12 +78,12 @@ def bandpass(record: PpgRecord) -> PpgRecord:
         raise UnsupportedRateError(f"fs {record.fs:g} Hz < {MIN_FS_HZ:g} Hz minimum")
     if record.fs > MAX_FS_HZ:
         raise UnsupportedRateError(f"fs {record.fs:g} Hz > {MAX_FS_HZ:g} Hz maximum")
-    sos = sp_signal.butter(FILTER_ORDER, BAND_HZ, btype="bandpass", output="sos", fs=record.fs)
+    sos = _sigkernels.bandpass_sos(FILTER_ORDER, BAND_HZ, record.fs)
     padlen = 3 * (2 * len(sos) + 1)  # the edge extension sosfiltfilt uses for this filter
     if record.samples.size <= padlen:
         raise InsufficientSignalError(f"{record.samples.size} samples, the band-pass filter needs > {padlen}")
     x = record.samples - np.mean(record.samples)
-    y = sp_signal.sosfiltfilt(sos, x, padlen=padlen)
+    y = _sigkernels.sosfiltfilt(sos, x, padlen)
     y -= np.mean(y)  # filter edge transients leave a residual mean
     return PpgRecord(id=record.id, fs=record.fs, samples=y)
 
@@ -137,8 +141,7 @@ def segment_beats(filtered: PpgRecord) -> BeatTable:
     x = filtered.samples
     fs = filtered.fs
     distance = max(1, int(round(REFRACTORY_S * fs)))
-    candidates, props = sp_signal.find_peaks(x, distance=distance, prominence=1e-12)
-    proms = props["prominences"]
+    candidates, proms = _sigkernels.find_peaks(x, distance, 1e-12)
     if candidates.size == 0:
         raise InsufficientSignalError("no pulse peaks detected")
 

@@ -390,6 +390,24 @@ def test_sweep_id_of_two_jsons_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("id_first", [True, False])
+def test_duplicate_ids_are_found_before_the_pool_starts(tmp_path, monkeypatch, id_first):
+    from rrcif import cli
+    from rrcif.errors import RrcifError
+
+    class NoPool:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("the pool was created")
+
+    (tmp_path / "s00.csv").write_text("t,ppg\n")  # never read: a CSV's id is its stem
+    fields = {"fs": 100.0, "samples": [0.0] * 50}
+    record = {"id": "s00", **fields} if id_first else {**fields, "id": "s00"}
+    (tmp_path / "s00.json").write_text(json.dumps(record))
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", NoPool)
+    with pytest.raises(RrcifError, match="record id 's00' is used by both s00.csv and s00.json"):
+        cli._analyze_dataset(tmp_path)
+
+
 def test_benchmark_unknown_method_exit_64(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["benchmark", str(tmp_path), "--methods", "cif,magic"])

@@ -70,6 +70,16 @@ def test_library_modules_leave_environment_and_threads_alone():
     assert _python(code) == ["True", "True", "None"]
 
 
+def test_cli_import_loads_no_process_pool():
+    # multiprocessing loads when a dataset command looks the pool class up, not before
+    code = (
+        "import sys, rrcif.cli\n"
+        "print('multiprocessing' in sys.modules, 'concurrent.futures.process' in sys.modules)\n"
+        "print(rrcif.cli.ProcessPoolExecutor.__module__)\n"
+    )
+    assert _python(code) == ["False", "False", "concurrent.futures.process"]
+
+
 def _numpy_and_scipy_modules_after(statements):
     code = (
         "import contextlib, io, sys\n"
@@ -115,8 +125,9 @@ def test_commands_that_analyze_no_record_load_no_scipy(tmp_path, argv):
 
 @pytest.mark.parametrize("command", ["benchmark", "sweep"])
 def test_pool_is_created_after_the_filter_stack_loads(tmp_path, command):
-    # Forked workers inherit the parent's modules, so scipy must be loaded
-    # before the pool exists or every worker pays for importing it.
+    # Forked workers inherit the parent's modules, so scipy's compiled filter
+    # and peak kernels must be loaded before the pool exists or every worker
+    # pays for loading them.
     for name in ("a.csv", "b.csv"):
         (tmp_path / name).touch()
     code = (
@@ -124,7 +135,7 @@ def test_pool_is_created_after_the_filter_stack_loads(tmp_path, command):
         "from rrcif import cli\n"
         "class Probe:\n"
         "    def __init__(self, *args, **kwargs):\n"
-        "        print('scipy.signal' in sys.modules)\n"
+        "        print(all(f'scipy.signal.{name}' in sys.modules for name in ('_sosfilt', '_peak_finding_utils')))\n"
         "        raise SystemExit(0)\n"
         "cli.ProcessPoolExecutor = Probe\n"
         f"cli.main([{command!r}, {str(tmp_path)!r}, '--out', {str(tmp_path / 'out')!r}])\n"
@@ -132,7 +143,24 @@ def test_pool_is_created_after_the_filter_stack_loads(tmp_path, command):
     assert _python(code) == ["True"]
 
 
+def test_estimate_loads_neither_scipy_signal_nor_scipy_stats(tmp_path):
+    # the band-pass and the peak finder run on scipy's compiled kernels, loaded by file path
+    from rrcif.signal_io import write_record
+
+    record, _ = make_synth(duration=40.0, seed=1)
+    write_record(record, tmp_path / "r.csv")
+    code = (
+        "import sys\n"
+        "from rrcif import cli\n"
+        f"code = cli.main(['estimate', {str(tmp_path / 'r.csv')!r}, '--out', {str(tmp_path / 'est.csv')!r}])\n"
+        "print(code, *(name in sys.modules for name in ('scipy.signal', 'scipy.stats', 'scipy.signal._sosfilt')))\n"
+    )
+    assert _python(code) == ["0", "False", "False", "True"]
+    assert (tmp_path / "est.csv").is_file()
+
+
 def test_only_preprocess_imports_scipy():
+    # and the module that loads scipy's compiled signal kernels for it
     offenders = []
     for path in sorted(Path(SRC, "rrcif").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
@@ -142,7 +170,7 @@ def test_only_preprocess_imports_scipy():
                 modules = [node.module or ""]
             else:
                 continue
-            if path.name != "preprocess.py" and any(m == "scipy" or m.startswith("scipy.") for m in modules):
+            if path.name not in ("preprocess.py", "_sigkernels.py") and any(m == "scipy" or m.startswith("scipy.") for m in modules):
                 offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
 

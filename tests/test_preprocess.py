@@ -1,18 +1,26 @@
+import importlib
+import importlib.machinery
+import sys
 from collections import deque
 from statistics import median
 
 import numpy as np
 import pytest
+import scipy.signal
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.signal import find_peaks
 
+from rrcif import _sigkernels
 from rrcif.errors import InsufficientSignalError, UnsupportedRateError
 from rrcif.preprocess import (
     ARTIFACT_FACTOR,
     ARTIFACT_WINDOW,
+    BAND_HZ,
     CLIP_RUN,
+    FILTER_ORDER,
     MAX_FS_HZ,
+    MIN_FS_HZ,
     PROMINENCE_FACTOR,
     PROMINENCE_WINDOW,
     REFRACTORY_S,
@@ -385,3 +393,81 @@ def test_refine_extremum_matches_scalar_oracle(x, fs, find_max):
 def test_clip_runs_match_run_length_oracle(values):
     raw = np.array(values, dtype=float)
     np.testing.assert_array_equal(_clip_runs(raw), np.array(_clip_runs_loop(raw), dtype=bool), strict=True)
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert (got.dtype, got.shape, got.strides) == (want.dtype, want.shape, want.strides)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_kernels_load_from_the_installed_scipy():
+    # otherwise the oracle below would compare scipy.signal with itself
+    assert len(_sigkernels._load_kernels()) == 4
+    assert _sigkernels._sosfilt is sys.modules["scipy.signal._sosfilt"]._sosfilt
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    fs=st.floats(MIN_FS_HZ, MAX_FS_HZ),
+    extra=st.integers(1, 2000),  # samples beyond the filter's edge padding
+    step=st.sampled_from([0.0, 0.05, 0.5]),  # a quantization step makes plateaus
+    runs=st.lists(st.tuples(st.floats(0.0, 1.0), st.integers(2, 60)), max_size=4),  # (start fraction, length)
+    seed=st.integers(0, 2**32 - 1),
+    distance=st.integers(1, 40),
+)
+@example(fs=MIN_FS_HZ, extra=1, step=0.0, runs=[], seed=1, distance=1)
+@example(fs=MAX_FS_HZ, extra=1, step=0.5, runs=[], seed=2, distance=3)
+@example(fs=100.0, extra=1, step=0.0, runs=[(0.0, 60)], seed=3, distance=2)  # a constant record
+def test_kernels_equal_scipy_signal_bit_for_bit(fs, extra, step, runs, seed, distance):
+    sos = _sigkernels.bandpass_sos(FILTER_ORDER, BAND_HZ, fs)
+    _same_bits(sos, scipy.signal.butter(FILTER_ORDER, BAND_HZ, btype="bandpass", output="sos", fs=fs))
+    padlen = 3 * (2 * len(sos) + 1)
+    n = padlen + extra
+    rng = np.random.default_rng(seed)
+    x = np.cumsum(rng.normal(size=n)) + np.sin(2 * np.pi * 1.2 * np.arange(n) / fs)
+    if step:
+        x = np.round(x / step) * step
+    for start, length in runs:
+        i = int(start * (n - 1))
+        x[i : i + length] = x[i]
+    y = _sigkernels.sosfiltfilt(sos, x, padlen)
+    _same_bits(y, scipy.signal.sosfiltfilt(sos, x, padlen=padlen))
+    for samples, d in ((x, distance), (y - np.mean(y), max(1, int(round(REFRACTORY_S * fs))))):
+        peaks, prominences = _sigkernels.find_peaks(samples, d, 1e-12)
+        want, properties = scipy.signal.find_peaks(samples, distance=d, prominence=1e-12)
+        _same_bits(peaks, want)
+        _same_bits(prominences, properties["prominences"])
+
+
+class _NoExtensionLoader:
+    def __init__(self, *args):
+        raise ImportError("extension loading is switched off")
+
+
+@pytest.mark.parametrize("fs", [MIN_FS_HZ, 100.0, 1000.0])
+def test_scipy_signal_fallback_gives_the_same_output(monkeypatch, fs):
+    record, _ = make_synth(duration=60.0, fs=fs, noise=0.05, seed=4)
+    filtered = bandpass(record)
+    beats = segment_beats(filtered)
+    calls = []
+    for name in ("butter", "sosfiltfilt", "find_peaks"):
+        def spy(*args, _name=name, _real=getattr(scipy.signal, name), **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.signal, name, spy)
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(importlib.machinery, "ExtensionFileLoader", _NoExtensionLoader)
+            importlib.reload(_sigkernels)
+        fallback = bandpass(record)
+        fallback_beats = segment_beats(fallback)
+    finally:
+        importlib.reload(_sigkernels)
+    assert calls == ["butter", "sosfiltfilt", "find_peaks"]
+    _same_bits(fallback.samples, filtered.samples)
+    for name in (*BEAT_COLUMNS, "artifact"):
+        _same_bits(getattr(fallback_beats, name), getattr(beats, name))
+    segment_beats(bandpass(record))
+    assert len(calls) == 3  # the reload restored the compiled path
