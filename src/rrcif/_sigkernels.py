@@ -1,24 +1,11 @@
-"""scipy's compiled band-pass and peak-finding kernels, without ``scipy.signal``.
+"""scipy's compiled band-pass and peak-finding kernels, loaded without ``scipy.signal``.
 
-Importing ``scipy.signal`` takes over a second and about 70 MB, nearly all
-of it in modules rrcif never calls. rrcif uses three of its functions, each
-in one way: ``butter`` for a Butterworth band-pass as second-order sections,
-``sosfiltfilt`` with odd extension and a given ``padlen``, and
-``find_peaks`` with ``distance`` and a prominence floor. This module loads
-the two compiled extensions behind them, ``scipy/signal/_sosfilt`` and
-``scipy/signal/_peak_finding_utils``, by file path from the installed
-scipy; only the top-level ``scipy`` package is imported with them. It
-carries the Python glue of those three calls, ported from scipy 1.17's
-``_filter_design.py``, ``_signaltools.py`` and ``_peak_finding.py``
-(BSD-3-Clause; Copyright (c) 2001-2002 Enthought, Inc. 2003, SciPy
-Developers) and cut to the branches rrcif reaches. The recursion itself
-stays scipy's compiled ``_sosfilt``, and every result equals scipy's bit for
-bit (``tests/test_preprocess.py`` compares them).
-
-If an extension cannot be loaded, or one of its functions takes other
-parameters than these (say, after a scipy upgrade), the three functions are
-scipy's public ones instead. That fallback at the end of this module is the
-one switch point.
+The glue is ported from scipy 1.17's ``_filter_design.py``, ``_signaltools.py``
+and ``_peak_finding.py`` (BSD-3-Clause; Copyright (c) 2001-2002 Enthought, Inc.
+2003, SciPy Developers), cut to the one way rrcif calls ``butter``,
+``sosfiltfilt`` and ``find_peaks``. If the extensions cannot be loaded, the
+fallback at the end of this module uses scipy's public functions instead. See
+README's process model for why, and for what each command loads.
 """
 
 from __future__ import annotations

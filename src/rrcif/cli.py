@@ -221,22 +221,16 @@ def _analyze_subject(path):
 
 def _record_id(path):
     """The record id that reading `path` gives: a CSV's stem or a JSON record's
-    ``"id"``; None for a JSON file whose id cannot be read, which its worker reports.
-
-    When ``"id"`` is the object's first key, as `signal_io.write_record` writes
-    it, only that value is decoded, not the samples after it.
+    ``"id"`` as the reader takes it; None for a JSON file the reader rejects,
+    which its worker reports.
     """
     if path.suffix != ".json":
         return path.stem
-    import json
-    import re
+    from . import signal_io
 
     try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-        head = re.match(r'\s*\{\s*"id"\s*:\s*', text)
-        return str(json.JSONDecoder().raw_decode(text, head.end())[0] if head else json.loads(text)["id"])
-    except (OSError, ValueError, TypeError, KeyError):
+        return signal_io.read_record_json(path)[0].id
+    except (RrcifError, OSError):
         return None
 
 

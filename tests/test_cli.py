@@ -390,8 +390,7 @@ def test_sweep_id_of_two_jsons_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("id_first", [True, False])
-def test_duplicate_ids_are_found_before_the_pool_starts(tmp_path, monkeypatch, id_first):
+def test_duplicate_ids_are_found_before_the_pool_starts(tmp_path, monkeypatch):
     from rrcif import cli
     from rrcif.errors import RrcifError
 
@@ -400,12 +399,33 @@ def test_duplicate_ids_are_found_before_the_pool_starts(tmp_path, monkeypatch, i
             raise AssertionError("the pool was created")
 
     (tmp_path / "s00.csv").write_text("t,ppg\n")  # never read: a CSV's id is its stem
-    fields = {"fs": 100.0, "samples": [0.0] * 50}
-    record = {"id": "s00", **fields} if id_first else {**fields, "id": "s00"}
-    (tmp_path / "s00.json").write_text(json.dumps(record))
+    (tmp_path / "s00.json").write_text(json.dumps({"id": "s00", "fs": 100.0, "samples": [0.0] * 50}))
     monkeypatch.setattr(cli, "ProcessPoolExecutor", NoPool)
     with pytest.raises(RrcifError, match="record id 's00' is used by both s00.csv and s00.json"):
         cli._analyze_dataset(tmp_path)
+
+
+def test_a_repeated_json_id_key_clashes_by_its_last_value(tmp_path, capsys):
+    # the reader's json.load keeps the last "id", so that is the one that clashes
+    _write_subject(tmp_path, "s00", seed=1)
+    _write_subject(tmp_path, "s01", seed=2)
+    _write_json_subject(tmp_path / "x.json", "s00", seed=3)
+    text = (tmp_path / "x.json").read_text()
+    (tmp_path / "x.json").write_text('{"id": "x", ' + text[1:])
+    out_dir = tmp_path / "out"
+    assert main(["benchmark", str(tmp_path), "--out", str(out_dir)]) == 2
+    assert "record id 's00' is used by both s00.csv and x.json" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_a_json_the_reader_rejects_takes_no_part_in_the_id_check(tmp_path, capsys):
+    _write_subject(tmp_path, "s00", seed=1)
+    _write_subject(tmp_path, "s01", seed=2)
+    (tmp_path / "s00.json").write_text(json.dumps({"id": "s00", "fs": 100.0, "samples": "none"}))
+    out_dir = tmp_path / "out"
+    assert main(["benchmark", str(tmp_path), "--out", str(out_dir)]) == 0
+    assert "warning: skipping s00.json" in capsys.readouterr().err
+    assert (out_dir / "report.json").exists()
 
 
 def test_benchmark_unknown_method_exit_64(tmp_path):
