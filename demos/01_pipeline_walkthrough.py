@@ -6,6 +6,7 @@ Run:  python3 demos/01_pipeline_walkthrough.py
 import numpy as np
 
 from rrcif import evaluation, pipeline, signal_io
+from rrcif.fusion import fuse_estimates
 from rrcif.preprocess import bandpass, flag_artifacts, segment_beats
 from rrcif.riv import ALL_KINDS, extract
 from rrcif.spectral import WINDOW_S
@@ -44,6 +45,6 @@ for kind, rr, ni in zip(ALL_KINDS, table.rr[10], table.ni[10]):
 reasons, counts = np.unique(table.reason, return_counts=True)
 print("estimate table reasons: " + ", ".join(f"{r}={c}" for r, c in zip(reasons, counts)))
 
-fusion = pipeline.fuse_estimates(table, method="cif", t=0.13)
+fusion = fuse_estimates(table, method="cif", t=0.13)
 rmse, retention = evaluation.score(fusion, evaluation.reference_at(reference, table.start_s))
 print(f"\nCIF at t=0.13 over {table.start_s.size} windows: RMSE {rmse:.3f} breaths/min, retention {retention:.3f}")

@@ -9,21 +9,25 @@ Run:  python3 demos/03_fusion_comparison.py
 
 import math
 
-from rrcif import evaluation, pipeline, signal_io
+from rrcif import METHODS, evaluation, pipeline, signal_io
 from rrcif.signal_io import ModDepths, SynthSpec
 
-print(f"{'subject':>8} {'method':>6} {'RMSE':>7} {'retention':>10}")
-for seed in (1, 2, 3):
+SEEDS = (1, 2, 3)
+
+subjects = []
+for seed in SEEDS:
     spec = SynthSpec(
         rr=16.0 + 3 * seed, hr=80.0, duration_s=480.0, fs=100.0,
         depths=ModDepths(intensity=0.1, amplitude=0.1, frequency=0.0, width=0.1, slope=0.1),
         noise_sd=0.1, seed=seed,
     )
     record, reference = signal_io.synthesize(spec)
-    estimates = pipeline.analyze_record(record).estimates
-    ref_rates = evaluation.reference_at(reference, estimates.start_s)
-    for method in ("cif", "sf3", "sf5"):
-        fusion = pipeline.fuse_estimates(estimates, method, t=0.13)
-        rmse, retention = evaluation.score(fusion, ref_rates)
+    subjects.append((pipeline.analyze_record(record).estimates, reference))
+scores, _ = evaluation.report(subjects, METHODS, t=0.13)
+
+print(f"{'subject':>8} {'method':>6} {'RMSE':>7} {'retention':>10}")
+for i, seed in enumerate(SEEDS):
+    for method in METHODS:
+        rmse, retention = (values[i] for values in scores[method])
         rmse = "  n/a" if math.isnan(rmse) else f"{rmse:.3f}"
         print(f"{'s' + str(seed):>8} {method.upper():>6} {rmse:>7} {retention:>10.3f}")

@@ -89,7 +89,8 @@ def _check_t(parser, t):
 def _check_on_grid(parser, option, value, zero_ok=False):
     """Usage error unless `value` is a positive multiple of T_RESOLUTION (or 0
     with `zero_ok`) within 1e-9, so the printed t column names the threshold used."""
-    k = round(value / T_RESOLUTION) if math.isfinite(value) else -1
+    steps = value / T_RESOLUTION
+    k = round(steps) if math.isfinite(steps) else -1  # a huge value overflows to inf
     if not (abs(value - k * T_RESOLUTION) <= 1e-9 and (k > 0 or zero_ok and k == 0)):
         kind = "a non-negative" if zero_ok else "a positive"
         parser.error(f"{option} must be {kind} multiple of {T_RESOLUTION}, got {value}")
@@ -172,7 +173,7 @@ def _cmd_estimate(args, parser):
     _check_t(parser, args.t)
     # usage errors come before any reading or writing
     spectrum_at = _spectrum_request(parser, args.dump_spectrum) if args.dump_spectrum else None
-    from . import pipeline, signal_io
+    from . import fusion, pipeline, signal_io
     from .spectral import window_spectrum
 
     record = signal_io.read_record(args.input)
@@ -181,8 +182,8 @@ def _cmd_estimate(args, parser):
         window_index, kind = spectrum_at
         # a missing or unrated window is a data error, raised before any output is written
         spectrum = window_spectrum(analysis.rivs, analysis.estimates, window_index, kind)
-    fusion = pipeline.fuse_estimates(analysis.estimates, args.method, args.t)
-    _write_estimates(args.out, fusion, analysis.estimates, args.method, args.t)
+    fused = fusion.fuse_estimates(analysis.estimates, args.method, args.t)
+    _write_estimates(args.out, fused, analysis.estimates, args.method, args.t)
     if args.dump_beats:
         _dump_beats(args.dump_beats, analysis.beats)
     if args.dump_riv:
@@ -313,68 +314,20 @@ def _cmd_benchmark(args, parser):
             parser.error(f"method {m!r} given twice")
     import json
 
-    import numpy as np
-
-    from . import evaluation, pipeline
+    from . import evaluation
 
     subjects, skipped = _analyze_dataset(args.dataset)
+    scores, summary = evaluation.report([(estimates, ref) for _, estimates, ref in subjects], methods, args.t)
 
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    ref_rates = [evaluation.reference_at(ref, estimates.start_s) for _, estimates, ref in subjects]
-    fused, rmse, retention = {}, {}, {}
-    for method in methods:
-        fused[method] = [pipeline.fuse_estimates(estimates, method, args.t) for _, estimates, _ in subjects]
-        rmse[method], retention[method] = np.array([evaluation.score(f, r) for f, r in zip(fused[method], ref_rates)]).T
-
     lines = [_header(",".join(methods), args.t), "id,method,t,rmse,retention\n"]
-    for method in methods:
-        for (record_id, _, _), subject_rmse, subject_retention in zip(subjects, rmse[method], retention[method]):
-            subject_rmse = "" if np.isnan(subject_rmse) else f"{subject_rmse:.6g}"
+    for method, (rmse, retention) in scores.items():
+        for (record_id, _, _), subject_rmse, subject_retention in zip(subjects, rmse.tolist(), retention.tolist()):
+            subject_rmse = "" if math.isnan(subject_rmse) else f"{subject_rmse:.6g}"
             lines.append(f"{record_id},{method.upper()},{args.t:.2f},{subject_rmse},{subject_retention:.6g}\n")
     _emit(out_dir / "subjects.csv", lines)
-
-    report = {
-        "version": _version(),
-        "t": args.t,
-        "subjects": len(subjects),
-        "skipped": skipped,
-        "methods": {},
-        "wilcoxon_bonferroni": {},
-    }
-    for method in methods:
-        scored = rmse[method][~np.isnan(rmse[method])]
-        report["methods"][method] = {
-            "rmse_median": float(np.median(scored)) if scored.size else None,
-            "retention_median": float(np.median(retention[method])),
-        }
-    if len(subjects) >= 6:
-        for metric, values in (("rmse", rmse), ("retention", retention)):
-            raw = {}
-            for i, m1 in enumerate(methods):
-                for m2 in methods[i + 1 :]:
-                    x, y = values[m1], values[m2]
-                    keep = ~(np.isnan(x) | np.isnan(y))
-                    if keep.sum() >= 6:
-                        raw[f"{m1}_vs_{m2}"] = evaluation.wilcoxon_signed_rank(x[keep], y[keep])
-            # Bonferroni over the pairs actually tested for this metric
-            report["wilcoxon_bonferroni"][metric] = {pair: min(1.0, len(raw) * p) for pair, p in raw.items()}
-    if "cif" in methods:
-        est = np.concatenate([f.rr_fusion[f.retained] for f in fused["cif"]])
-        ref = np.concatenate([r[f.retained] for f, r in zip(fused["cif"], ref_rates)])
-        if est.size >= 2:
-            stats = evaluation.agreement(est, ref)
-            report["agreement_cif"] = {
-                "r": None if np.isnan(stats.r) else stats.r,
-                "bias": stats.bias,
-                "loa_low": stats.loa_low,
-                "loa_high": stats.loa_high,
-                "n_pairs": stats.n_pairs,
-            }
-    with open(out_dir / "report.json", "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    report = {"version": _version(), "skipped": skipped, **summary}
+    _emit(out_dir / "report.json", [json.dumps(report, indent=2, sort_keys=True), "\n"])
     return EXIT_OK
 
 

@@ -1,5 +1,6 @@
 """Benchmark metrics: per-subject RMSE and retention, threshold sweeps,
-Bland-Altman / Pearson agreement, and the paired Wilcoxon signed-rank test.
+Bland-Altman / Pearson agreement, the paired Wilcoxon signed-rank test, and
+the report of a dataset; `report` and `sweep` score through one path.
 
 Reference alignment: each analysis window scores against the mean of the
 reference samples falling inside it, or the value interpolated at the window
@@ -9,13 +10,14 @@ statistics. Agreement statistics pool the retained windows of all subjects.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .fusion import FusionResult, cif
+from .fusion import FusionResult, fuse_estimates
 from .signal_io import ReferenceRr
 from .spectral import WINDOW_S, EstimateTable
 
@@ -79,6 +81,14 @@ def score(fusion: FusionResult, ref_rates):
     return rmse, n_kept / max(kept.shape[-1], 1)
 
 
+def _fuse_and_score(subjects, method, t):
+    """Each subject's (fusion, reference rates, rmse, retention), fused by `method` at threshold(s) `t`."""
+    for table, reference in subjects:
+        fusion = fuse_estimates(table, method, t)
+        ref_rates = reference_at(reference, table.start_s)
+        yield (fusion, ref_rates, *score(fusion, ref_rates))
+
+
 def sweep(subjects: list[tuple[EstimateTable, ReferenceRr]], t_grid=T_GRID_DEFAULT) -> list[SweepRow]:
     """Across-subject RMSE quartiles and median retention per CIF threshold.
 
@@ -88,10 +98,7 @@ def sweep(subjects: list[tuple[EstimateTable, ReferenceRr]], t_grid=T_GRID_DEFAU
     if not subjects:
         raise ValueError("need at least one subject")
     t_grid = np.asarray(t_grid, dtype=float)
-    rmse, retention = zip(*(
-        score(cif(table.rr, table.ni, t_grid), reference_at(reference, table.start_s))
-        for table, reference in subjects
-    ))
+    rmse, retention = zip(*(scores for _, _, *scores in _fuse_and_score(subjects, "cif", t_grid)))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # a threshold no subject retains gives NaN
         quartiles = np.nanpercentile(rmse, (25, 50, 75), axis=0)
@@ -99,6 +106,44 @@ def sweep(subjects: list[tuple[EstimateTable, ReferenceRr]], t_grid=T_GRID_DEFAU
         SweepRow(t=float(t), rmse_p25=float(p25), rmse_median=float(med), rmse_p75=float(p75), retention_median=float(r))
         for t, (p25, med, p75), r in zip(t_grid, quartiles.T, np.median(retention, axis=0))
     ]
+
+
+def report(subjects: list[tuple[EstimateTable, ReferenceRr]], methods, t) -> tuple[dict, dict]:
+    """(scores, summary) of `methods` fused at `t` over (EstimateTable, ReferenceRr) subjects.
+
+    ``scores[method]`` holds per-subject rmse (NaN where no window is
+    retained) and retention arrays. ``summary`` holds each method's median
+    RMSE over its scored subjects and median retention; with >= 6 subjects,
+    each metric's Wilcoxon p-values of the method pairs scored jointly on
+    >= 6, times the pairs so tested; and with "cif", its pooled agreement.
+    """
+    if not subjects:
+        raise ValueError("need at least one subject")
+    summary = {"t": t, "subjects": len(subjects), "methods": {}, "wilcoxon_bonferroni": {}}
+    scores, est, ref = {}, np.empty(0), np.empty(0)
+    for method in methods:
+        fusions, ref_rates, rmse, retention = zip(*_fuse_and_score(subjects, method, t))
+        rmse, retention = scores[method] = np.array(rmse), np.array(retention)
+        scored = rmse[~np.isnan(rmse)]
+        rmse_median = float(np.median(scored)) if scored.size else None
+        summary["methods"][method] = {"rmse_median": rmse_median, "retention_median": float(np.median(retention))}
+        if method == "cif":  # its retained windows, pooled for the agreement
+            est = np.concatenate([f.rr_fusion[f.retained] for f in fusions])
+            ref = np.concatenate([r[f.retained] for f, r in zip(fusions, ref_rates)])
+    if len(subjects) >= 6:
+        for i, metric in enumerate(("rmse", "retention")):
+            raw = {}
+            for m1, m2 in itertools.combinations(methods, 2):
+                x, y = scores[m1][i], scores[m2][i]
+                keep = ~(np.isnan(x) | np.isnan(y))
+                if keep.sum() >= 6:
+                    raw[f"{m1}_vs_{m2}"] = wilcoxon_signed_rank(x[keep], y[keep])
+            # Bonferroni over the pairs actually tested for this metric
+            summary["wilcoxon_bonferroni"][metric] = {pair: min(1.0, len(raw) * p) for pair, p in raw.items()}
+    if est.size >= 2:
+        stats = agreement(est, ref)
+        summary["agreement_cif"] = {**asdict(stats), "r": None if math.isnan(stats.r) else stats.r}
+    return scores, summary
 
 
 def agreement(est, ref) -> AgreementStats:

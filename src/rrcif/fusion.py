@@ -30,8 +30,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import DEFAULT_THRESHOLD, METHODS
 from .errors import EmptyFusionError
 from .riv import ALL_KINDS, RivKind
+from .spectral import EstimateTable
 
 COVARIANCE_FLOOR = 1e-6
 SF_SD_LIMIT_BPM = 4.0
@@ -114,3 +116,14 @@ def smart_fusion(rr, kinds: tuple[RivKind, ...]) -> FusionResult:
         contributors=retained[..., None] & member,
         retained=retained,
     )
+
+
+def fuse_estimates(estimates: EstimateTable, method: str = "cif", t: float = DEFAULT_THRESHOLD) -> FusionResult:
+    """Fuse every window of an estimate table with 'cif', 'sf3' or 'sf5'."""
+    if method == "cif":
+        return cif(estimates.rr, estimates.ni, t)
+    if method == "sf3":
+        return smart_fusion(estimates.rr, SF3)
+    if method == "sf5":
+        return smart_fusion(estimates.rr, SF5)
+    raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")

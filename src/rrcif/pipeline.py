@@ -1,13 +1,11 @@
-"""End-to-end wiring: record -> beats -> variation series -> estimate table
--> fused rates.
+"""End-to-end analysis of one record: PPG -> beats -> variation series ->
+estimate table. Fusion, at any threshold, is :func:`rrcif.fusion.fuse_estimates`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import DEFAULT_THRESHOLD, METHODS
-from .fusion import SF3, SF5, FusionResult, cif, smart_fusion
 from .preprocess import BeatTable, bandpass, flag_artifacts, segment_beats
 from .riv import RivTable, extract
 from .signal_io import PpgRecord
@@ -37,13 +35,3 @@ def analyze_record(record: PpgRecord) -> RecordAnalysis:
     estimates = rate_windows(rivs, record.duration_s)
     return RecordAnalysis(record_id=record.id, estimates=estimates, beats=beats, rivs=rivs)
 
-
-def fuse_estimates(estimates: EstimateTable, method: str = "cif", t: float = DEFAULT_THRESHOLD) -> FusionResult:
-    """Fuse every window of an estimate table with 'cif', 'sf3' or 'sf5'."""
-    if method == "cif":
-        return cif(estimates.rr, estimates.ni, t)
-    if method == "sf3":
-        return smart_fusion(estimates.rr, SF3)
-    if method == "sf5":
-        return smart_fusion(estimates.rr, SF5)
-    raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")

@@ -16,7 +16,7 @@ import pytest
 from scipy.stats import rankdata, spearmanr
 
 from rrcif import evaluation, pipeline, signal_io, spectral
-from rrcif.fusion import COVARIANCE_FLOOR, cif
+from rrcif.fusion import COVARIANCE_FLOOR, cif, fuse_estimates
 from rrcif.signal_io import ModDepths, SynthSpec
 from rrcif.spectral import NFFT, fit_power_law
 
@@ -119,7 +119,7 @@ def recovery_results():
                          depths=ModDepths(0.1, 0.1, 0.1, 0.1, 0.1), noise_sd=0.02, seed=seed)
         record, reference = signal_io.synthesize(spec)
         analysis = pipeline.analyze_record(record)
-        fusions = pipeline.fuse_estimates(analysis.estimates, "cif", t=0.13)
+        fusions = fuse_estimates(analysis.estimates, "cif", t=0.13)
         results.append(evaluation.score(fusions, evaluation.reference_at(reference, analysis.estimates.start_s)))
     return results, time.perf_counter() - start
 
@@ -170,7 +170,7 @@ def test_criterion_5_cif_beats_sf5_without_rifv():
         analysis = pipeline.analyze_record(record)
         scores = {}
         for method in ("cif", "sf5"):
-            fusions = pipeline.fuse_estimates(analysis.estimates, method, t=0.13)
+            fusions = fuse_estimates(analysis.estimates, method, t=0.13)
             _, scores[method] = evaluation.score(fusions, evaluation.reference_at(reference, analysis.estimates.start_s))
         ordering_holds &= scores["cif"] > scores["sf5"]
         details.append(f"{scores['cif']:.2f}>{scores['sf5']:.2f}")
@@ -263,7 +263,7 @@ def test_criterion_8_performance():
     record, _ = make_synth(duration=90.0, seed=9)  # 30 windows
     start = time.perf_counter()
     analysis = pipeline.analyze_record(record)
-    fusions = pipeline.fuse_estimates(analysis.estimates, "cif", t=0.13)
+    fusions = fuse_estimates(analysis.estimates, "cif", t=0.13)
     elapsed = time.perf_counter() - start
     n_estimates = int(fusions.retained.sum())
     _check(

@@ -255,10 +255,11 @@ def test_sweep_fine_step_exit_64(tmp_path):
         (["sweep", "--t-min", "0.005"], "--t-min"),
         (["sweep", "--t-step", "0.015"], "--t-step"),
         (["sweep", "--t-step", "0"], "--t-step"),
+        (["sweep", "--t-step", "1e308"], "--t-step"),  # its count of grid steps overflows
         (["benchmark", "--t", "0.125"], "--t"),
         (["benchmark", "--t", "0"], "--t"),
     ],
-    ids=["sweep-t-min", "sweep-t-step", "sweep-t-step-0", "benchmark-t", "benchmark-t-0"],
+    ids=["sweep-t-min", "sweep-t-step", "sweep-t-step-0", "sweep-t-step-overflow", "benchmark-t", "benchmark-t-0"],
 )
 def test_threshold_off_the_t_column_grid_exit_64(tmp_path, capsys, argv, option):
     # the t column prints two decimals, so a threshold between them would be misreported;
@@ -441,7 +442,7 @@ def test_benchmark_repeated_method_exit_64(tmp_path):
 
 
 def test_benchmark_bonferroni_counts_tested_pairs(tmp_path):
-    from rrcif import evaluation, pipeline
+    from rrcif import cli, evaluation, fusion
 
     data = tmp_path / "data"
     data.mkdir()
@@ -451,18 +452,21 @@ def test_benchmark_bonferroni_counts_tested_pairs(tmp_path):
     assert main(["benchmark", str(data), "--methods", "cif,sf3", "--out", str(out_dir)]) == 0
     report = json.loads((out_dir / "report.json").read_text())
 
-    scores = {"cif": [], "sf3": []}
+    subjects, scores = [], {"cif": [], "sf3": []}
     for i in range(6):
         analysis = pipeline.analyze_record(read_record(data / f"s{i}.csv"))
         reference = read_reference(data / f"s{i}_ref.csv")
+        subjects.append((analysis.estimates, reference))
         for method in scores:
-            fused = pipeline.fuse_estimates(analysis.estimates, method, 0.13)
+            fused = fusion.fuse_estimates(analysis.estimates, method, 0.13)
             scores[method].append(evaluation.score(fused, evaluation.reference_at(reference, analysis.estimates.start_s)))
     for i, metric in enumerate(("rmse", "retention")):
         p = evaluation.wilcoxon_signed_rank(*([r[i] for r in scores[m]] for m in ("cif", "sf3")))
         assert report["wilcoxon_bonferroni"][metric] == {"cif_vs_sf3": pytest.approx(p, rel=1e-12)}
         if metric == "rmse":
             assert p < 1.0 / 3.0  # so a tripled p-value would differ
+    # report.json is the in-process report plus the version and the skipped files
+    assert report == {"version": cli.VERSION, "skipped": [], **evaluation.report(subjects, ["cif", "sf3"], 0.13)[1]}
 
 
 def test_estimate_short_record_exit_2(tmp_path, capsys):

@@ -143,6 +143,16 @@ def test_pool_is_created_after_the_filter_stack_loads(tmp_path, command):
     assert _python(code) == ["True"]
 
 
+def test_evaluation_loads_neither_scipy_nor_the_filter_stack():
+    # benchmark imports evaluation before its pool: were the filter stack to come
+    # with it, the benchmark case of the pool-order test above could not fail
+    code = (
+        "import sys, rrcif.evaluation\n"
+        "print(any(n == 'scipy' or n.startswith('scipy.') for n in sys.modules), 'rrcif.preprocess' in sys.modules)\n"
+    )
+    assert _python(code) == ["False", "False"]
+
+
 def test_estimate_loads_neither_scipy_signal_nor_scipy_stats(tmp_path):
     # the band-pass and the peak finder run on scipy's compiled kernels, loaded by file path
     from rrcif.signal_io import write_record

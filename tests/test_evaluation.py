@@ -11,6 +11,7 @@ from rrcif.evaluation import (
     _midranks,
     agreement,
     reference_at,
+    report,
     score,
     sweep,
     wilcoxon_signed_rank,
@@ -201,6 +202,50 @@ def test_sweep_retention_non_increasing():
 def test_sweep_empty_dataset_rejected():
     with pytest.raises(ValueError):
         sweep([])
+
+
+# ---------------------------------------------------------------------------
+# report
+
+
+def _bonferroni_subjects():
+    """Six 50 s subjects (10 windows) at reference rate 20 whose CIF, SF3 and SF5 scores differ.
+
+    Subject i: every rate is 21 + i/2, RIWV and RISV 1 more; CIF gates out the
+    first gated[i] windows (subject 5: all of them, so its CIF RMSE is NaN),
+    and RIWV is unrated in the first unrated[i] windows, which SF5 drops.
+    """
+    subjects = []
+    for i, (gated, unrated) in enumerate(zip((1, 2, 3, 4, 5, 10), (0, 1, 1, 2, 2, 3))):
+        rr = np.full((10, 5), 21.0 + 0.5 * i)
+        rr[:, 3:] += 1.0
+        ni = np.where(np.arange(10)[:, None] < gated, 0.05, 0.5) * np.ones(5)
+        rr[:unrated, 3] = ni[:unrated, 3] = np.nan
+        subjects.append(_subject(ni, rr, duration=50.0))
+    return subjects
+
+
+def test_report_bonferroni_counts_the_pairs_tested_per_metric():
+    methods = ["cif", "sf3", "sf5"]
+    scores, summary = report(_bonferroni_subjects(), methods, 0.13)
+    rmse, retention = ({m: scores[m][k] for m in methods} for k in (0, 1))
+    assert np.isnan(rmse["cif"][5]) and np.isfinite(rmse["cif"][:5]).all()
+    np.testing.assert_array_equal(retention["cif"], [0.9, 0.8, 0.7, 0.6, 0.5, 0.0])
+    # rmse: the two CIF pairs are scored jointly on 5 subjects, so only one pair is tested
+    p = wilcoxon_signed_rank(rmse["sf3"], rmse["sf5"])
+    assert summary["wilcoxon_bonferroni"]["rmse"] == {"sf3_vs_sf5": p}
+    # retention: every subject is scored, so all three pairs are tested, and each p is tripled
+    raw = {f"{a}_vs_{b}": wilcoxon_signed_rank(retention[a], retention[b]) for a, b in itertools.combinations(methods, 2)}
+    assert summary["wilcoxon_bonferroni"]["retention"] == {pair: 3 * q for pair, q in raw.items()}
+    assert max(p, *raw.values()) < 1.0 / 3.0  # so a wrong factor would show
+    assert summary["methods"]["cif"]["rmse_median"] == float(np.median(rmse["cif"][:5]))
+    assert summary["agreement_cif"]["n_pairs"] == 9 + 8 + 7 + 6 + 5
+
+
+def test_report_fewer_than_six_subjects_tests_nothing():
+    _, summary = report(_bonferroni_subjects()[:5], ["cif", "sf3", "sf5"], 0.13)
+    assert summary["wilcoxon_bonferroni"] == {}
+    assert summary["subjects"] == 5
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from rrcif import evaluation, pipeline
+from rrcif.fusion import fuse_estimates
 from rrcif.signal_io import PpgRecord
 
 from conftest import make_synth
@@ -60,7 +61,7 @@ def observe(record, reference):
     analysis = pipeline.analyze_record(record)
     out = {"rr": analysis.estimates.rr, "ni": analysis.estimates.ni}
     for method in METHODS:
-        fusion = pipeline.fuse_estimates(analysis.estimates, method, T)
+        fusion = fuse_estimates(analysis.estimates, method, T)
         out[f"{method}_rr"] = fusion.rr_fusion
         out[f"{method}_retained"] = fusion.retained
     return out

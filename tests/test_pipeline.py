@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from rrcif import pipeline
+from rrcif import METHODS, pipeline
+from rrcif.fusion import fuse_estimates
 from rrcif.spectral import REASONS
 
 from conftest import make_synth
@@ -32,10 +33,10 @@ def test_late_first_beat_is_out_of_range(late_start):
 
 
 def test_fuse_estimates_methods(late_start):
-    for method in pipeline.METHODS:
-        fused = pipeline.fuse_estimates(late_start.estimates, method, 0.13)
+    for method in METHODS:
+        fused = fuse_estimates(late_start.estimates, method, 0.13)
         assert fused.retained.shape == (late_start.estimates.start_s.size,)
         assert not fused.retained[0]
         assert fused.retained[1:].all()
     with pytest.raises(ValueError):
-        pipeline.fuse_estimates(late_start.estimates, "magic", 0.13)
+        fuse_estimates(late_start.estimates, "magic", 0.13)
