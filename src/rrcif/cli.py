@@ -20,14 +20,13 @@ which needs the variation kinds).
 from __future__ import annotations
 
 import argparse
-import functools
 import math
 import os
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from . import DEFAULT_THRESHOLD, METHODS
+from . import DEFAULT_THRESHOLD, METHODS, __version__ as VERSION
 from .errors import RrcifError
 
 if TYPE_CHECKING:
@@ -44,23 +43,9 @@ T_RESOLUTION = 0.01  # the printed t column has two decimals
 PR_SET_PDEATHSIG = 1  # from <linux/prctl.h>
 
 
-@functools.cache
-def _version() -> str:
-    """The installed package version, looked up on first use: the metadata
-    lookup costs more than building the parser."""
-    from importlib.metadata import PackageNotFoundError, version
-
-    try:
-        return version("rrcif")
-    except PackageNotFoundError:  # running from a source tree
-        return "0.1.0"
-
-
 def __getattr__(name):
-    """``VERSION`` and ``ProcessPoolExecutor``, looked up on first use: the
-    pool class loads multiprocessing, which only the dataset commands need."""
-    if name == "VERSION":
-        return _version()
+    """``ProcessPoolExecutor``, looked up on first use: the pool class loads
+    multiprocessing, which only the dataset commands need."""
     if name == "ProcessPoolExecutor":
         from concurrent.futures import ProcessPoolExecutor
 
@@ -78,7 +63,7 @@ def _header(method: str, t: float) -> str:
     text = f"{t:g}"
     if float(text) != t:  # :g keeps 6 significant digits; the header must name the t used
         text = repr(t)
-    return f"# rrcif {_version()} method={method} t={text}\n"
+    return f"# rrcif {VERSION} method={method} t={text}\n"
 
 
 def _check_t(parser, t):
@@ -258,8 +243,10 @@ def _analyze_dataset(directory):
     A subject is <id>.csv with <id>_ref.csv beside it, or a record JSON with
     an embedded reference. Subjects are analyzed in worker processes, one per
     available CPU but no more than there are subjects. Workers are forked, so
-    they start with the modules this process has already imported. One that
-    cannot be read or analyzed is warned about and skipped, in path order.
+    they start with the modules this process has already imported; the
+    analysis is imported before the pool and loads no module on first use,
+    so no worker imports a numpy, scipy or rrcif module for itself. A subject
+    that cannot be read or analyzed is warned about and skipped, in path order.
     Two files with the same record id are a data error, found before any
     subject is analyzed.
     Returns ((record id, estimates, reference) triples, skipped names).
@@ -279,7 +266,7 @@ def _analyze_dataset(directory):
     workers = min(len(records), len(os.sched_getaffinity(0)))
     import multiprocessing
 
-    # forked workers inherit the filter stack and its compiled kernels, so none loads them itself
+    # forked workers inherit the analysis, scipy's compiled kernels and numpy.fft, so none loads them itself
     from . import pipeline  # noqa: F401
 
     # looked up on the module, where tests may replace it
@@ -326,7 +313,7 @@ def _cmd_benchmark(args, parser):
             subject_rmse = "" if math.isnan(subject_rmse) else f"{subject_rmse:.6g}"
             lines.append(f"{record_id},{method.upper()},{args.t:.2f},{subject_rmse},{subject_retention:.6g}\n")
     _emit(out_dir / "subjects.csv", lines)
-    report = {"version": _version(), "skipped": skipped, **summary}
+    report = {"version": VERSION, "skipped": skipped, **summary}
     _emit(out_dir / "report.json", [json.dumps(report, indent=2, sort_keys=True), "\n"])
     return EXIT_OK
 
@@ -369,7 +356,7 @@ def _cmd_synth(args, parser):
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     provenance = (
-        f"rrcif {_version()} synth rr={spec.rr:g} hr={spec.hr:g} fs={spec.fs:g} "
+        f"rrcif {VERSION} synth rr={spec.rr:g} hr={spec.hr:g} fs={spec.fs:g} "
         f"noise_sd={spec.noise_sd:g} seed={spec.seed}"
     )
     signal_io.write_record(record, out.with_suffix(".csv"), comment=provenance)

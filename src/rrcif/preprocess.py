@@ -23,14 +23,13 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from statistics import median
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import _sigkernels
 from .errors import InsufficientSignalError, UnsupportedRateError
-from .signal_io import PpgRecord
+from .signal_io import PpgRecord, _median
 
 BAND_HZ = (0.4, 8.0)
 FILTER_ORDER = 3
@@ -145,11 +144,14 @@ def segment_beats(filtered: PpgRecord) -> BeatTable:
     if candidates.size == 0:
         raise InsufficientSignalError("no pulse peaks detected")
 
-    global_median = float(np.median(proms))
+    ref = _median(proms)  # until a peak is accepted
     recent: deque[float] = deque(maxlen=PROMINENCE_WINDOW)
     accepted: list[int] = []
     for idx, prom in zip(candidates, proms):
-        ref = median(recent) if recent else global_median
+        if recent:  # the median of the sorted deque, with np.median's arithmetic
+            s = sorted(recent)
+            half = len(s) // 2
+            ref = s[half] if len(s) % 2 else (s[half - 1] + s[half]) / 2
         if prom >= PROMINENCE_FACTOR * ref:
             accepted.append(int(idx))
             recent.append(float(prom))

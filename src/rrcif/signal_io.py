@@ -21,6 +21,8 @@ import csv
 import itertools
 import json
 import math
+import os
+import stat
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -31,6 +33,26 @@ from .errors import ParseError, ValidationError
 
 # Uniform-step tolerance for PPG CSV timestamps, relative to the step itself.
 STEP_TOLERANCE = 1e-6
+
+# Bounds on a synthetic record, checked before anything is allocated.
+SYNTH_MAX_SAMPLES = 2**26
+SYNTH_MAX_BEATS = 2**20
+
+# The suffixes by which np.loadtxt, given a path, decompresses the file.
+_COMPRESSED_SUFFIXES = (".bz2", ".gz", ".lzma", ".xz")
+
+
+def _median(values: np.ndarray) -> float:
+    """``np.median`` of a non-empty 1-D array, computed as it computes it: the
+    mean of the middle value, or of the two middle values, of a partition;
+    NaN if any value is NaN. ``np.median`` itself loads ``numpy.ma``.
+    """
+    high = values.size // 2
+    low = high if values.size % 2 else high - 1
+    part = np.partition(values, [low, high, -1])  # NaN sorts last
+    if np.isnan(part[-1]):
+        return math.nan
+    return float(np.mean(part[low : high + 1]))
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -137,6 +159,12 @@ class SynthSpec:
             raise ValidationError(f"duration_s and fs must be finite and positive, got {self.duration_s} and {self.fs}")
         if not 0 <= self.noise_sd < math.inf:
             raise ValidationError(f"noise_sd must be finite and >= 0, got {self.noise_sd}")
+        n_samples = self.duration_s * self.fs  # synthesize() makes round(n_samples)
+        if n_samples == math.inf or round(n_samples) > SYNTH_MAX_SAMPLES:
+            raise ValidationError(f"duration_s * fs must give at most {SYNTH_MAX_SAMPLES} samples, got {n_samples:g}")
+        n_beats = self.duration_s * self.hr / 60.0
+        if n_beats > SYNTH_MAX_BEATS:
+            raise ValidationError(f"duration_s * hr / 60 must give at most {SYNTH_MAX_BEATS} beats, got {n_beats:g}")
 
 
 # ---------------------------------------------------------------------------
@@ -198,11 +226,24 @@ def _read_columns(path, expected_header) -> np.ndarray:
     """
     try:
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-            _read_header(csv.reader(fh), path, expected_header)
+            reader = csv.reader(fh)
+            _read_header(reader, path, expected_header)
+            # Given a path, loadtxt parses the body in large chunks in C rather
+            # than one line at a time, but it opens the file again: that reads
+            # the same text only from a regular file whose suffix loadtxt does
+            # not take for a compression format.
+            reopen = stat.S_ISREG(os.fstat(fh.fileno()).st_mode) and path.suffix not in _COMPRESSED_SUFFIXES
             try:
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")  # loadtxt warns, rather than fails, on an empty body
-                    data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+                    data = np.loadtxt(
+                        os.path.abspath(path) if reopen else fh,  # absolute, so never taken for a URL
+                        delimiter=",",
+                        comments=None,
+                        ndmin=2,
+                        skiprows=reader.line_num if reopen else 0,
+                        encoding="utf-8-sig",
+                    )
             except (ValueError, Warning):  # a UnicodeDecodeError too, which the row loop raises again
                 data = None
         if (
@@ -242,7 +283,7 @@ def read_record(path) -> PpgRecord:
         row = int(np.flatnonzero(dt <= 0)[0]) + 1
         line, _ = next(itertools.islice(_read_csv_rows(path, ("t", "ppg")), row, None))
         raise ValidationError(f"{path}: line {line}: timestamps not strictly increasing")
-    step = float(np.median(dt))
+    step = _median(dt)
     if np.max(np.abs(dt - step)) > STEP_TOLERANCE * step:
         raise ValidationError(f"{path}: non-uniform sampling (step {step:g} s, max deviation {np.max(np.abs(dt - step)):g} s)")
     return PpgRecord(id=path.stem, fs=1.0 / step, samples=np.ascontiguousarray(data[:, 1]))

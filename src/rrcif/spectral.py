@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy import fft  # bound here, not on first use: a forked worker would load it for itself
 
 from .errors import RrcifError
 from .riv import ALL_KINDS, RIV_FS, RivKind, RivTable
@@ -66,7 +67,7 @@ class EstimateTable:
 
 
 def _freqs() -> np.ndarray:
-    return np.fft.rfftfreq(NFFT, d=1.0 / RIV_FS) * 60.0
+    return fft.rfftfreq(NFFT, d=1.0 / RIV_FS) * 60.0
 
 
 def _power(x: np.ndarray, n_bins: int | None = None, out: np.ndarray | None = None) -> np.ndarray:
@@ -79,7 +80,7 @@ def _power(x: np.ndarray, n_bins: int | None = None, out: np.ndarray | None = No
     n_win = x.shape[-1]
     constant = np.ptp(x, axis=-1) == 0
     tapered = (x - np.mean(x, axis=-1, keepdims=True)) * np.hamming(n_win)
-    P = np.abs(np.fft.rfft(tapered, NFFT, axis=-1, out=out)[..., :n_bins]) ** 2
+    P = np.abs(fft.rfft(tapered, NFFT, axis=-1, out=out)[..., :n_bins]) ** 2
     P[constant] = 0.0
     return P
 

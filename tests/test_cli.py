@@ -56,6 +56,23 @@ def test_synth_then_estimate_row_count(tmp_path):
     assert len(rows) == 225
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--fs", "1e9"], "at most 67108864 samples, got 4.8e+11"),
+        (["--fs", "1e-3", "--duration", "1e12"], "at most 67108864 samples, got 1e+09"),
+        (["--fs", "1e-3", "--duration", "1e9"], "at most 1048576 beats, got 1.28333e+09"),
+    ],
+    ids=["samples", "samples-and-beats", "beats"],
+)
+def test_synth_oversized_spec_exit_2(tmp_path, capsys, argv, message):
+    # rejected before anything is allocated or the beat loop starts
+    assert main(["synth", "--rr", "15", "--hr", "77", *argv, "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_estimate_sf3_contributors_subset(tmp_path):
     rec_path = _write_subject(tmp_path, "s1")
     out = tmp_path / "est.csv"

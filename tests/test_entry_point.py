@@ -143,6 +143,60 @@ def test_pool_is_created_after_the_filter_stack_loads(tmp_path, command):
     assert _python(code) == ["True"]
 
 
+def _write_dataset(directory):
+    from rrcif.signal_io import write_record, write_reference
+
+    directory.mkdir()
+    for name, seed in (("a", 1), ("b", 2)):
+        record, reference = make_synth(duration=40.0, seed=seed)
+        write_record(record, directory / f"{name}.csv")
+        write_reference(reference, directory / f"{name}_ref.csv")
+    return directory
+
+
+def test_workers_import_no_numpy_scipy_or_rrcif_module(tmp_path):
+    # Forked workers inherit the parent's modules; a module that only loads on
+    # first use in a worker is loaded by every worker for itself. Each worker
+    # notes what it imported between its fork and the end of each subject.
+    data = _write_dataset(tmp_path / "data")
+    code = (
+        "import os, sys\n"
+        "from rrcif import cli\n"
+        "at_fork = []\n"
+        "os.register_at_fork(after_in_child=lambda: at_fork.append(set(sys.modules)))\n"
+        "analyze = cli._analyze_subject\n"
+        "def probe(path):\n"
+        "    result = analyze(path)\n"
+        f"    with open(os.path.join({str(tmp_path)!r}, f'loaded-{{os.getpid()}}'), 'a') as fh:\n"
+        "        fh.writelines(f'{name}\\n' for name in set(sys.modules) - at_fork[0])\n"
+        "    return result\n"
+        "cli._analyze_subject = probe\n"
+        f"print(cli.main(['benchmark', {str(data)!r}, '--out', {str(tmp_path / 'out')!r}]))\n"
+    )
+    assert _python(code) == ["0"]
+    logs = list(tmp_path.glob("loaded-*"))
+    assert 1 <= len(logs) <= 2
+    loaded = {name for log in logs for name in log.read_text().split()}
+    assert sorted(n for n in loaded if n.split(".")[0] in ("numpy", "scipy", "rrcif")) == []
+
+
+def test_commands_load_neither_importlib_metadata_nor_statistics(tmp_path):
+    # the version is a constant and no median comes from the statistics module
+    data = _write_dataset(tmp_path / "data")
+    runs = [
+        ["estimate", str(data / "a.csv"), "--out", str(tmp_path / "est.csv")],
+        ["benchmark", str(data), "--out", str(tmp_path / "bench")],
+        ["sweep", str(data), "--out", str(tmp_path / "sweep.csv")],
+    ]
+    code = (
+        "import sys\n"
+        "from rrcif import cli\n"
+        f"codes = [cli.main(argv) for argv in {runs!r}]\n"
+        "print(*codes, 'importlib.metadata' in sys.modules, 'statistics' in sys.modules)\n"
+    )
+    assert _python(code) == ["0", "0", "0", "False", "False"]
+
+
 def test_evaluation_loads_neither_scipy_nor_the_filter_stack():
     # benchmark imports evaluation before its pool: were the filter stack to come
     # with it, the benchmark case of the pool-order test above could not fail
@@ -187,19 +241,15 @@ def test_only_preprocess_imports_scipy():
 
 @pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is new in Python 3.11")
 def test_source_tree_version_matches_pyproject():
-    # output headers print VERSION; from a source tree it is the fallback, which must track pyproject
+    # output headers print VERSION, a constant that must track pyproject
     import tomllib
+
+    import rrcif
+    from rrcif import cli
 
     with open(Path(SRC).parent / "pyproject.toml", "rb") as fh:
         declared = tomllib.load(fh)["project"]["version"]
-    code = (
-        "import importlib.metadata as m\n"
-        "def missing(name): raise m.PackageNotFoundError(name)\n"
-        "m.version = missing\n"
-        "import rrcif.cli\n"
-        "print(rrcif.cli.VERSION)"
-    )
-    assert _python(code) == [declared]
+    assert rrcif.__version__ == cli.VERSION == declared
 
 
 def test_help_exit_0():

@@ -1,4 +1,7 @@
 import json
+import os
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -242,6 +245,8 @@ DIALECTS = {
     "bare-cr": "t,ppg\r0,1.5\r0.01,2.5\r",
     "bom": "\ufefft,ppg\n0,1.5\n0.01,2.5\n",
     "provenance": "# rrcif synth\n# second\nt,ppg\n0,1.5\n0.01,2.5\n",
+    "bare-cr-provenance": "# a\r# b\rt,ppg\r0,1.5\r0.01,2.5\r",
+    "quoted-header-line-break": '"t\n",ppg\n0,1.5\n0.01,2.5\n',
     "blank-lines": "t,ppg\n\n0,1.5\n\n\n0.01,2.5\n\n",
     "whitespace-lines": "t,ppg\n0,1.5\n   \n\t\n0.01,2.5\n",
     "padded-fields": "t,ppg\n 0 , 1.5\t\n0.01,2.5\n",
@@ -279,6 +284,34 @@ def test_column_reader_matches_row_loop(tmp_path, name):
     fast = _outcome(lambda: signal_io._read_columns(path, header))
     loop = _outcome(lambda: [values for _, values in signal_io._read_csv_rows(path, header)])
     assert fast == loop
+
+
+@pytest.mark.skipif(not Path("/dev/fd").is_dir(), reason="needs /dev/fd")
+def test_record_reads_alike_from_a_pipe_and_under_a_compression_suffix(tmp_path):
+    # The reader hands loadtxt a path to open again only where that reads the
+    # same text: not a pipe, whose start the header read has consumed, and not
+    # a file whose suffix loadtxt takes for a compression format.
+    record, _ = make_synth(duration=40.0, seed=1)  # about 100 kB, more than a pipe holds
+    write_record(record, tmp_path / "rec.csv")
+    text = (tmp_path / "rec.csv").read_bytes()
+    (tmp_path / "rec.gz").write_bytes(text)
+    assert read_record(tmp_path / "rec.gz").samples.tolist() == record.samples.tolist()
+
+    read_fd, write_fd = os.pipe()
+
+    def write():
+        with open(write_fd, "wb") as fh:
+            fh.write(text)
+
+    writer = threading.Thread(target=write)
+    writer.start()
+    try:
+        piped = read_record(f"/dev/fd/{read_fd}")
+    finally:
+        os.close(read_fd)  # a writer still blocked on a full pipe then fails and ends
+        writer.join(timeout=30)
+    assert not writer.is_alive()
+    assert piped.samples.tolist() == record.samples.tolist()
 
 
 def test_clean_csv_skips_row_loop(tmp_path, monkeypatch):
