@@ -43,16 +43,6 @@ T_RESOLUTION = 0.01  # the printed t column has two decimals
 PR_SET_PDEATHSIG = 1  # from <linux/prctl.h>
 
 
-def __getattr__(name):
-    """``ProcessPoolExecutor``, looked up on first use: the pool class loads
-    multiprocessing, which only the dataset commands need."""
-    if name == "ProcessPoolExecutor":
-        from concurrent.futures import ProcessPoolExecutor
-
-        return ProcessPoolExecutor
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -268,9 +258,9 @@ def _analyze_dataset(directory):
 
     # forked workers inherit the analysis, scipy's compiled kernels and numpy.fft, so none loads them itself
     from . import pipeline  # noqa: F401
+    from concurrent.futures import ProcessPoolExecutor
 
-    # looked up on the module, where tests may replace it
-    with sys.modules[__name__].ProcessPoolExecutor(
+    with ProcessPoolExecutor(
         workers,
         mp_context=multiprocessing.get_context("fork"),
         initializer=_end_with_parent,

@@ -18,7 +18,7 @@ capnography-derived reference to the reference CSV to run the benchmark.
 from __future__ import annotations
 
 import csv
-import itertools
+import io
 import json
 import math
 import os
@@ -105,8 +105,9 @@ class ReferenceRr:
         if not np.all(np.isfinite(self.times_s)):
             bad = int(np.flatnonzero(~np.isfinite(self.times_s))[0])
             raise ValidationError(f"reference: non-finite timestamp at row {bad}")
-        if np.any(np.diff(self.times_s) < 0):
-            bad = int(np.flatnonzero(np.diff(self.times_s) < 0)[0]) + 1
+        decreasing = self.times_s[1:] < self.times_s[:-1]  # np.diff could overflow
+        if np.any(decreasing):
+            bad = int(np.flatnonzero(decreasing)[0]) + 1
             raise ValidationError(f"reference: decreasing timestamp at row {bad}")
         if np.any(self.times_s < 0):
             raise ValidationError("reference: negative timestamp")
@@ -189,74 +190,80 @@ def _read_header(reader, path, expected_header):
         raise ParseError(f"{path}: line {reader.line_num}: expected header {','.join(expected_header)!r}, got {','.join(header)!r}")
 
 
-def _read_csv_rows(path, expected_header):
-    """Yield (line_no, float values) for a two-column CSV with the given header.
+def _rows(reader, path, n_fields, increasing) -> list[list[float]]:
+    """Parse the rest of a ``csv.reader`` as rows of ``n_fields`` floats.
 
-    Line numbers are lines of the file, so comment and blank lines count; a
+    Line numbers are lines of the text, so comment and blank lines count; a
     row whose quoted field holds a line break is named by its last line. A
     non-finite value in the first column raises :class:`ValidationError`
-    naming its line.
+    naming its line; with ``increasing``, so does the first one that does not
+    exceed the one before, once every row has parsed.
     """
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh)
-        _read_header(reader, path, expected_header)
-        for row in reader:
-            line_no = reader.line_num
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != len(expected_header):
-                raise ParseError(f"{path}: line {line_no}: expected {len(expected_header)} fields, got {len(row)}")
-            try:
-                values = [float(v) for v in row]
-            except ValueError:
-                raise ParseError(f"{path}: line {line_no}: non-numeric field in {row!r}") from None
-            if not math.isfinite(values[0]):
-                raise ValidationError(f"{path}: line {line_no}: non-finite timestamp {values[0]}")
-            yield line_no, values
+    rows, not_increasing = [], 0
+    for row in reader:
+        line_no = reader.line_num
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) != n_fields:
+            raise ParseError(f"{path}: line {line_no}: expected {n_fields} fields, got {len(row)}")
+        try:
+            values = [float(v) for v in row]
+        except ValueError:
+            raise ParseError(f"{path}: line {line_no}: non-numeric field in {row!r}") from None
+        if not math.isfinite(values[0]):
+            raise ValidationError(f"{path}: line {line_no}: non-finite timestamp {values[0]}")
+        if increasing and rows and values[0] <= rows[-1][0]:
+            not_increasing = not_increasing or line_no
+        rows.append(values)
+    if not_increasing:
+        raise ValidationError(f"{path}: line {not_increasing}: timestamps not strictly increasing")
+    return rows
 
 
-def _read_columns(path, expected_header) -> np.ndarray:
+def _read_columns(path, expected_header, increasing=False) -> np.ndarray:
     """Return the rows of a two-column CSV as an (n, 2) array.
 
-    The body is parsed by one ``np.loadtxt`` call. Whatever that call rejects
-    or cannot be trusted with (a parse error, an empty body, another column
-    count, a non-finite timestamp) is read again by
-    :func:`_read_csv_rows`, which accepts the same files and raises the
-    errors that name a line.
+    The file is read once, and one ``csv.reader`` over its text reads the
+    header. One ``np.loadtxt`` call parses the body: from the path, in large
+    chunks in C, for a regular file whose suffix loadtxt does not take for a
+    compression format, else (a pipe, say) from the text. Whatever that call
+    rejects or cannot be trusted with (a parse error, an empty body, another
+    column count, a non-finite timestamp, with ``increasing`` one that does
+    not increase) is parsed by :func:`_rows` from the same reader, which
+    accepts the same files and raises the errors that name a line.
     """
+    n_fields = len(expected_header)
     try:
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-            reader = csv.reader(fh)
-            _read_header(reader, path, expected_header)
-            # Given a path, loadtxt parses the body in large chunks in C rather
-            # than one line at a time, but it opens the file again: that reads
-            # the same text only from a regular file whose suffix loadtxt does
-            # not take for a compression format.
-            reopen = stat.S_ISREG(os.fstat(fh.fileno()).st_mode) and path.suffix not in _COMPRESSED_SUFFIXES
-            try:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("error")  # loadtxt warns, rather than fails, on an empty body
-                    data = np.loadtxt(
-                        os.path.abspath(path) if reopen else fh,  # absolute, so never taken for a URL
-                        delimiter=",",
-                        comments=None,
-                        ndmin=2,
-                        skiprows=reader.line_num if reopen else 0,
-                        encoding="utf-8-sig",
-                    )
-            except (ValueError, Warning):  # a UnicodeDecodeError too, which the row loop raises again
-                data = None
+            text = fh.read()
+            regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode) and path.suffix not in _COMPRESSED_SUFFIXES
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, exc) from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    # absolute, so never taken for a URL
+    source = os.path.abspath(path) if regular else io.StringIO(text, newline="")
+    try:
+        _read_header(reader, path, expected_header)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # loadtxt warns, rather than fails, on an empty body
+                data = np.loadtxt(
+                    source, delimiter=",", comments=None, ndmin=2, skiprows=reader.line_num, encoding="utf-8-sig"
+                )
+        except (ValueError, Warning):
+            data = None
         if (
             data is not None
             and data.shape[0] >= 1
-            and data.shape[1] == len(expected_header)
+            and data.shape[1] == n_fields
             and np.isfinite(data[:, 0]).all()
+            and not (increasing and np.any(data[1:, 0] <= data[:-1, 0]))
         ):
             return data
-        rows = [values for _, values in _read_csv_rows(path, expected_header)]
-    except UnicodeDecodeError as exc:
-        raise _not_utf8(path, exc) from None
-    return np.array(rows, dtype=float).reshape(-1, len(expected_header))
+        rows = _rows(reader, path, n_fields, increasing)
+    except csv.Error as exc:  # such as a field over csv.field_size_limit()
+        raise ParseError(f"{path}: line {reader.line_num}: {exc}") from None
+    return np.array(rows, dtype=float).reshape(-1, n_fields)
 
 
 def _not_utf8(path, exc: UnicodeDecodeError) -> ParseError:
@@ -275,15 +282,14 @@ def read_record(path) -> PpgRecord:
         record, _ = read_record_json(path)
         return record
 
-    data = _read_columns(path, ("t", "ppg"))
+    data = _read_columns(path, ("t", "ppg"), increasing=True)
     if data.shape[0] < 2:
         raise ValidationError(f"{path}: need at least 2 samples, got {data.shape[0]}")
-    dt = np.diff(data[:, 0])
-    if np.any(dt <= 0):
-        row = int(np.flatnonzero(dt <= 0)[0]) + 1
-        line, _ = next(itertools.islice(_read_csv_rows(path, ("t", "ppg")), row, None))
-        raise ValidationError(f"{path}: line {line}: timestamps not strictly increasing")
-    step = _median(dt)
+    with np.errstate(over="ignore"):  # a step past the float range is rejected below
+        dt = np.diff(data[:, 0])
+        step = _median(dt)
+    if not math.isfinite(step):
+        raise ValidationError(f"{path}: timestamp step {step} is not finite")
     if np.max(np.abs(dt - step)) > STEP_TOLERANCE * step:
         raise ValidationError(f"{path}: non-uniform sampling (step {step:g} s, max deviation {np.max(np.abs(dt - step)):g} s)")
     return PpgRecord(id=path.stem, fs=1.0 / step, samples=np.ascontiguousarray(data[:, 1]))
@@ -295,10 +301,10 @@ def read_record_json(path) -> tuple[PpgRecord, ReferenceRr | None]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON: {exc}") from None
     except UnicodeDecodeError as exc:
         raise _not_utf8(path, exc) from None
+    except (RecursionError, ValueError) as exc:  # a JSONDecodeError, too deep a nesting, too long an integer
+        raise ParseError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise ParseError(f"{path}: expected a JSON object, got {type(obj).__name__}")
     for key in ("id", "fs", "samples"):

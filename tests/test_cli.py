@@ -409,6 +409,8 @@ def test_sweep_id_of_two_jsons_exit_2(tmp_path, capsys):
 
 
 def test_duplicate_ids_are_found_before_the_pool_starts(tmp_path, monkeypatch):
+    import concurrent.futures
+
     from rrcif import cli
     from rrcif.errors import RrcifError
 
@@ -418,7 +420,7 @@ def test_duplicate_ids_are_found_before_the_pool_starts(tmp_path, monkeypatch):
 
     (tmp_path / "s00.csv").write_text("t,ppg\n")  # never read: a CSV's id is its stem
     (tmp_path / "s00.json").write_text(json.dumps({"id": "s00", "fs": 100.0, "samples": [0.0] * 50}))
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", NoPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
     with pytest.raises(RrcifError, match="record id 's00' is used by both s00.csv and s00.json"):
         cli._analyze_dataset(tmp_path)
 
@@ -544,6 +546,7 @@ def test_dataset_worker_bug_is_raised_not_skipped(tmp_path, capsys, monkeypatch)
 
 
 def test_dataset_pool_matches_serial_analysis(tmp_path, capsys, monkeypatch):
+    import concurrent.futures
     from concurrent.futures import ProcessPoolExecutor
 
     from rrcif import cli, pipeline
@@ -561,7 +564,7 @@ def test_dataset_pool_matches_serial_analysis(tmp_path, capsys, monkeypatch):
             workers.append(max_workers)
             super().__init__(max_workers, **kwargs)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
     monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(16)))
     subjects, skipped = cli._analyze_dataset(tmp_path)
 

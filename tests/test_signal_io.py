@@ -1,10 +1,18 @@
+import csv
+import functools
+import itertools
 import json
 import os
+import re
+import tempfile
 import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rrcif import signal_io
 from rrcif.errors import ParseError, RrcifError, ValidationError
@@ -21,6 +29,8 @@ from rrcif.signal_io import (
 )
 
 from conftest import make_synth
+
+needs_dev_fd = pytest.mark.skipif(not Path("/dev/fd").is_dir(), reason="needs /dev/fd")
 
 
 def test_read_record_csv(tmp_path):
@@ -238,7 +248,8 @@ def test_duration_exact():
 
 
 # Each body follows a "t,ppg" header. The one-call reader must give what the
-# row loop gives: the same values, or the same error type and message.
+# row loop gives (the same values, or the same error type and message), and
+# the same bytes must read alike from every source.
 DIALECTS = {
     "plain": "t,ppg\n0,1.5\n0.01,2.5\n",
     "crlf": "t,ppg\r\n0,1.5\r\n0.01,2.5\r\n",
@@ -269,49 +280,117 @@ DIALECTS = {
 }
 
 
-def _outcome(read):
+def _outcome(read, path):
+    """The values ``read`` returns, or its error's type and message with
+    ``path`` written as ``<path>``."""
     try:
         return repr(np.asarray(read()).reshape(-1, 2).tolist())
     except RrcifError as exc:
-        return type(exc), str(exc)
+        return type(exc), str(exc).replace(str(path), "<path>")
+
+
+def _through_pipe(data: bytes, read):
+    """``read("/dev/fd/N")`` with ``data`` written to that pipe by another thread."""
+    read_fd, write_fd = os.pipe()
+
+    def write():
+        try:
+            with open(write_fd, "wb") as fh:
+                fh.write(data)
+        except BrokenPipeError:  # the reader stopped early
+            pass
+
+    writer = threading.Thread(target=write)
+    writer.start()
+    try:
+        return read(f"/dev/fd/{read_fd}")
+    finally:
+        os.close(read_fd)  # a writer still blocked on a full pipe then fails and ends
+        writer.join(timeout=30)
+        assert not writer.is_alive()
+
+
+def _row_loop(path, header):
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        reader = csv.reader(fh)
+        signal_io._read_header(reader, path, header)
+        return signal_io._rows(reader, path, len(header), False)
 
 
 @pytest.mark.parametrize("name", sorted(DIALECTS))
 def test_column_reader_matches_row_loop(tmp_path, name):
-    path = tmp_path / "rec.csv"
-    path.write_bytes(DIALECTS[name].encode("utf-8"))
+    # A regular file is parsed from its path; a file whose suffix loadtxt
+    # takes for a compression format, and a pipe, from the text already read.
+    data = DIALECTS[name].encode("utf-8")
+    path, gz = tmp_path / "rec.csv", tmp_path / "rec.gz"
+    path.write_bytes(data)
+    gz.write_bytes(data)
     header = ("t", "ppg")
-    fast = _outcome(lambda: signal_io._read_columns(path, header))
-    loop = _outcome(lambda: [values for _, values in signal_io._read_csv_rows(path, header)])
-    assert fast == loop
+
+    def columns(source):
+        return _outcome(lambda: signal_io._read_columns(Path(source), header), source)
+
+    got = {"file": columns(path), "gz-suffix": columns(gz)}
+    if Path("/dev/fd").is_dir():
+        got["pipe"] = _through_pipe(data, columns)
+    assert got == dict.fromkeys(got, _outcome(lambda: _row_loop(path, header), path))
 
 
-@pytest.mark.skipif(not Path("/dev/fd").is_dir(), reason="needs /dev/fd")
+@needs_dev_fd
 def test_record_reads_alike_from_a_pipe_and_under_a_compression_suffix(tmp_path):
-    # The reader hands loadtxt a path to open again only where that reads the
-    # same text: not a pipe, whose start the header read has consumed, and not
-    # a file whose suffix loadtxt takes for a compression format.
     record, _ = make_synth(duration=40.0, seed=1)  # about 100 kB, more than a pipe holds
     write_record(record, tmp_path / "rec.csv")
     text = (tmp_path / "rec.csv").read_bytes()
     (tmp_path / "rec.gz").write_bytes(text)
     assert read_record(tmp_path / "rec.gz").samples.tolist() == record.samples.tolist()
+    assert _through_pipe(text, read_record).samples.tolist() == record.samples.tolist()
 
-    read_fd, write_fd = os.pipe()
 
-    def write():
-        with open(write_fd, "wb") as fh:
-            fh.write(text)
+def test_parse_error_after_a_non_increasing_timestamp_is_named_first(tmp_path):
+    path = tmp_path / "rec.csv"
+    path.write_text("t,ppg\n0,1\n0.01,2\n0.01,3\n0.03,x\n")
+    with pytest.raises(ParseError, match="line 5: non-numeric"):
+        read_record(path)
 
-    writer = threading.Thread(target=write)
-    writer.start()
-    try:
-        piped = read_record(f"/dev/fd/{read_fd}")
-    finally:
-        os.close(read_fd)  # a writer still blocked on a full pipe then fails and ends
-        writer.join(timeout=30)
-    assert not writer.is_alive()
-    assert piped.samples.tolist() == record.samples.tolist()
+
+@pytest.mark.parametrize(
+    "text, line",
+    [('t,ppg\n0,1\n0.01,"' + "1" * 200_000 + '"\n', 3), ('"' + "t" * 200_000 + '",ppg\n0,1\n', 1)],
+    ids=["body", "header"],
+)
+def test_field_over_the_csv_limit_is_a_parse_error(tmp_path, text, line):
+    path = tmp_path / "rec.csv"
+    path.write_text(text)
+    with pytest.raises(ParseError, match=f"line {line}: field larger than field limit"):
+        read_record(path)
+
+
+def test_overflowing_timestamp_step_is_rejected_without_a_warning(tmp_path):
+    path = tmp_path / "rec.csv"
+    path.write_text("t,ppg\n-1.7e308,1\n1.7e308,2\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="timestamp step inf is not finite"):
+            read_record(path)
+    ref_path = tmp_path / "rec_ref.csv"
+    ref_path.write_text("t,rr\n-1.7e308,12\n1.7e308,12\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="negative timestamp"):
+            read_reference(ref_path)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ['{"id": "r", "fs": 100, "samples": ' + "[" * 100_000 + "]" * 100_000 + "}",
+     '{"id": "r", "fs": ' + "1" * 5000 + ', "samples": [0.0, 1.0]}'],
+    ids=["deep-nesting", "long-integer"],
+)
+def test_json_past_the_decoder_limits_is_a_parse_error(tmp_path, text):
+    path = tmp_path / "rec.json"
+    path.write_text(text)
+    with pytest.raises(ParseError, match="invalid JSON"):
+        read_record_json(path)
 
 
 def test_clean_csv_skips_row_loop(tmp_path, monkeypatch):
@@ -323,7 +402,7 @@ def test_clean_csv_skips_row_loop(tmp_path, monkeypatch):
     def no_loop(*args, **kwargs):
         raise AssertionError("row loop reached for a clean file")
 
-    monkeypatch.setattr(signal_io, "_read_csv_rows", no_loop)
+    monkeypatch.setattr(signal_io, "_rows", no_loop)
     record = read_record(path)
     assert record.samples.size == 50 and record.fs == pytest.approx(100.0)
     assert read_reference(ref_path).rr.tolist() == [12.0, 13.0]
@@ -344,3 +423,121 @@ def test_json_wrong_shapes_rejected(tmp_path, obj, error, message):
     path.write_text(json.dumps(obj))
     with pytest.raises(error, match=message):
         read_record_json(path)
+
+
+# ---------------------------------------------------------------------------
+# Reader fuzzer: valid record CSV, reference CSV and record JSON files, each
+# mutated at the byte, line or token level, must read alike from a regular
+# file and from a pipe, and give a result or an RrcifError without a warning.
+
+_NUMBER = re.compile(rb"-?\d+(?:\.\d+)?(?:e[-+]?\d+)?")
+_EXTREMES = (b"1e308", b"-1e308", b"1.7e308", b"-1.7e308", b"5e-324")
+_BYTE_MUTATIONS = ("flip", "truncate", "extreme", "bom", "line-ends", "long-field")
+_CSV_MUTATIONS = _BYTE_MUTATIONS + ("repeat-time", "decrease-time", "extreme-time")
+_TIMESTAMPS = {"repeat-time": [None], "decrease-time": [b"-0.5"], "extreme-time": _EXTREMES}
+_JSON_MUTATIONS = _BYTE_MUTATIONS + ("deep", "long-integer")
+
+
+@functools.cache
+def _fuzz_seeds():
+    record, reference = make_synth(duration=40.0, seed=1)
+    with tempfile.TemporaryDirectory() as tmp:
+        write_record(record, Path(tmp, "rec.csv"), comment="fuzz seed")
+        write_reference(reference, Path(tmp, "rec_ref.csv"))
+        csv_text, ref_text = Path(tmp, "rec.csv").read_bytes(), Path(tmp, "rec_ref.csv").read_bytes()
+    doc = {
+        "id": record.id, "fs": record.fs, "samples": record.samples.tolist(),
+        "reference": {"t": reference.times_s.tolist(), "rr": reference.rr.tolist()},
+    }
+    return {"record": csv_text, "reference": ref_text, "json": json.dumps(doc).encode()}
+
+
+def _replace_number(data, draw, choices):
+    spans = [m.span() for m in _NUMBER.finditer(data)]
+    if not spans:
+        return data
+    start, end = draw(st.sampled_from(spans))
+    return data[:start] + draw(st.sampled_from(choices)) + data[end:]
+
+
+def _set_timestamps(data, draw, choices):
+    """Set the timestamps of two consecutive data rows to values drawn from
+    ``choices``, where None repeats the timestamp of the row before."""
+    lines = data.split(b"\n")
+    rows = [i for i, line in enumerate(lines) if b"," in line and line[:1].isdigit()]
+    if len(rows) < 3:
+        return data
+    first = draw(st.integers(1, len(rows) - 2))
+    pair = draw(st.sampled_from(list(itertools.product(choices, repeat=2))))  # one draw, so the two may differ
+    for k, value in zip((first, first + 1), pair):
+        if value is None:
+            value = lines[rows[k - 1]].split(b",")[0]
+        lines[rows[k]] = value + lines[rows[k]][lines[rows[k]].index(b",") :]
+    return b"\n".join(lines)
+
+
+@st.composite
+def _mutated(draw, kind):
+    data = _fuzz_seeds()[kind]
+    mutations = _JSON_MUTATIONS if kind == "json" else _CSV_MUTATIONS
+    for mutation in draw(st.lists(st.sampled_from(mutations), min_size=1, max_size=3)):
+        at = draw(st.integers(0, max(len(data) - 1, 0)))
+        if mutation == "flip" and data:
+            data = data[:at] + bytes([data[at] ^ draw(st.integers(1, 255))]) + data[at + 1 :]
+        elif mutation == "truncate":
+            data = data[:at]
+        elif mutation == "extreme":
+            data = _replace_number(data, draw, _EXTREMES)
+        elif mutation == "bom":
+            at = draw(st.sampled_from([0, at]))
+            data = data[:at] + b"\xef\xbb\xbf" + data[at:]
+        elif mutation == "line-ends":
+            data = data[:at] + data[at:].replace(b"\n", draw(st.sampled_from([b"\r\n", b"\r"])))
+        elif mutation == "long-field":
+            data = _replace_number(data, draw, [b'"' + b"1" * 200_000 + b'"'])
+        elif mutation in _TIMESTAMPS:
+            data = _set_timestamps(data, draw, _TIMESTAMPS[mutation])
+        elif mutation == "deep":
+            data = _replace_number(data, draw, [b"[" * depth + b"1" + b"]" * depth for depth in (2, 100, 100_000)])
+        elif mutation == "long-integer":
+            data = _replace_number(data, draw, [b"1" * 5000])
+    return data
+
+
+def _read_outcome(read, source):
+    """What ``read(source)`` gives, and the warnings it raised. The source's
+    path is left out, and so is a CSV record's id, which is its file name."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            value = read(source)
+        except RrcifError as exc:
+            value = (type(exc).__name__, str(exc).replace(str(source), "<path>"))
+    if isinstance(value, tuple) and isinstance(value[0], PpgRecord):  # record JSON
+        record, reference = value
+        value = (record.id, record.fs, record.samples.tobytes(), reference and reference.times_s.tobytes(),
+                 reference and reference.rr.tobytes())
+    elif isinstance(value, PpgRecord):
+        value = (value.fs, value.samples.tobytes())
+    elif isinstance(value, ReferenceRr):
+        value = (value.times_s.tobytes(), value.rr.tobytes())
+    return value, [str(w.message) for w in caught]
+
+
+@needs_dev_fd
+@pytest.mark.parametrize(
+    "kind, read",
+    [("record", read_record), ("reference", read_reference), ("json", read_record_json)],
+    ids=["record-csv", "reference-csv", "record-json"],
+)
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_readers_give_a_result_or_an_error_alike_from_a_file_and_a_pipe(kind, read, data):
+    text = data.draw(_mutated(kind))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "rec.json" if kind == "json" else "rec.csv")
+        path.write_bytes(text)
+        from_file = _read_outcome(read, path)
+    from_pipe = _through_pipe(text, lambda source: _read_outcome(read, source))
+    assert from_file[1] == []
+    assert from_file == from_pipe
