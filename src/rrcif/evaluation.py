@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import itertools
 import math
-import warnings
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .fusion import FusionResult, fuse_estimates
-from .signal_io import ReferenceRr
+from .signal_io import ReferenceRr, _median
 from .spectral import WINDOW_S, EstimateTable
 
 T_GRID_DEFAULT = tuple(round(0.01 * i, 2) for i in range(31))  # 0 .. 0.3
@@ -98,14 +97,33 @@ def sweep(subjects: list[tuple[EstimateTable, ReferenceRr]], t_grid=T_GRID_DEFAU
     if not subjects:
         raise ValueError("need at least one subject")
     t_grid = np.asarray(t_grid, dtype=float)
-    rmse, retention = zip(*(scores for _, _, *scores in _fuse_and_score(subjects, "cif", t_grid)))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # a threshold no subject retains gives NaN
-        quartiles = np.nanpercentile(rmse, (25, 50, 75), axis=0)
+    rmse, retention = map(np.array, zip(*(scores for _, _, *scores in _fuse_and_score(subjects, "cif", t_grid))))
     return [
         SweepRow(t=float(t), rmse_p25=float(p25), rmse_median=float(med), rmse_p75=float(p75), retention_median=float(r))
-        for t, (p25, med, p75), r in zip(t_grid, quartiles.T, np.median(retention, axis=0))
+        for t, (p25, med, p75), r in zip(t_grid, _nan_quartiles(rmse).T, _median(retention))
     ]
+
+
+def _nan_quartiles(x: np.ndarray) -> np.ndarray:
+    """25th, 50th and 75th percentiles along axis 0 of the non-NaN values of
+    2-D ``x``; NaN where a column has none (a threshold no subject retains).
+
+    ``np.nanpercentile(x, (25, 50, 75), axis=0)`` computed as it computes
+    it, so bit-equal to it where no -0.0 ties with 0.0 (an RMSE is never
+    -0.0): between order statistics i and i + 1 it interpolates from the
+    lower one below weight 0.5 and from the upper one from 0.5 on.
+    ``np.nanpercentile`` itself loads ``numpy.ma``.
+    """
+    ordered = np.sort(x, axis=0)  # NaN sorts last
+    count = np.count_nonzero(~np.isnan(x), axis=0)
+    pos = (count - 1) * np.array([[0.25], [0.5], [0.75]])
+    lo = np.maximum(np.floor(pos), 0).astype(int)
+    gamma = pos - lo
+    below = np.take_along_axis(ordered, lo, axis=0)
+    above = np.take_along_axis(ordered, np.minimum(lo + 1, np.maximum(count - 1, 0)), axis=0)
+    diff = above - below
+    quartiles = np.where(gamma < 0.5, below + diff * gamma, above - diff * (1 - gamma))
+    return np.where(count > 0, quartiles, np.nan)
 
 
 def report(subjects: list[tuple[EstimateTable, ReferenceRr]], methods, t) -> tuple[dict, dict]:
@@ -125,8 +143,8 @@ def report(subjects: list[tuple[EstimateTable, ReferenceRr]], methods, t) -> tup
         fusions, ref_rates, rmse, retention = zip(*_fuse_and_score(subjects, method, t))
         rmse, retention = scores[method] = np.array(rmse), np.array(retention)
         scored = rmse[~np.isnan(rmse)]
-        rmse_median = float(np.median(scored)) if scored.size else None
-        summary["methods"][method] = {"rmse_median": rmse_median, "retention_median": float(np.median(retention))}
+        rmse_median = float(_median(scored)) if scored.size else None
+        summary["methods"][method] = {"rmse_median": rmse_median, "retention_median": float(_median(retention))}
         if method == "cif":  # its retained windows, pooled for the agreement
             est = np.concatenate([f.rr_fusion[f.retained] for f in fusions])
             ref = np.concatenate([r[f.retained] for f, r in zip(fusions, ref_rates)])

@@ -144,7 +144,7 @@ def segment_beats(filtered: PpgRecord) -> BeatTable:
     if candidates.size == 0:
         raise InsufficientSignalError("no pulse peaks detected")
 
-    ref = _median(proms)  # until a peak is accepted
+    ref = float(_median(proms))  # until a peak is accepted
     recent: deque[float] = deque(maxlen=PROMINENCE_WINDOW)
     accepted: list[int] = []
     for idx, prom in zip(candidates, proms):

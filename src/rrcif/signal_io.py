@@ -42,17 +42,18 @@ SYNTH_MAX_BEATS = 2**20
 _COMPRESSED_SUFFIXES = (".bz2", ".gz", ".lzma", ".xz")
 
 
-def _median(values: np.ndarray) -> float:
-    """``np.median`` of a non-empty 1-D array, computed as it computes it: the
-    mean of the middle value, or of the two middle values, of a partition;
-    NaN if any value is NaN. ``np.median`` itself loads ``numpy.ma``.
+def _median(values: np.ndarray, axis: int = 0) -> np.ndarray:
+    """``np.median`` along a non-empty ``axis``, computed as it computes it:
+    the mean of the middle value, or of the two middle values, of a
+    partition; NaN where any value is NaN. ``np.median`` itself loads
+    ``numpy.ma``.
     """
-    high = values.size // 2
-    low = high if values.size % 2 else high - 1
-    part = np.partition(values, [low, high, -1])  # NaN sorts last
-    if np.isnan(part[-1]):
-        return math.nan
-    return float(np.mean(part[low : high + 1]))
+    size = values.shape[axis]
+    high = size // 2
+    low = high if size % 2 else high - 1
+    part = np.partition(values, [low, high, -1], axis=axis)  # NaN sorts last
+    middle = np.mean(np.take(part, range(low, high + 1), axis=axis), axis=axis)
+    return np.where(np.isnan(np.take(part, -1, axis=axis)), np.nan, middle)
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -287,7 +288,7 @@ def read_record(path) -> PpgRecord:
         raise ValidationError(f"{path}: need at least 2 samples, got {data.shape[0]}")
     with np.errstate(over="ignore"):  # a step past the float range is rejected below
         dt = np.diff(data[:, 0])
-        step = _median(dt)
+        step = float(_median(dt))
     if not math.isfinite(step):
         raise ValidationError(f"{path}: timestamp step {step} is not finite")
     if np.max(np.abs(dt - step)) > STEP_TOLERANCE * step:
@@ -324,6 +325,9 @@ def read_record_json(path) -> tuple[PpgRecord, ReferenceRr | None]:
 
 
 def _json_floats(path, value) -> np.ndarray:
+    for item in value if isinstance(value, list) else [value]:
+        if isinstance(item, (str, bool)):  # np.asarray would read "2e0" and true as numbers
+            raise ParseError(f"{path}: non-numeric value: {json.dumps(item)}")
     try:
         return np.asarray(value, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:

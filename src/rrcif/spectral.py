@@ -12,6 +12,10 @@ frequency of the residual maximum within 4-65 breaths/min, and the noise
 index is the positive residual peak over the positive residual sum in that
 band, rescaled as :func:`rate_windows` explains.
 
+Every window has the same fixed grid, built at import as read-only constants:
+bin frequencies FREQS in breaths/min, the N_RATED_BINS bins up to 100, the
+4-65 BAND slice, the fit bins' centred log-frequency terms, the Hamming taper.
+
 One kernel works over the last array axis: :func:`rate_windows` runs it on
 all windows of each row of a record's RivTable and returns the record's
 EstimateTable, and :func:`window_spectrum` returns the full spectrum and
@@ -40,6 +44,21 @@ BATCH_ROWS = 64  # windows per rFFT call, which bounds the complex spectra held 
 REASONS = ("none", "artifact", "out_of_range", "fit_degenerate")
 
 
+def _constant(a) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+FREQS = _constant(fft.rfftfreq(NFFT, d=1.0 / RIV_FS) * 60.0)  # bin frequencies, breaths/min
+N_RATED_BINS = int(np.searchsorted(FREQS, MAX_BPM, side="right"))  # the bins up to MAX_BPM
+BAND = slice(int(np.searchsorted(FREQS, RR_BAND_BPM[0])), int(np.searchsorted(FREQS, RR_BAND_BPM[1], side="right")))
+_TAPER = _constant(np.hamming(WINDOW_SAMPLES))
+_FIT_BINS = _constant(np.flatnonzero(np.logical_or.reduce([(FREQS >= lo) & (FREQS <= hi) for lo, hi in FIT_BANDS_BPM])))
+_FIT_CENTRE = np.log(FREQS[_FIT_BINS]).mean()
+_FIT_D = np.log(FREQS[_FIT_BINS]) - _FIT_CENTRE  # d: each fit bin's log f, centred
+_FIT_POWERS = _constant(np.stack([np.ones_like(_FIT_D), _FIT_D, _FIT_D * _FIT_D], axis=-1))  # 1, d, d**2
+
+
 def window_starts(duration_s: float) -> np.ndarray:
     """Start times of the sliding WINDOW_S windows, SHIFT_S apart, covering a recording."""
     count = 0 if duration_s < WINDOW_S else int(np.floor((duration_s - WINDOW_S) / SHIFT_S + 1e-9)) + 1
@@ -66,74 +85,56 @@ class EstimateTable:
 # the kernel: every function works over the last axis
 
 
-def _freqs() -> np.ndarray:
-    return fft.rfftfreq(NFFT, d=1.0 / RIV_FS) * 60.0
-
-
 def _power(x: np.ndarray, n_bins: int | None = None, out: np.ndarray | None = None) -> np.ndarray:
-    """Tapered, zero-padded power spectra of the rows of x, first n_bins bins.
+    """Tapered, zero-padded power spectra of the WINDOW_SAMPLES-long rows of x, first n_bins bins.
 
     ``out``, if given, receives the full complex rFFT of the rows. A constant
     row has exactly zero power: mean subtraction would leave rounding residue
     that the scale-free noise index could pick up.
     """
-    n_win = x.shape[-1]
     constant = np.ptp(x, axis=-1) == 0
-    tapered = (x - np.mean(x, axis=-1, keepdims=True)) * np.hamming(n_win)
+    tapered = (x - np.mean(x, axis=-1, keepdims=True)) * _TAPER
     P = np.abs(fft.rfft(tapered, NFFT, axis=-1, out=out)[..., :n_bins]) ** 2
     P[constant] = 0.0
     return P
 
 
-def _band(f: np.ndarray) -> np.ndarray:
-    return (f >= RR_BAND_BPM[0]) & (f <= RR_BAND_BPM[1])
-
-
-def fit_power_law(f: np.ndarray, P: np.ndarray):
+def fit_power_law(P: np.ndarray):
     """Least-squares line log P = k + a*log f over the fit bands.
 
-    Only bins with positive power count: with weights w = (P > 0) and
+    The last axis of ``P`` holds the first N_RATED_BINS or more bins of the
+    grid. Only bins with positive power count: with weights w = (P > 0) and
     d = log f minus its mean over the fit bins, the line comes in closed form
     from the sums of w, w*d, w*d**2, w*log P and w*log P*d, the same for
     every row whatever its mask. Returns (a, k, degenerate); a row with fewer
     than MIN_FIT_BINS usable bins is degenerate and gets a = 0, k = -inf,
     i.e. a zero power law.
     """
-    sel = np.zeros(f.size, dtype=bool)
-    for lo, hi in FIT_BANDS_BPM:
-        sel |= (f >= lo) & (f <= hi)
-    logf = np.log(f[sel])
-    centre = logf.mean()
-    d = logf - centre
-    P = P[..., sel]
+    P = P[..., _FIT_BINS]
     use = P > 0
-    logp = np.log(P, where=use, out=np.zeros(P.shape))
-    powers = np.stack([np.ones_like(d), d, d * d], axis=-1)
-    n, s1, s2 = np.moveaxis(use.astype(float) @ powers, -1, 0)
-    t0, t1 = np.moveaxis(logp @ powers[:, :2], -1, 0)
+    logp = np.log(np.where(use, P, 1.0))  # 0 where unused
+    n, s1, s2 = np.moveaxis(use.astype(float) @ _FIT_POWERS, -1, 0)
+    t0, t1 = np.moveaxis(logp @ _FIT_POWERS[:, :2], -1, 0)
     degenerate = n < MIN_FIT_BINS
     with np.errstate(divide="ignore", invalid="ignore"):
         d_mean = s1 / n
         a = (t1 - d_mean * t0) / (s2 - d_mean * s1)
-        k = t0 / n - a * (d_mean + centre)
+        k = t0 / n - a * (d_mean + _FIT_CENTRE)
     return np.where(degenerate, 0.0, a), np.where(degenerate, -np.inf, k), degenerate
 
 
-def _power_law(f: np.ndarray, a: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """exp(k + a*log f) on the bins of f for each (a, k), and 0 at f = 0."""
-    positive = f > 0
-    logf = np.log(f, where=positive, out=np.zeros(f.shape))
-    out = np.zeros(np.shape(a) + f.shape)
-    return np.exp(k[..., None] + a[..., None] * logf, where=positive, out=out)
+def _power_law(a: np.ndarray, k: np.ndarray, bins: slice) -> np.ndarray:
+    """exp(k + a*log f) on the grid bins ``bins``, which leave out f = 0, for each (a, k)."""
+    return np.exp(k[..., None] + a[..., None] * np.log(FREQS[bins]))
 
 
-def _rate_ni(f: np.ndarray, residual: np.ndarray, n_window: int):
+def _rate_ni(residual: np.ndarray, n_window: int):
     """Rate at the residual maximum and the native-resolution noise index.
 
-    ``f`` and the last axis of ``residual`` hold the 4-65 breaths/min bins.
+    The last axis of ``residual`` holds the BAND bins.
     """
     peak = np.argmax(residual, axis=-1)
-    rr = f[peak]
+    rr = FREQS[BAND][peak]
     denom = np.clip(residual, 0.0, None).sum(axis=-1) * n_window / NFFT
     top = np.take_along_axis(residual, np.expand_dims(peak, -1), axis=-1)[..., 0]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -189,9 +190,6 @@ def rate_windows(rivs: RivTable, duration_s: float) -> EstimateTable:
     start_s = window_starts(duration_s)
     i0, window_reason = _window_rows(rivs, start_s)
     rated = np.flatnonzero(window_reason == "none")
-    freqs = _freqs()
-    freqs = freqs[freqs <= MAX_BPM]
-    band = _band(freqs)
     rr, ni = np.full((2, start_s.size, len(ALL_KINDS)), np.nan)
     reason = np.repeat(window_reason[:, None], len(ALL_KINDS), axis=1)
     blocks = np.array_split(rated, max(1, -(-rated.size // BATCH_ROWS)))
@@ -199,10 +197,10 @@ def rate_windows(rivs: RivTable, duration_s: float) -> EstimateTable:
     for block in blocks:
         samples = i0[block, None] + np.arange(WINDOW_SAMPLES)
         for column, values in enumerate(rivs.values):
-            P = _power(values[samples], freqs.size, out=spectra[: block.size])
-            a, k, degenerate = fit_power_law(freqs, P)
-            residual = P[:, band] - _power_law(freqs[band], a, k)  # the background only where rates are read
-            rr[block, column], ni[block, column] = _rate_ni(freqs[band], residual, WINDOW_SAMPLES)
+            P = _power(values[samples], N_RATED_BINS, out=spectra[: block.size])
+            a, k, degenerate = fit_power_law(P)
+            residual = P[:, BAND] - _power_law(a, k, BAND)  # the background only where rates are read
+            rr[block, column], ni[block, column] = _rate_ni(residual, WINDOW_SAMPLES)
             reason[block[degenerate], column] = "fit_degenerate"
     unfit = reason == "fit_degenerate"
     rr[unfit] = ni[unfit] = np.nan
@@ -228,7 +226,8 @@ def window_spectrum(rivs: RivTable, table: EstimateTable, index: int, kind: RivK
     if reason in ("out_of_range", "artifact"):
         raise RrcifError(f"window {index} [{start:g}, {start + WINDOW_S:g}) s of {kind.name} is not rated: {reason}")
     i0 = _first_samples(rivs, start)
-    freqs = _freqs()
     P = _power(rivs.values[column, i0 : i0 + WINDOW_SAMPLES])
-    a, k, _ = fit_power_law(freqs, P)
-    return freqs, P, _power_law(freqs, a, k)
+    a, k, _ = fit_power_law(P)
+    P_fit = np.zeros_like(P)
+    P_fit[1:] = _power_law(a, k, slice(1, None))
+    return FREQS, P, P_fit

@@ -83,8 +83,10 @@ def test_criterion_2_power_law_fit_exactness():
     a_true, c = np.array([(rng.uniform(-3.0, 0.0), rng.uniform(0.1, 10.0)) for _ in range(100)]).T
     P = np.zeros((100, freqs.size))
     P[:, 1:] = c[:, None] * freqs[1:] ** a_true[:, None]
-    a, k, degenerate = fit_power_law(freqs, P)  # one batch: a spectrum per row
-    P_out = P - spectral._power_law(freqs, a, k)
+    a, k, degenerate = fit_power_law(P)  # one batch: a spectrum per row
+    P_fit = np.zeros_like(P)
+    P_fit[:, 1:] = spectral._power_law(a, k, slice(1, None))  # and 0 at f = 0
+    P_out = P - P_fit
     assert not degenerate.any()
     worst_coef = float(max(np.max(np.abs(a - a_true)), np.max(np.abs(k - np.log(c)))))
     worst_resid = float(np.max(np.abs(P_out[:, fit_bands]) / P[:, fit_bands]))

@@ -156,12 +156,12 @@ def test_estimate_dump_flags(tmp_path):
     band = (freqs >= 4.0) & (freqs <= 65.0)
     assert freqs[band][np.argmax(P_out[band])] == estimates.rr[10, riav]
     # P_out is printed to 8 significant digits, which bounds the noise index recomputed from the file
-    _, ni = spectral._rate_ni(freqs[band], P_out[band], 160)
+    _, ni = spectral._rate_ni(P_out[band], 160)
     assert ni == pytest.approx(estimates.ni[10, riav], rel=1e-7)
     np.testing.assert_allclose(P_out, P - P_fit, rtol=1e-7, atol=1e-7 * np.abs(P).max())
     # unrounded, the residual behind the file gives the table's noise index to 1e-12
     _, P, P_fit = spectral.window_spectrum(analysis.rivs, estimates, 10, RivKind.RIAV)
-    _, ni = spectral._rate_ni(freqs[band], (P - P_fit)[band], 160)
+    _, ni = spectral._rate_ni((P - P_fit)[band], 160)
     assert ni == pytest.approx(estimates.ni[10, riav], abs=1e-12)
 
 

@@ -180,7 +180,8 @@ def test_workers_import_no_numpy_scipy_or_rrcif_module(tmp_path):
 
 
 def test_commands_load_neither_importlib_metadata_nor_statistics(tmp_path):
-    # the version is a constant and no median comes from the statistics module
+    # the version is a constant, no median comes from the statistics module,
+    # and no median or percentile from numpy's, which load numpy.ma
     data = _write_dataset(tmp_path / "data")
     runs = [
         ["estimate", str(data / "a.csv"), "--out", str(tmp_path / "est.csv")],
@@ -191,9 +192,9 @@ def test_commands_load_neither_importlib_metadata_nor_statistics(tmp_path):
         "import sys\n"
         "from rrcif import cli\n"
         f"codes = [cli.main(argv) for argv in {runs!r}]\n"
-        "print(*codes, 'importlib.metadata' in sys.modules, 'statistics' in sys.modules)\n"
+        "print(*codes, *(name in sys.modules for name in ('importlib.metadata', 'statistics', 'numpy.ma')))\n"
     )
-    assert _python(code) == ["0", "0", "0", "False", "False"]
+    assert _python(code) == ["0", "0", "0", "False", "False", "False"]
 
 
 def test_evaluation_loads_neither_scipy_nor_the_filter_stack():

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from scipy.stats import rankdata
 
 from rrcif.evaluation import (
     _midranks,
+    _nan_quartiles,
     agreement,
     reference_at,
     report,
@@ -17,7 +19,7 @@ from rrcif.evaluation import (
     wilcoxon_signed_rank,
 )
 from rrcif.fusion import FusionResult, cif
-from rrcif.signal_io import ReferenceRr
+from rrcif.signal_io import ReferenceRr, _median
 from rrcif.spectral import WINDOW_S, EstimateTable, window_starts
 
 
@@ -202,6 +204,35 @@ def test_sweep_retention_non_increasing():
 def test_sweep_empty_dataset_rejected():
     with pytest.raises(ValueError):
         sweep([])
+
+
+def _assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    kept = ~np.isnan(want)
+    assert np.array_equal(got[kept].view(np.uint64), want[kept].view(np.uint64))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    x=st.integers(1, 9).flatmap(
+        lambda subjects: st.lists(
+            st.lists(st.one_of(st.floats(0.0, 1e6), st.just(math.nan)), min_size=subjects, max_size=subjects),
+            min_size=1,
+            max_size=4,
+        )
+    )
+)
+def test_sweep_statistics_are_numpys(x):
+    # sweep's quartiles and medians without np.nanpercentile and np.median, bit for bit on
+    # what an RMSE or a retention can be: NaN, or a float >= 0 that is not -0.0
+    x = np.array(x).T  # (subjects, thresholds)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # an all-NaN column
+        want = np.nanpercentile(x, (25, 50, 75), axis=0)
+    _assert_same_bits(_nan_quartiles(x), want)
+    _assert_same_bits(_median(x, axis=0), np.median(x, axis=0))
+    _assert_same_bits(_median(x, axis=1), np.median(x, axis=1))
 
 
 # ---------------------------------------------------------------------------

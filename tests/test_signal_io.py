@@ -415,8 +415,17 @@ def test_clean_csv_skips_row_loop(tmp_path, monkeypatch):
         ({"id": "r", "fs": 100, "samples": 5}, ValidationError, "1-D"),
         ({"id": "r", "fs": 100, "samples": [0.0, 1.0], "reference": {"t": [[0, 2]], "rr": [[12, 12]]}}, ValidationError, "1-D"),
         ({"id": "r", "fs": 100, "samples": [0.0, 1.0], "reference": 5}, ParseError, "reference must hold"),
+        ({"id": "r", "fs": "100", "samples": [0.0, 1.0]}, ParseError, 'non-numeric value: "100"'),
+        ({"id": "r", "fs": True, "samples": [0.0, 1.0]}, ParseError, "non-numeric value: true"),
+        ({"id": "r", "fs": 100, "samples": ["1.5", True, "2e0"]}, ParseError, 'non-numeric value: "1.5"'),
+        ({"id": "r", "fs": 100, "samples": [1.5, True, 2.0]}, ParseError, "non-numeric value: true"),
+        ({"id": "r", "fs": 100, "samples": [0.0, 1.0], "reference": {"t": [0, "2"], "rr": [12, 12]}}, ParseError, 'non-numeric value: "2"'),
+        ({"id": "r", "fs": 100, "samples": [0.0, 1.0], "reference": {"t": [0, 2], "rr": [12, False]}}, ParseError, "non-numeric value: false"),
     ],
-    ids=["fs-list", "samples-scalar", "reference-2d", "reference-number"],
+    ids=[
+        "fs-list", "samples-scalar", "reference-2d", "reference-number", "fs-string", "fs-boolean",
+        "samples-strings", "samples-boolean", "reference-t-string", "reference-rr-boolean",
+    ],
 )
 def test_json_wrong_shapes_rejected(tmp_path, obj, error, message):
     path = tmp_path / "rec.json"

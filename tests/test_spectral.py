@@ -8,8 +8,11 @@ from rrcif.errors import RrcifError
 from rrcif.fusion import cif
 from rrcif.riv import ALL_KINDS, RivKind, RivTable
 from rrcif.spectral import (
+    BAND,
     FIT_BANDS_BPM,
+    FREQS,
     MIN_FIT_BINS,
+    N_RATED_BINS,
     NFFT,
     REASONS,
     WINDOW_S,
@@ -63,19 +66,17 @@ def _first_rate(series):
 
 
 def _fitted(P):
-    """(a, k, degenerate, P_fit, P_out) of one spectrum on the padded 5 Hz grid."""
-    f = _grid_freqs()
+    """(a, k, degenerate, P_fit, P_out) of one spectrum on the padded 5 Hz grid, P_fit = 0 at f = 0."""
     P = np.asarray(P, dtype=float)
-    a, k, degenerate = fit_power_law(f, P)
-    P_fit = spectral._power_law(f, a, k)
+    a, k, degenerate = fit_power_law(P)
+    P_fit = np.zeros_like(P)
+    P_fit[1:] = spectral._power_law(a, k, slice(1, None))
     return a, k, degenerate, P_fit, P - P_fit
 
 
 def _rate_ni(P_out):
     """(rr, ni) from a residual on the padded 5 Hz grid of a 160-sample window."""
-    f = _grid_freqs()
-    band = spectral._band(f)
-    return spectral._rate_ni(f[band], P_out[band], 160)
+    return spectral._rate_ni(P_out[BAND], 160)
 
 
 # ---------------------------------------------------------------------------
@@ -95,6 +96,38 @@ def test_window_geometry():
     assert starts.dtype == float
     assert starts[0] == 0.0 and starts[1] == 2.0
     assert starts[-1] + WINDOW_S <= 480.0 + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# the fixed grid
+
+
+def test_grid_constants_select_their_bins():
+    f = _grid_freqs()
+    np.testing.assert_array_equal(FREQS, f)
+    bins = np.arange(f.size)
+    np.testing.assert_array_equal(bins[BAND], np.flatnonzero((f >= 4.0) & (f <= 65.0)))
+    np.testing.assert_array_equal(spectral._FIT_BINS, np.flatnonzero(((f >= 2.0) & (f <= 4.0)) | ((f >= 65.0) & (f <= 100.0))))
+    assert N_RATED_BINS == np.count_nonzero(f <= 100.0)
+
+
+def test_fit_alike_on_full_and_rated_grid():
+    # window_spectrum fits the full grid, rate_windows its first N_RATED_BINS bins
+    rng = np.random.default_rng(3)
+    P = np.exp(rng.standard_normal((6, FREQS.size)))
+    P[1, spectral._FIT_BINS[::2]] = 0.0  # some fit bins without power
+    P[2, :] = 0.0  # degenerate
+    for full, rated in zip(fit_power_law(P), fit_power_law(P[:, :N_RATED_BINS])):
+        np.testing.assert_array_equal(full, rated)
+
+
+def test_grid_constants_are_read_only():
+    for constant in (FREQS, spectral._TAPER, spectral._FIT_BINS, spectral._FIT_POWERS):
+        with pytest.raises(ValueError, match="read-only"):
+            constant[0] = 1
+    freqs, _, _ = _first_window(_tone_table(0.3, duration=32.0)[0])
+    with pytest.raises(ValueError, match="read-only"):
+        freqs[1] = 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +256,7 @@ def test_fit_partially_masked_matches_polyfit():
     f_batch = f[f <= FIT_BANDS_BPM[-1][1]]
     unmasked = np.zeros_like(f_batch)
     unmasked[1:] = 2.0 / f_batch[1:]
-    a, k, degenerate = fit_power_law(f_batch, np.stack([unmasked, P[: f_batch.size]]))
+    a, k, degenerate = fit_power_law(np.stack([unmasked, P[: f_batch.size]]))
     assert not degenerate.any()
     assert a[1] == pytest.approx(a_want, rel=1e-9) and k[1] == pytest.approx(k_want, rel=1e-9)
     assert a[0] == pytest.approx(-1.0, rel=1e-9) and k[0] == pytest.approx(np.log(2.0), rel=1e-9)
@@ -232,9 +265,8 @@ def test_fit_partially_masked_matches_polyfit():
 def test_p_out_identity():
     # the residual P - P_fit of window_spectrum is the one rate_windows rates
     series, _ = _tone_table(0.25)
-    freqs, P, P_fit = _first_window(series)
-    band = spectral._band(freqs)
-    rr, ni = spectral._rate_ni(freqs[band], (P - P_fit)[band], 160)
+    _, P, P_fit = _first_window(series)
+    rr, ni = _rate_ni(P - P_fit)
     rr_want, ni_want = _first_rate(series)
     assert rr == rr_want
     assert ni == pytest.approx(ni_want, abs=1e-12)
@@ -360,13 +392,11 @@ def test_batch_matches_single_window():
     assert (table.reason == "none").all()
     # reference: the kernel steps on every window of each row at once, over the full rfft grid
     starts = np.round(table.start_s / 0.2).astype(int)
-    f = _grid_freqs()
-    band = spectral._band(f)
     for column, row in enumerate(values):
         P = spectral._power(row[starts[:, None] + np.arange(160)])
-        a, k, degenerate = fit_power_law(f, P)
+        a, k, degenerate = fit_power_law(P)
         assert not degenerate.any()
-        rr_want, ni_want = spectral._rate_ni(f[band], (P - spectral._power_law(f, a, k))[:, band], 160)
+        rr_want, ni_want = spectral._rate_ni(P[:, BAND] - spectral._power_law(a, k, BAND), 160)
         np.testing.assert_array_equal(table.rr[:, column], rr_want)
         np.testing.assert_allclose(table.ni[:, column], ni_want, rtol=0, atol=1e-12)
 
