@@ -135,14 +135,13 @@ def sosfiltfilt(sos, x, padlen):
     return y[::-1][padlen:-padlen]
 
 
-def find_peaks(x, distance, prominence):
-    """``scipy.signal.find_peaks(x, distance=distance, prominence=prominence)``, as (peaks, prominences)."""
+def find_peaks(x, distance):
+    """``scipy.signal.find_peaks(x, distance=distance, prominence=0)``, as (peaks, prominences)."""
     x = np.asarray(x, order="C", dtype=np.float64)
     peaks, _, _ = _local_maxima_1d(x)
     peaks = peaks[_select_by_peak_distance(peaks, x[peaks], distance)]
     prominences, _, _ = _peak_prominences(x, peaks, -1)  # wlen -1: the whole record
-    keep = prominence <= prominences
-    return peaks[keep], prominences[keep]
+    return peaks, prominences
 
 
 try:
@@ -156,6 +155,6 @@ except (ImportError, OSError, AttributeError):  # the one switch point: scipy's 
     def sosfiltfilt(sos, x, padlen):
         return signal.sosfiltfilt(sos, x, padlen=padlen)
 
-    def find_peaks(x, distance, prominence):
-        peaks, properties = signal.find_peaks(x, distance=distance, prominence=prominence)
+    def find_peaks(x, distance):
+        peaks, properties = signal.find_peaks(x, distance=distance, prominence=(None, None))
         return peaks, properties["prominences"]

@@ -170,7 +170,7 @@ def _cmd_estimate(args, parser):
 
 
 def _analyze_subject(path):
-    """Read and analyze one subject; returns (record id, estimates, reference) or the error message.
+    """Read and analyze one subject; returns (estimates, reference) or the error message.
 
     Runs in a worker process, so a data or I/O error comes back as text for
     the parent to report; any other exception is a bug and propagates. The
@@ -179,18 +179,17 @@ def _analyze_subject(path):
     from . import pipeline, signal_io
 
     try:
-        if path.suffix == ".json":
+        if path.suffix.lower() == ".json":
             record, reference = signal_io.read_record_json(path)
             if reference is None:
                 raise RrcifError(f"{path}: JSON record has no embedded reference")
         else:
-            ref_path = path.with_name(path.stem + "_ref.csv")
+            ref_path = path.with_name(path.stem + "_ref" + path.suffix)
             record = signal_io.read_record(path)
             if not ref_path.exists():
-                raise RrcifError(f"{path}: no matching *_ref.csv reference")
+                raise RrcifError(f"{path}: no matching {ref_path.name} reference")
             reference = signal_io.read_reference(ref_path)
-        analysis = pipeline.analyze_record(record)
-        return analysis.record_id, analysis.estimates, reference
+        return pipeline.analyze_record(record).estimates, reference
     except (RrcifError, OSError) as exc:  # one bad subject must not end the run
         return str(exc)
 
@@ -200,7 +199,7 @@ def _record_id(path):
     ``"id"`` as the reader takes it; None for a JSON file the reader rejects,
     which its worker reports.
     """
-    if path.suffix != ".json":
+    if path.suffix.lower() != ".json":
         return path.stem
     from . import signal_io
 
@@ -231,19 +230,22 @@ def _analyze_dataset(directory):
     """Read and analyze every subject of a dataset directory, in id order.
 
     A subject is <id>.csv with <id>_ref.csv beside it, or a record JSON with
-    an embedded reference. Subjects are analyzed in worker processes, one per
-    available CPU but no more than there are subjects. Workers are forked, so
-    they start with the modules this process has already imported; the
-    analysis is imported before the pool and loads no module on first use,
-    so no worker imports a numpy, scipy or rrcif module for itself. A subject
-    that cannot be read or analyzed is warned about and skipped, in path order.
+    an embedded reference; the suffix's case does not matter, as in
+    :func:`signal_io.read_record`, and a reference takes its record's suffix.
+    Subjects are analyzed in worker processes, one per available CPU but no
+    more than there are subjects. Workers are forked, so they start with the
+    modules this process has already imported; the analysis is imported
+    before the pool and loads no module on first use, so no worker imports a
+    numpy, scipy or rrcif module for itself. A subject that cannot be read or
+    analyzed is warned about and skipped, in path order.
     Two files with the same record id are a data error, found before any
     subject is analyzed.
-    Returns ((record id, estimates, reference) triples, skipped names).
+    Returns ({record id: (estimates, reference)} in id order, skipped names).
     """
     directory = Path(directory)
-    records = sorted(p for p in directory.glob("*.csv") if not p.stem.endswith("_ref"))
-    records += sorted(directory.glob("*.json"))
+    files = sorted(directory.glob("*"))
+    records = [p for p in files if p.suffix.lower() == ".csv" and not p.stem.endswith("_ref")]
+    records += [p for p in files if p.suffix.lower() == ".json"]
     if not records:
         raise RrcifError(f"{directory}: no record files found")
     paths = {}
@@ -266,17 +268,15 @@ def _analyze_dataset(directory):
         initializer=_end_with_parent,
         initargs=(os.getpid(),),
     ) as pool:
-        results = list(pool.map(_analyze_subject, records))
-    subjects, skipped = [], []
-    for path, result in zip(records, results):
+        results = dict(zip(records, pool.map(_analyze_subject, records)))
+    skipped = []
+    for path, result in results.items():
         if isinstance(result, str):
             print(f"warning: skipping {path.name}: {result}", file=sys.stderr)
             skipped.append(path.name)
-        else:
-            subjects.append(result)
+    subjects = {record_id: results[path] for record_id, path in sorted(paths.items()) if not isinstance(results[path], str)}
     if not subjects:
         raise RrcifError(f"{directory}: no subject could be analyzed")
-    subjects.sort(key=lambda s: s[0])
     return subjects, skipped
 
 
@@ -294,12 +294,12 @@ def _cmd_benchmark(args, parser):
     from . import evaluation
 
     subjects, skipped = _analyze_dataset(args.dataset)
-    scores, summary = evaluation.report([(estimates, ref) for _, estimates, ref in subjects], methods, args.t)
+    scores, summary = evaluation.report(list(subjects.values()), methods, args.t)
 
     out_dir = Path(args.out)
     lines = [_header(",".join(methods), args.t), "id,method,t,rmse,retention\n"]
     for method, (rmse, retention) in scores.items():
-        for (record_id, _, _), subject_rmse, subject_retention in zip(subjects, rmse.tolist(), retention.tolist()):
+        for record_id, subject_rmse, subject_retention in zip(subjects, rmse.tolist(), retention.tolist()):
             subject_rmse = "" if math.isnan(subject_rmse) else f"{subject_rmse:.6g}"
             lines.append(f"{record_id},{method.upper()},{args.t:.2f},{subject_rmse},{subject_retention:.6g}\n")
     _emit(out_dir / "subjects.csv", lines)
@@ -320,7 +320,7 @@ def _cmd_sweep(args, parser):
     from . import evaluation
 
     subjects, _ = _analyze_dataset(args.dataset)
-    rows = evaluation.sweep([(estimates, ref) for _, estimates, ref in subjects], t_grid)
+    rows = evaluation.sweep(list(subjects.values()), t_grid)
     lines = [_header("cif", args.t_min), "t,rmse_p25,rmse_median,rmse_p75,retention_median\n"]
     for row in rows:
         lines.append(
@@ -331,6 +331,8 @@ def _cmd_sweep(args, parser):
 
 
 def _cmd_synth(args, parser):
+    if Path(args.out).name in ("", ".."):  # a directory: "..", with a suffix, would make "...csv"
+        parser.error(f"--out must end in a file name, got {args.out!r}")
     from . import signal_io
 
     spec = signal_io.SynthSpec(

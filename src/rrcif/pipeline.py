@@ -16,7 +16,6 @@ from .spectral import EstimateTable, rate_windows
 class RecordAnalysis:
     """Everything extracted from one recording, before fusion."""
 
-    record_id: str
     estimates: EstimateTable
     beats: BeatTable
     rivs: RivTable
@@ -33,5 +32,5 @@ def analyze_record(record: PpgRecord) -> RecordAnalysis:
     beats = flag_artifacts(segment_beats(filtered), record=record)
     rivs = extract(beats, t_end=record.duration_s)
     estimates = rate_windows(rivs, record.duration_s)
-    return RecordAnalysis(record_id=record.id, estimates=estimates, beats=beats, rivs=rivs)
+    return RecordAnalysis(estimates=estimates, beats=beats, rivs=rivs)
 

@@ -8,9 +8,9 @@ The filter design, the filtering and the peak search are scipy's
 compiled kernels through :mod:`rrcif._sigkernels`, which does not import
 ``scipy.signal`` unless it has to fall back to it.
 
-Segmentation finds pulse peaks with an adaptive prominence threshold (half
-the median of the last 10 accepted prominences) and a 0.3 s refractory
-period; feet are the minima between consecutive peaks. Width and rise time
+Segmentation accepts each local maximum left by a 0.3 s refractory distance
+whose prominence reaches half the median of the last 10 accepted ones; feet
+are the minima between consecutive peaks. Width and rise time
 come from linearly interpolated level crossings on each pulse.
 
 Artifact criteria (tunable module constants): a beat whose period or
@@ -140,7 +140,7 @@ def segment_beats(filtered: PpgRecord) -> BeatTable:
     x = filtered.samples
     fs = filtered.fs
     distance = max(1, int(round(REFRACTORY_S * fs)))
-    candidates, proms = _sigkernels.find_peaks(x, distance, 1e-12)
+    candidates, proms = _sigkernels.find_peaks(x, distance)
     if candidates.size == 0:
         raise InsufficientSignalError("no pulse peaks detected")
 

@@ -118,7 +118,10 @@ class ReferenceRr:
 
 @dataclass(frozen=True)
 class ModDepths:
-    """Per-variation modulation depths in [0, 1] for the synthetic generator."""
+    """Per-variation modulation depths for the synthetic generator, each in
+    [0, 1] except frequency, in [0, 1): at frequency depth 1 the periods
+    before a trough of the modulator shrink toward 0, so the beats would
+    never reach the end of the record."""
 
     intensity: float = 0.0
     amplitude: float = 0.0
@@ -130,6 +133,8 @@ class ModDepths:
         for name, v in self.__dict__.items():
             if not 0.0 <= v <= 1.0:
                 raise ValidationError(f"depth {name} must be in [0, 1], got {v}")
+        if self.frequency == 1.0:
+            raise ValidationError("depth frequency must be in [0, 1), got 1.0")
 
 
 @dataclass(frozen=True)
@@ -161,12 +166,18 @@ class SynthSpec:
             raise ValidationError(f"duration_s and fs must be finite and positive, got {self.duration_s} and {self.fs}")
         if not 0 <= self.noise_sd < math.inf:
             raise ValidationError(f"noise_sd must be finite and >= 0, got {self.noise_sd}")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         n_samples = self.duration_s * self.fs  # synthesize() makes round(n_samples)
         if n_samples == math.inf or round(n_samples) > SYNTH_MAX_SAMPLES:
             raise ValidationError(f"duration_s * fs must give at most {SYNTH_MAX_SAMPLES} samples, got {n_samples:g}")
         n_beats = self.duration_s * self.hr / 60.0
-        if n_beats > SYNTH_MAX_BEATS:
-            raise ValidationError(f"duration_s * hr / 60 must give at most {SYNTH_MAX_BEATS} beats, got {n_beats:g}")
+        shortest = 1.0 - self.depths.frequency  # no period is shorter than shortest * 60 / hr
+        if n_beats > SYNTH_MAX_BEATS * shortest:
+            raise ValidationError(
+                f"duration_s * hr / 60 / (1 - frequency depth) must give at most {SYNTH_MAX_BEATS} beats, "
+                f"got {n_beats:g} / {shortest:g}"
+            )
 
 
 # ---------------------------------------------------------------------------

@@ -73,6 +73,36 @@ def test_synth_oversized_spec_exit_2(tmp_path, capsys, argv, message):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--depths", "0.1", "0.1", "1", "0.1", "0.1"], "depth frequency must be in [0, 1), got 1.0"),
+        (["--depths", "0.1", "0.1", "0.999999999999", "0.1", "0.1"], "at most 1048576 beats, got 70 / "),
+        (["--seed", "-1", "--noise-sd", "0.1"], "seed must be >= 0, got -1"),
+    ],
+    ids=["frequency-depth-1", "frequency-depth-near-1", "negative-seed"],
+)
+def test_synth_invalid_spec_exit_2(tmp_path, capsys, argv, message):
+    # a frequency depth near 1 would keep the beat loop running for hours
+    assert main(["synth", "--rr", "15", "--hr", "70", "--duration", "60", *argv, "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and message in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("out", ["", ".", "/", "..", "data/.."])
+def test_synth_out_without_file_name_exit_64(tmp_path, capsys, monkeypatch, out):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["synth", "--rr", "15", "--hr", "70", "--duration", "60", "--out", out])
+    assert exc.value.code == 64
+    err = capsys.readouterr().err
+    # argparse's usage line, then the one error line
+    assert err.splitlines()[1:] == [f"rrcif: error: --out must end in a file name, got {out!r}"]
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_estimate_sf3_contributors_subset(tmp_path):
     rec_path = _write_subject(tmp_path, "s1")
     out = tmp_path / "est.csv"
@@ -397,6 +427,20 @@ def test_benchmark_id_of_a_csv_and_a_json_exit_2(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+def test_benchmark_reads_record_suffixes_in_any_case(tmp_path, capsys):
+    _write_subject(tmp_path, "s00", seed=1)
+    _write_subject(tmp_path, "s01", seed=2)
+    for name in ("s01.csv", "s01_ref.csv"):
+        (tmp_path / name).rename(tmp_path / name.replace(".csv", ".CSV"))
+    _write_json_subject(tmp_path / "C.JSON", "s02", seed=3)
+    out_dir = tmp_path / "out"
+    assert main(["benchmark", str(tmp_path), "--methods", "cif", "--out", str(out_dir)]) == 0
+    assert "warning" not in capsys.readouterr().err
+    _, rows = _read_table(out_dir / "subjects.csv")
+    assert [row[0] for row in rows] == ["s00", "s01", "s02"]
+    assert json.loads((out_dir / "report.json").read_text())["skipped"] == []
+
+
 def test_sweep_id_of_two_jsons_exit_2(tmp_path, capsys):
     _write_subject(tmp_path, "s00", seed=1)
     _write_json_subject(tmp_path / "a.json", "s01", seed=2)
@@ -574,8 +618,8 @@ def test_dataset_pool_matches_serial_analysis(tmp_path, capsys, monkeypatch):
     assert len(warnings) == 2
     assert warnings[0].startswith("warning: skipping b.csv: ") and "line 3" in warnings[0]
     assert warnings[1].startswith("warning: skipping d.csv: ") and "not UTF-8" in warnings[1]
-    assert [record_id for record_id, _, _ in subjects] == ["a", "c", "e"]
-    for path, (_, estimates, reference) in zip(good, subjects):
+    assert list(subjects) == ["a", "c", "e"]
+    for path, (estimates, reference) in zip(good, subjects.values()):
         _assert_tables_bit_equal(estimates, pipeline.analyze_record(read_record(path)).estimates)
         np.testing.assert_array_equal(reference.rr, read_reference(path.with_name(f"{path.stem}_ref.csv")).rr)
 
@@ -586,16 +630,15 @@ def _assert_tables_bit_equal(table, expected):
     np.testing.assert_array_equal(table.reason, expected.reason)
 
 
-def test_analyze_subject_returns_id_estimates_and_reference(tmp_path):
+def test_analyze_subject_returns_estimates_and_reference(tmp_path):
     from rrcif import cli
     from rrcif.signal_io import ReferenceRr
     from rrcif.spectral import EstimateTable
 
     path = _write_subject(tmp_path, "s1", rr=18.0, hr=78.0, noise=0.03, seed=1)
     result = cli._analyze_subject(path)
-    assert isinstance(result, tuple) and len(result) == 3
-    record_id, estimates, reference = result
-    assert record_id == "s1"
+    assert isinstance(result, tuple) and len(result) == 2
+    estimates, reference = result
     assert isinstance(estimates, EstimateTable) and isinstance(reference, ReferenceRr)
     _assert_tables_bit_equal(estimates, pipeline.analyze_record(read_record(path)).estimates)
     np.testing.assert_array_equal(reference.times_s, read_reference(tmp_path / "s1_ref.csv").times_s)

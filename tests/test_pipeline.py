@@ -3,6 +3,7 @@ import pytest
 
 from rrcif import METHODS, pipeline
 from rrcif.fusion import fuse_estimates
+from rrcif.signal_io import PpgRecord
 from rrcif.spectral import REASONS
 
 from conftest import make_synth
@@ -40,3 +41,19 @@ def test_fuse_estimates_methods(late_start):
         assert fused.retained[1:].all()
     with pytest.raises(ValueError):
         fuse_estimates(late_start.estimates, "magic", 0.13)
+
+
+@pytest.mark.parametrize(("fs", "seed"), [(25.0, 31), (100.0, 32), (300.0, 33)])
+def test_power_of_two_scaling_leaves_the_analysis_unchanged(fs, seed):
+    """Scaling the samples by 2**k is exact in floating point, and no step of
+    the analysis compares a level with an absolute constant, so every rate and
+    reason stays the same bit for bit; the noise index is a ratio of powers."""
+    record, _ = make_synth(rr=16.0, hr=75.0, duration=120.0, fs=fs, noise=0.05, seed=seed)
+    base = pipeline.analyze_record(record).estimates
+    assert (base.reason == "none").any()
+    for k in (-200, -60, -40, 40, 200):
+        scaled = PpgRecord(id=record.id, fs=fs, samples=record.samples * 2.0**k)
+        estimates = pipeline.analyze_record(scaled).estimates
+        assert estimates.rr.tobytes() == base.rr.tobytes(), k
+        assert (estimates.reason == base.reason).all(), k
+        np.testing.assert_allclose(estimates.ni, base.ni, rtol=0, atol=1e-12, equal_nan=True, err_msg=str(k))

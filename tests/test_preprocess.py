@@ -210,7 +210,7 @@ def _cross_down_loop(x, i0, i1, level, fs):
 def _segment_beats_loop(filtered):
     """Per-beat rows in BEAT_COLUMNS order, None for the first beat's period."""
     x, fs = filtered.samples, filtered.fs
-    candidates, props = find_peaks(x, distance=max(1, int(round(REFRACTORY_S * fs))), prominence=1e-12)
+    candidates, props = find_peaks(x, distance=max(1, int(round(REFRACTORY_S * fs))), prominence=0)
     if candidates.size == 0:
         raise InsufficientSignalError("no pulse peaks detected")
     global_median = float(np.median(props["prominences"]))
@@ -434,8 +434,8 @@ def test_kernels_equal_scipy_signal_bit_for_bit(fs, extra, step, runs, seed, dis
     y = _sigkernels.sosfiltfilt(sos, x, padlen)
     _same_bits(y, scipy.signal.sosfiltfilt(sos, x, padlen=padlen))
     for samples, d in ((x, distance), (y - np.mean(y), max(1, int(round(REFRACTORY_S * fs))))):
-        peaks, prominences = _sigkernels.find_peaks(samples, d, 1e-12)
-        want, properties = scipy.signal.find_peaks(samples, distance=d, prominence=1e-12)
+        peaks, prominences = _sigkernels.find_peaks(samples, d)
+        want, properties = scipy.signal.find_peaks(samples, distance=d, prominence=0)
         _same_bits(peaks, want)
         _same_bits(prominences, properties["prominences"])
 

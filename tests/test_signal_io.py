@@ -196,6 +196,21 @@ def test_synth_validation():
 
 
 @pytest.mark.parametrize(
+    "build",
+    [
+        lambda: ModDepths(frequency=1.0),
+        lambda: SynthSpec(rr=15.0, hr=70.0, duration_s=60.0, depths=ModDepths(frequency=1.0 - 1e-12)),
+        lambda: SynthSpec(rr=15.0, hr=70.0, noise_sd=0.1, seed=-1),
+    ],
+    ids=["frequency-depth-1", "frequency-depth-near-1", "negative-seed"],
+)
+def test_synth_spec_rejects_runaway_beat_loops_and_negative_seeds(build):
+    # constructor only: at frequency depth 1, or near it, the beat loop would not finish
+    with pytest.raises(ValidationError):
+        build()
+
+
+@pytest.mark.parametrize(
     "field",
     [{"hr": float("nan")}, {"hr": float("inf")}, {"duration_s": float("nan")}, {"duration_s": float("inf")},
      {"fs": float("nan")}, {"noise_sd": float("nan")}],
