@@ -28,13 +28,15 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import _sigkernels
-from .errors import InsufficientSignalError, UnsupportedRateError
+from .errors import InsufficientSignalError, UnsupportedRateError, ValidationError
 from .signal_io import PpgRecord, _median
 
 BAND_HZ = (0.4, 8.0)
 FILTER_ORDER = 3
 MIN_FS_HZ = 25.0
 MAX_FS_HZ = 10_000.0            # a 1.2 Hz tone keeps its band-pass gain here; at 1e9 Hz the design is singular
+MAX_ABS_SAMPLE = 2.0**400       # above it the window powers could overflow
+MIN_ABS_FILTERED = 2.0**-400    # below it the window spectra could turn subnormal
 
 REFRACTORY_S = 0.3              # caps detectable heart rate at 200 beats/min
 PROMINENCE_FACTOR = 0.5         # accept peaks above this fraction of the running median
@@ -70,8 +72,12 @@ def bandpass(record: PpgRecord) -> PpgRecord:
     """Zero-phase 0.4-8 Hz band-pass; length preserved, DC removed.
 
     Raises :class:`UnsupportedRateError` for a sampling rate outside
-    [MIN_FS_HZ, MAX_FS_HZ] and :class:`InsufficientSignalError` when the
-    record is not longer than the filter's edge padding.
+    [MIN_FS_HZ, MAX_FS_HZ], :class:`ValidationError` when a raw |sample|
+    exceeds MAX_ABS_SAMPLE, and :class:`InsufficientSignalError` when the
+    record is not longer than the filter's edge padding or its band-passed
+    |values| all lie below MIN_ABS_FILTERED. These bounds keep the window
+    spectra finite and normal, so scaling a record by a power of two changes
+    no rate or reason.
     """
     if record.fs < MIN_FS_HZ:
         raise UnsupportedRateError(f"fs {record.fs:g} Hz < {MIN_FS_HZ:g} Hz minimum")
@@ -81,9 +87,14 @@ def bandpass(record: PpgRecord) -> PpgRecord:
     padlen = 3 * (2 * len(sos) + 1)  # the edge extension sosfiltfilt uses for this filter
     if record.samples.size <= padlen:
         raise InsufficientSignalError(f"{record.samples.size} samples, the band-pass filter needs > {padlen}")
+    largest = np.abs(record.samples).max()
+    if largest > MAX_ABS_SAMPLE:  # checked first: the mean of such samples can overflow
+        raise ValidationError(f"largest |sample| {largest:g} exceeds 2**400")
     x = record.samples - np.mean(record.samples)
     y = _sigkernels.sosfiltfilt(sos, x, padlen)
     y -= np.mean(y)  # filter edge transients leave a residual mean
+    if np.abs(y).max() < MIN_ABS_FILTERED:
+        raise InsufficientSignalError("band-passed signal is flat: every |value| is below 2**-400")
     return PpgRecord(id=record.id, fs=record.fs, samples=y)
 
 
@@ -217,27 +228,26 @@ def _deviates(values: np.ndarray, med: np.ndarray) -> np.ndarray:
     return positive & ~((1.0 / ARTIFACT_FACTOR <= ratio) & (ratio <= ARTIFACT_FACTOR))
 
 
-def flag_artifacts(beats: BeatTable, record: PpgRecord | None = None) -> BeatTable:
+def flag_artifacts(beats: BeatTable, record: PpgRecord) -> BeatTable:
     """Return a copy of `beats` with the artifact column set.
 
     A beat is flagged when its period or amplitude deviates from the running
     median of the previous ARTIFACT_WINDOW beats by more than ARTIFACT_FACTOR,
-    or (when the raw `record` is supplied) when the samples it spans contain a
-    run of >= CLIP_RUN values pinned at the record's global min or max.
-    Flags depend only on beat values, so the operation is idempotent.
+    or when the samples of the raw `record` it spans contain a run of
+    >= CLIP_RUN values pinned at the record's global min or max.
+    Flags do not read the artifact column, so the operation is idempotent.
     """
     if len(beats) < 3:
         raise InsufficientSignalError("need >= 3 beats for artifact detection")
     amps = beats.v_peak - beats.v_foot
     periods = beats.period
     flags = _deviates(amps, _running_median(amps)) | (~np.isnan(periods) & _deviates(periods, _running_median(periods)))
-    if record is not None:
-        runs = _clip_runs(record.samples)
-        bounds = np.append(beats.t_foot, beats.t_peak[-1] + beats.width50[-1])
-        idx = np.clip((bounds * record.fs).astype(int), 0, record.samples.size)
-        # a beat spans runs[idx[i] : max(idx[i + 1], idx[i] + 1)]
-        start = idx[:-1]
-        stop = np.minimum(np.maximum(idx[1:], start + 1), runs.size)
-        pinned_before = np.concatenate(([0], np.cumsum(runs)))
-        flags |= pinned_before[stop] > pinned_before[start]
+    runs = _clip_runs(record.samples)
+    bounds = np.append(beats.t_foot, beats.t_peak[-1] + beats.width50[-1])
+    idx = np.clip((bounds * record.fs).astype(int), 0, record.samples.size)
+    # a beat spans runs[idx[i] : max(idx[i + 1], idx[i] + 1)]
+    start = idx[:-1]
+    stop = np.minimum(np.maximum(idx[1:], start + 1), runs.size)
+    pinned_before = np.concatenate(([0], np.cumsum(runs)))
+    flags |= pinned_before[stop] > pinned_before[start]
     return BeatTable(**{**vars(beats), "artifact": flags})

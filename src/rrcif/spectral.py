@@ -128,15 +128,14 @@ def _power_law(a: np.ndarray, k: np.ndarray, bins: slice) -> np.ndarray:
     return np.exp(k[..., None] + a[..., None] * np.log(FREQS[bins]))
 
 
-def _rate_ni(residual: np.ndarray, n_window: int):
+def _rate_ni(residual: np.ndarray):
     """Rate at the residual maximum and the native-resolution noise index.
 
     The last axis of ``residual`` holds the BAND bins.
     """
-    peak = np.argmax(residual, axis=-1)
-    rr = FREQS[BAND][peak]
-    denom = np.clip(residual, 0.0, None).sum(axis=-1) * n_window / NFFT
-    top = np.take_along_axis(residual, np.expand_dims(peak, -1), axis=-1)[..., 0]
+    rr = FREQS[BAND][np.argmax(residual, axis=-1)]
+    denom = np.clip(residual, 0.0, None).sum(axis=-1) * WINDOW_SAMPLES / NFFT
+    top = residual.max(axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):
         ni = np.where(denom > 0.0, np.minimum(np.maximum(top, 0.0) / denom, 1.0), 0.0)
     return rr, ni
@@ -200,10 +199,8 @@ def rate_windows(rivs: RivTable, duration_s: float) -> EstimateTable:
             P = _power(values[samples], N_RATED_BINS, out=spectra[: block.size])
             a, k, degenerate = fit_power_law(P)
             residual = P[:, BAND] - _power_law(a, k, BAND)  # the background only where rates are read
-            rr[block, column], ni[block, column] = _rate_ni(residual, WINDOW_SAMPLES)
+            rr[block, column], ni[block, column] = np.where(degenerate, np.nan, _rate_ni(residual))
             reason[block[degenerate], column] = "fit_degenerate"
-    unfit = reason == "fit_degenerate"
-    rr[unfit] = ni[unfit] = np.nan
     return EstimateTable(start_s=start_s, rr=rr, ni=ni, reason=reason)
 
 

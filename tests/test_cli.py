@@ -1,15 +1,22 @@
+import contextlib
 import hashlib
+import io
 import json
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rrcif import pipeline, spectral
 from rrcif.cli import main
 from rrcif.riv import ALL_KINDS, RivKind
-from rrcif.signal_io import read_record, read_reference
+from rrcif.signal_io import PpgRecord, read_record, read_reference, write_record
 
-from conftest import make_synth
+from conftest import make_synth, mutated_file
 
 
 # sha256 of the `--dump-spectrum 10 riav` file of the seed-1 120 s subject
@@ -186,12 +193,12 @@ def test_estimate_dump_flags(tmp_path):
     band = (freqs >= 4.0) & (freqs <= 65.0)
     assert freqs[band][np.argmax(P_out[band])] == estimates.rr[10, riav]
     # P_out is printed to 8 significant digits, which bounds the noise index recomputed from the file
-    _, ni = spectral._rate_ni(P_out[band], 160)
+    _, ni = spectral._rate_ni(P_out[band])
     assert ni == pytest.approx(estimates.ni[10, riav], rel=1e-7)
     np.testing.assert_allclose(P_out, P - P_fit, rtol=1e-7, atol=1e-7 * np.abs(P).max())
     # unrounded, the residual behind the file gives the table's noise index to 1e-12
     _, P, P_fit = spectral.window_spectrum(analysis.rivs, estimates, 10, RivKind.RIAV)
-    _, ni = spectral._rate_ni((P - P_fit)[band], 160)
+    _, ni = spectral._rate_ni((P - P_fit)[band])
     assert ni == pytest.approx(estimates.ni[10, riav], abs=1e-12)
 
 
@@ -345,6 +352,16 @@ def test_estimate_fs_above_maximum_exit_2(tmp_path, capsys, name):
     assert main(["estimate", str(tmp_path / name)]) == 2
     err = capsys.readouterr().err
     assert "> 10000 Hz maximum" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(("k", "message"), [(504, "exceeds 2**400"), (-540, "below 2**-400")])
+def test_estimate_outside_the_amplitude_envelope_exit_2(tmp_path, capsys, k, message):
+    record, _ = make_synth(duration=60.0)
+    path = tmp_path / "scaled.csv"
+    write_record(PpgRecord(record.id, record.fs, record.samples * 2.0**k), path)
+    assert main(["estimate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and message in err and "Traceback" not in err
 
 
 def test_benchmark_skips_fs_above_maximum(tmp_path, capsys):
@@ -642,3 +659,29 @@ def test_analyze_subject_returns_estimates_and_reference(tmp_path):
     assert isinstance(estimates, EstimateTable) and isinstance(reference, ReferenceRr)
     _assert_tables_bit_equal(estimates, pipeline.analyze_record(read_record(path)).estimates)
     np.testing.assert_array_equal(reference.times_s, read_reference(tmp_path / "s1_ref.csv").times_s)
+
+
+# ---------------------------------------------------------------------------
+# File-boundary fuzzer: `estimate` on a record CSV or record JSON mutated by
+# conftest's mutated_file gives its table or one error line, never a
+# traceback (an uncaught exception fails the test) or a RuntimeWarning.
+
+
+@pytest.mark.parametrize("kind, name", [("record", "rec.csv"), ("json", "rec.json")], ids=["record-csv", "record-json"])
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_estimate_on_a_mutated_file_exits_0_or_2(kind, name, data):
+    text = data.draw(mutated_file(kind))
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        path = Path(tmp, name)
+        path.write_bytes(text)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["estimate", str(path)])
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    if code == 0:
+        assert err.getvalue() == "" and out.getvalue().startswith("# rrcif ")
+    else:
+        assert code == 2 and out.getvalue() == ""
+        assert err.getvalue().startswith("rrcif: error: ") and err.getvalue().count("\n") == 1

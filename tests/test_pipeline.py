@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from rrcif import METHODS, pipeline
+from rrcif.errors import InsufficientSignalError, ValidationError
 from rrcif.fusion import fuse_estimates
 from rrcif.signal_io import PpgRecord
 from rrcif.spectral import REASONS
@@ -43,17 +44,33 @@ def test_fuse_estimates_methods(late_start):
         fuse_estimates(late_start.estimates, "magic", 0.13)
 
 
+# scalings of a unit-amplitude pulse that leave the amplitude envelope, and the error each raises
+OUTSIDE_THE_ENVELOPE = {
+    -540: InsufficientSignalError,
+    -401: InsufficientSignalError,
+    401: ValidationError,
+    504: ValidationError,
+    900: ValidationError,
+}
+
+
 @pytest.mark.parametrize(("fs", "seed"), [(25.0, 31), (100.0, 32), (300.0, 33)])
 def test_power_of_two_scaling_leaves_the_analysis_unchanged(fs, seed):
     """Scaling the samples by 2**k is exact in floating point, and no step of
     the analysis compares a level with an absolute constant, so every rate and
-    reason stays the same bit for bit; the noise index is a ratio of powers."""
+    reason stays the same bit for bit; the noise index is a ratio of powers.
+    Outside the amplitude envelope of `bandpass` the record is rejected with a
+    typed error before any step could overflow or turn subnormal."""
     record, _ = make_synth(rr=16.0, hr=75.0, duration=120.0, fs=fs, noise=0.05, seed=seed)
     base = pipeline.analyze_record(record).estimates
     assert (base.reason == "none").any()
-    for k in (-200, -60, -40, 40, 200):
+    for k in (-399, -200, -60, -40, 40, 200, 399):
         scaled = PpgRecord(id=record.id, fs=fs, samples=record.samples * 2.0**k)
         estimates = pipeline.analyze_record(scaled).estimates
         assert estimates.rr.tobytes() == base.rr.tobytes(), k
         assert (estimates.reason == base.reason).all(), k
         np.testing.assert_allclose(estimates.ni, base.ni, rtol=0, atol=1e-12, equal_nan=True, err_msg=str(k))
+    for k, error in OUTSIDE_THE_ENVELOPE.items():
+        scaled = PpgRecord(id=record.id, fs=fs, samples=record.samples * 2.0**k)
+        with pytest.raises(error, match=r"2\*\*-?400"):
+            pipeline.analyze_record(scaled)

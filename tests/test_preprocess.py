@@ -33,7 +33,7 @@ from rrcif.preprocess import (
 )
 from rrcif.signal_io import PpgRecord
 
-from conftest import edit_beat, make_beats, make_synth
+from conftest import edit_beat, make_beats, make_synth, ramp_record
 
 
 def _tone_gain_db(freq_hz, fs=100.0, duration=120.0):
@@ -129,19 +129,21 @@ def test_flag_artifacts_clean_synthetic():
 def test_flag_artifacts_injected_amplitude():
     beats = make_beats(n=30)
     beats = edit_beat(beats, 17, v_peak=beats.v_foot[17] + 3.0 * (beats.v_peak[17] - beats.v_foot[17]))
-    flagged = flag_artifacts(beats)
+    flagged = flag_artifacts(beats, ramp_record(beats))
     assert np.flatnonzero(flagged.artifact).tolist() == [17]
 
 
 def test_flag_artifacts_identical_beats_zero_flags():
-    flagged = flag_artifacts(make_beats(n=25))
+    beats = make_beats(n=25)
+    flagged = flag_artifacts(beats, ramp_record(beats))
     assert not flagged.artifact.any()
 
 
 def test_flag_artifacts_idempotent():
     beats = edit_beat(make_beats(n=30), 5, period=2.0)
-    once = flag_artifacts(beats)
-    twice = flag_artifacts(once)
+    record = ramp_record(beats)
+    once = flag_artifacts(beats, record)
+    twice = flag_artifacts(once, record)
     assert once.artifact.tolist() == twice.artifact.tolist()
 
 
@@ -159,8 +161,9 @@ def test_flag_artifacts_clipping_run():
 
 
 def test_flag_artifacts_needs_three_beats():
+    beats = make_beats(n=2)
     with pytest.raises(InsufficientSignalError):
-        flag_artifacts(make_beats(n=2))
+        flag_artifacts(beats, ramp_record(beats))
 
 
 # ---------------------------------------------------------------------------
@@ -245,16 +248,14 @@ def _segment_beats_loop(filtered):
     return beats
 
 
-def _flag_artifacts_loop(beats, record=None):
+def _flag_artifacts_loop(beats, record):
     """Per-beat artifact flags of a beat table, as a list of bools."""
     amps = beats.v_peak - beats.v_foot
     periods = beats.period
-    clipped = None
-    if record is not None:
-        runs = _clip_runs(record.samples)
-        bounds = beats.t_foot.tolist() + [beats.t_peak[-1] + beats.width50[-1]]
-        idx = np.clip((np.asarray(bounds) * record.fs).astype(int), 0, record.samples.size)
-        clipped = [bool(runs[idx[i] : max(idx[i + 1], idx[i] + 1)].any()) for i in range(len(beats))]
+    runs = _clip_runs(record.samples)
+    bounds = beats.t_foot.tolist() + [beats.t_peak[-1] + beats.width50[-1]]
+    idx = np.clip((np.asarray(bounds) * record.fs).astype(int), 0, record.samples.size)
+    clipped = [bool(runs[idx[i] : max(idx[i + 1], idx[i] + 1)].any()) for i in range(len(beats))]
     out = []
     for i in range(len(beats)):
         lo = max(0, i - ARTIFACT_WINDOW)
@@ -268,7 +269,7 @@ def _flag_artifacts_loop(beats, record=None):
             med = float(np.median(prev_periods))
             if med > 0 and not (1.0 / ARTIFACT_FACTOR <= periods[i] / med <= ARTIFACT_FACTOR):
                 flag = True
-        out.append(flag or bool(clipped and clipped[i]))
+        out.append(flag or clipped[i])
     return out
 
 
@@ -339,7 +340,6 @@ def test_array_beats_match_loop_oracles(seed, fs, rr, hr_over_rr, hrv, noise, bu
         return
     _assert_table(beats, rows, [False] * len(rows))
     _assert_table(flag_artifacts(beats, record=record), rows, _flag_artifacts_loop(beats, record))
-    _assert_table(flag_artifacts(beats), rows, _flag_artifacts_loop(beats))
 
 
 @settings(max_examples=30, deadline=None)
@@ -355,11 +355,10 @@ def test_beat_table_invariants(seed, fs, rr, hr_over_rr, hrv, noise, bursts, cli
     assert np.array_equal(beats.period[1:], np.diff(beats.t_peak))
     assert np.all(beats.t_foot < beats.t_peak)
     assert np.all(beats.v_peak > beats.v_foot)
-    for raw in (record, None):
-        once = flag_artifacts(beats, record=raw)
-        assert np.array_equal(flag_artifacts(once, record=raw).artifact, once.artifact)
-        for name in BEAT_COLUMNS:
-            assert np.array_equal(getattr(once, name), getattr(beats, name), equal_nan=True), name
+    once = flag_artifacts(beats, record=record)
+    assert np.array_equal(flag_artifacts(once, record=record).artifact, once.artifact)
+    for name in BEAT_COLUMNS:
+        assert np.array_equal(getattr(once, name), getattr(beats, name), equal_nan=True), name
 
 
 # a small alphabet makes flat and linear triples, so zero curvature and ties are common

@@ -1,9 +1,6 @@
 import csv
-import functools
-import itertools
 import json
 import os
-import re
 import tempfile
 import threading
 import warnings
@@ -28,7 +25,7 @@ from rrcif.signal_io import (
     write_reference,
 )
 
-from conftest import make_synth
+from conftest import make_synth, mutated_file
 
 needs_dev_fd = pytest.mark.skipif(not Path("/dev/fd").is_dir(), reason="needs /dev/fd")
 
@@ -451,81 +448,8 @@ def test_json_wrong_shapes_rejected(tmp_path, obj, error, message):
 
 # ---------------------------------------------------------------------------
 # Reader fuzzer: valid record CSV, reference CSV and record JSON files, each
-# mutated at the byte, line or token level, must read alike from a regular
-# file and from a pipe, and give a result or an RrcifError without a warning.
-
-_NUMBER = re.compile(rb"-?\d+(?:\.\d+)?(?:e[-+]?\d+)?")
-_EXTREMES = (b"1e308", b"-1e308", b"1.7e308", b"-1.7e308", b"5e-324")
-_BYTE_MUTATIONS = ("flip", "truncate", "extreme", "bom", "line-ends", "long-field")
-_CSV_MUTATIONS = _BYTE_MUTATIONS + ("repeat-time", "decrease-time", "extreme-time")
-_TIMESTAMPS = {"repeat-time": [None], "decrease-time": [b"-0.5"], "extreme-time": _EXTREMES}
-_JSON_MUTATIONS = _BYTE_MUTATIONS + ("deep", "long-integer")
-
-
-@functools.cache
-def _fuzz_seeds():
-    record, reference = make_synth(duration=40.0, seed=1)
-    with tempfile.TemporaryDirectory() as tmp:
-        write_record(record, Path(tmp, "rec.csv"), comment="fuzz seed")
-        write_reference(reference, Path(tmp, "rec_ref.csv"))
-        csv_text, ref_text = Path(tmp, "rec.csv").read_bytes(), Path(tmp, "rec_ref.csv").read_bytes()
-    doc = {
-        "id": record.id, "fs": record.fs, "samples": record.samples.tolist(),
-        "reference": {"t": reference.times_s.tolist(), "rr": reference.rr.tolist()},
-    }
-    return {"record": csv_text, "reference": ref_text, "json": json.dumps(doc).encode()}
-
-
-def _replace_number(data, draw, choices):
-    spans = [m.span() for m in _NUMBER.finditer(data)]
-    if not spans:
-        return data
-    start, end = draw(st.sampled_from(spans))
-    return data[:start] + draw(st.sampled_from(choices)) + data[end:]
-
-
-def _set_timestamps(data, draw, choices):
-    """Set the timestamps of two consecutive data rows to values drawn from
-    ``choices``, where None repeats the timestamp of the row before."""
-    lines = data.split(b"\n")
-    rows = [i for i, line in enumerate(lines) if b"," in line and line[:1].isdigit()]
-    if len(rows) < 3:
-        return data
-    first = draw(st.integers(1, len(rows) - 2))
-    pair = draw(st.sampled_from(list(itertools.product(choices, repeat=2))))  # one draw, so the two may differ
-    for k, value in zip((first, first + 1), pair):
-        if value is None:
-            value = lines[rows[k - 1]].split(b",")[0]
-        lines[rows[k]] = value + lines[rows[k]][lines[rows[k]].index(b",") :]
-    return b"\n".join(lines)
-
-
-@st.composite
-def _mutated(draw, kind):
-    data = _fuzz_seeds()[kind]
-    mutations = _JSON_MUTATIONS if kind == "json" else _CSV_MUTATIONS
-    for mutation in draw(st.lists(st.sampled_from(mutations), min_size=1, max_size=3)):
-        at = draw(st.integers(0, max(len(data) - 1, 0)))
-        if mutation == "flip" and data:
-            data = data[:at] + bytes([data[at] ^ draw(st.integers(1, 255))]) + data[at + 1 :]
-        elif mutation == "truncate":
-            data = data[:at]
-        elif mutation == "extreme":
-            data = _replace_number(data, draw, _EXTREMES)
-        elif mutation == "bom":
-            at = draw(st.sampled_from([0, at]))
-            data = data[:at] + b"\xef\xbb\xbf" + data[at:]
-        elif mutation == "line-ends":
-            data = data[:at] + data[at:].replace(b"\n", draw(st.sampled_from([b"\r\n", b"\r"])))
-        elif mutation == "long-field":
-            data = _replace_number(data, draw, [b'"' + b"1" * 200_000 + b'"'])
-        elif mutation in _TIMESTAMPS:
-            data = _set_timestamps(data, draw, _TIMESTAMPS[mutation])
-        elif mutation == "deep":
-            data = _replace_number(data, draw, [b"[" * depth + b"1" + b"]" * depth for depth in (2, 100, 100_000)])
-        elif mutation == "long-integer":
-            data = _replace_number(data, draw, [b"1" * 5000])
-    return data
+# mutated by conftest's mutated_file, must read alike from a regular file and
+# from a pipe, and give a result or an RrcifError without a warning.
 
 
 def _read_outcome(read, source):
@@ -557,7 +481,7 @@ def _read_outcome(read, source):
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_readers_give_a_result_or_an_error_alike_from_a_file_and_a_pipe(kind, read, data):
-    text = data.draw(_mutated(kind))
+    text = data.draw(mutated_file(kind))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp, "rec.json" if kind == "json" else "rec.csv")
         path.write_bytes(text)

@@ -76,7 +76,7 @@ def _fitted(P):
 
 def _rate_ni(P_out):
     """(rr, ni) from a residual on the padded 5 Hz grid of a 160-sample window."""
-    return spectral._rate_ni(P_out[BAND], 160)
+    return spectral._rate_ni(P_out[BAND])
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +396,7 @@ def test_batch_matches_single_window():
         P = spectral._power(row[starts[:, None] + np.arange(160)])
         a, k, degenerate = fit_power_law(P)
         assert not degenerate.any()
-        rr_want, ni_want = spectral._rate_ni(P[:, BAND] - spectral._power_law(a, k, BAND), 160)
+        rr_want, ni_want = spectral._rate_ni(P[:, BAND] - spectral._power_law(a, k, BAND))
         np.testing.assert_array_equal(table.rr[:, column], rr_want)
         np.testing.assert_allclose(table.ni[:, column], ni_want, rtol=0, atol=1e-12)
 
