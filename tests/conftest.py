@@ -61,7 +61,8 @@ def clean_synth():
 # File mutations for the fuzzers: a valid record CSV, reference CSV or record
 # JSON, mutated at the byte, line or token level.
 
-_TOKEN = re.compile(rb"-?\d+(?:\.\d+)?(?:e[-+]?\d+)?|(?<=: )\[[^][]*\]")  # a number, or a flat array that is an object value
+_NUMBER = re.compile(rb"-?\d+(?:\.\d+)?(?:e[-+]?\d+)?")
+_NUMBER_OR_ARRAY = re.compile(_NUMBER.pattern + rb"|(?<=: )\[[^][]*\]")  # or a flat array that is an object value
 _EXTREMES = (b"1e308", b"-1e308", b"1.7e308", b"-1.7e308", b"5e-324")
 _WRONG_TYPES = (b'"1"', b"true", b"null", b"{}", b"[]", b"[1, [2]]", b'{"t": [1]}')
 _BYTE_MUTATIONS = ("flip", "truncate", "extreme", "bom", "line-ends", "long-field")
@@ -84,8 +85,8 @@ def _fuzz_seeds():
     return {"record": csv_text, "reference": ref_text, "json": json.dumps(doc).encode()}
 
 
-def _replace_token(data, draw, choices):
-    spans = [m.span() for m in _TOKEN.finditer(data)]
+def _replace_token(data, draw, choices, pattern=_NUMBER):
+    spans = [m.span() for m in pattern.finditer(data)]
     if not spans:
         return data
     start, end = draw(st.sampled_from(spans))
@@ -135,5 +136,5 @@ def mutated_file(draw, kind):
         elif mutation == "long-integer":
             data = _replace_token(data, draw, [b"1" * 5000])
         elif mutation == "wrong-type":
-            data = _replace_token(data, draw, _WRONG_TYPES)
+            data = _replace_token(data, draw, _WRONG_TYPES, _NUMBER_OR_ARRAY)
     return data

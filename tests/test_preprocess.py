@@ -53,8 +53,16 @@ def test_bandpass_cardiac_preserved():
 
 
 def test_bandpass_constant_is_zero():
+    # 3.3 is not exactly representable, so subtracting the mean leaves a
+    # rounding residue of about 1e-16, above MIN_ABS_FILTERED
     out = bandpass(PpgRecord("c", 100.0, np.full(4000, 3.3))).samples
     np.testing.assert_allclose(out, 0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("value", [0.0, 4.0])
+def test_bandpass_exact_constant_rejected(value):
+    with pytest.raises(InsufficientSignalError, match=r"below 2\*\*-400"):
+        bandpass(PpgRecord("c", 100.0, np.full(4000, value)))
 
 
 def test_bandpass_removes_dc():
