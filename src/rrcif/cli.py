@@ -179,32 +179,20 @@ def _analyze_subject(path):
     from . import pipeline, signal_io
 
     try:
-        if path.suffix.lower() == ".json":
-            record, reference = signal_io.read_record_json(path)
-            if reference is None:
-                raise RrcifError(f"{path}: JSON record has no embedded reference")
-        else:
-            ref_path = path.with_name(path.stem + "_ref" + path.suffix)
-            record = signal_io.read_record(path)
-            if not ref_path.exists():
-                raise RrcifError(f"{path}: no matching {ref_path.name} reference")
-            reference = signal_io.read_reference(ref_path)
+        record, reference = signal_io.read_subject(path)
         return pipeline.analyze_record(record).estimates, reference
     except (RrcifError, OSError) as exc:  # one bad subject must not end the run
         return str(exc)
 
 
 def _record_id(path):
-    """The record id that reading `path` gives: a CSV's stem or a JSON record's
-    ``"id"`` as the reader takes it; None for a JSON file the reader rejects,
-    which its worker reports.
-    """
-    if path.suffix.lower() != ".json":
-        return path.stem
+    """The record id that reading `path` gives, without reading a CSV: its
+    stem, or the ``"id"`` that :func:`signal_io.read_record` takes from a record
+    JSON; None for a JSON record it rejects, which its worker reports."""
     from . import signal_io
 
     try:
-        return signal_io.read_record_json(path)[0].id
+        return signal_io.read_record(path).id if path.suffix.lower() == ".json" else path.stem
     except (RrcifError, OSError):
         return None
 
@@ -229,23 +217,20 @@ def _end_with_parent(parent_pid):
 def _analyze_dataset(directory):
     """Read and analyze every subject of a dataset directory, in id order.
 
-    A subject is <id>.csv with <id>_ref.csv beside it, or a record JSON with
-    an embedded reference; the suffix's case does not matter, as in
-    :func:`signal_io.read_record`, and a reference takes its record's suffix.
-    Subjects are analyzed in worker processes, one per available CPU but no
-    more than there are subjects. Workers are forked, so they start with the
-    modules this process has already imported; the analysis is imported
+    The records are the .json files and the .csv files other than _ref
+    references, suffixes in any case. :func:`signal_io.read_subject` reads
+    each with its reference in a worker process, one per available CPU but
+    no more than there are subjects. Workers are forked, so they start with
+    the modules this process has already imported; the analysis is imported
     before the pool and loads no module on first use, so no worker imports a
     numpy, scipy or rrcif module for itself. A subject that cannot be read or
-    analyzed is warned about and skipped, in path order.
-    Two files with the same record id are a data error, found before any
-    subject is analyzed.
+    analyzed is warned about and skipped, in file-name order. Two files with
+    the same record id are a data error, found before any subject is analyzed.
     Returns ({record id: (estimates, reference)} in id order, skipped names).
     """
     directory = Path(directory)
     files = sorted(directory.glob("*"))
-    records = [p for p in files if p.suffix.lower() == ".csv" and not p.stem.endswith("_ref")]
-    records += [p for p in files if p.suffix.lower() == ".json"]
+    records = [p for p in files if p.suffix.lower() == ".json" or (p.suffix.lower() == ".csv" and not p.stem.endswith("_ref"))]
     if not records:
         raise RrcifError(f"{directory}: no record files found")
     paths = {}
@@ -345,15 +330,16 @@ def _cmd_synth(args, parser):
         seed=args.seed,
     )
     record, reference = signal_io.synthesize(spec)
-    out = Path(args.out)
+    out = Path(args.out).with_suffix(".csv")
+    ref_out = signal_io.reference_path(out)
     out.parent.mkdir(parents=True, exist_ok=True)
     provenance = (
         f"rrcif {VERSION} synth rr={spec.rr:g} hr={spec.hr:g} fs={spec.fs:g} "
         f"noise_sd={spec.noise_sd:g} seed={spec.seed}"
     )
-    signal_io.write_record(record, out.with_suffix(".csv"), comment=provenance)
-    signal_io.write_reference(reference, out.with_name(out.stem + "_ref.csv"), comment=provenance)
-    print(f"wrote {out.with_suffix('.csv')} and {out.with_name(out.stem + '_ref.csv')}")
+    signal_io.write_record(record, out, comment=provenance)
+    signal_io.write_reference(reference, ref_out, comment=provenance)
+    print(f"wrote {out} and {ref_out}")
     return EXIT_OK
 
 

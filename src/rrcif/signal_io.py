@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError, ValidationError
+from .errors import ParseError, RrcifError, ValidationError
 
 # Uniform-step tolerance for PPG CSV timestamps, relative to the step itself.
 STEP_TOLERANCE = 1e-6
@@ -284,15 +284,14 @@ def _not_utf8(path, exc: UnicodeDecodeError) -> ParseError:
 
 def read_record(path) -> PpgRecord:
     """Load a PPG recording from a ``t,ppg`` CSV or, by its ``.json`` suffix,
-    a record JSON file.
+    a record JSON file, whose ``reference`` is not read.
 
     Raises :class:`ParseError` for malformed files and :class:`ValidationError`
     for structurally valid files with out-of-contract content.
     """
     path = Path(path)
     if path.suffix.lower() == ".json":
-        record, _ = read_record_json(path)
-        return record
+        return _read_json(path)[0]
 
     data = _read_columns(path, ("t", "ppg"), increasing=True)
     if data.shape[0] < 2:
@@ -307,9 +306,30 @@ def read_record(path) -> PpgRecord:
     return PpgRecord(id=path.stem, fs=1.0 / step, samples=np.ascontiguousarray(data[:, 1]))
 
 
-def read_record_json(path) -> tuple[PpgRecord, ReferenceRr | None]:
-    """Load a record JSON file, returning the embedded reference if present."""
+def read_subject(path) -> tuple[PpgRecord, ReferenceRr]:
+    """Load a record, as :func:`read_record` does, and its reference: a record
+    JSON's embedded ``reference``, or the reference CSV at :func:`reference_path`."""
     path = Path(path)
+    if path.suffix.lower() != ".json":
+        record, ref_path = read_record(path), reference_path(path)
+        if not ref_path.exists():
+            raise RrcifError(f"{path}: no matching {ref_path.name} reference")
+        return record, read_reference(ref_path)
+    record, ref = _read_json(path)
+    if ref is None:
+        raise RrcifError(f"{path}: JSON record has no embedded reference")
+    if not isinstance(ref, dict) or "t" not in ref or "rr" not in ref:
+        raise ParseError(f"{path}: reference must hold 't' and 'rr' arrays")
+    return record, ReferenceRr(_json_floats(path, ref["t"]), _json_floats(path, ref["rr"]))
+
+
+def reference_path(path: Path) -> Path:
+    """Where a record CSV's reference sits: beside it, as ``<stem>_ref<suffix>``."""
+    return path.with_name(path.stem + "_ref" + path.suffix)
+
+
+def _read_json(path) -> tuple[PpgRecord, object]:
+    """A record JSON's record and its unchecked ``reference`` value, None when absent."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
@@ -325,14 +345,7 @@ def read_record_json(path) -> tuple[PpgRecord, ReferenceRr | None]:
     fs = _json_floats(path, obj["fs"])
     if fs.ndim != 0:
         raise ParseError(f"{path}: fs must be a number")
-    record = PpgRecord(id=str(obj["id"]), fs=float(fs), samples=_json_floats(path, obj["samples"]))
-    reference = None
-    if obj.get("reference") is not None:
-        ref = obj["reference"]
-        if not isinstance(ref, dict) or "t" not in ref or "rr" not in ref:
-            raise ParseError(f"{path}: reference must hold 't' and 'rr' arrays")
-        reference = ReferenceRr(_json_floats(path, ref["t"]), _json_floats(path, ref["rr"]))
-    return record, reference
+    return PpgRecord(id=str(obj["id"]), fs=float(fs), samples=_json_floats(path, obj["samples"])), obj.get("reference")
 
 
 def _json_floats(path, value) -> np.ndarray:

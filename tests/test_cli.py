@@ -499,6 +499,29 @@ def test_a_repeated_json_id_key_clashes_by_its_last_value(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+def test_a_json_whose_reference_fails_takes_part_in_the_id_check(tmp_path, capsys):
+    _write_subject(tmp_path, "s00", seed=1)
+    _write_subject(tmp_path, "s01", seed=2)
+    _write_json_subject(tmp_path / "x.json", "s00", seed=3)
+    doc = json.loads((tmp_path / "x.json").read_text())
+    (tmp_path / "x.json").write_text(json.dumps({**doc, "reference": {"t": [0, 2, 1], "rr": [12, 12, 12]}}))
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", str(tmp_path), "--out", str(out)]) == 2
+    assert "record id 's00' is used by both s00.csv and x.json" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_skipped_subjects_come_in_file_name_order(tmp_path, capsys):
+    _write_subject(tmp_path, "c", seed=1)
+    (tmp_path / "b.csv").write_text("t,ppg\n0,1\nnot,numbers\n")
+    (tmp_path / "a.json").write_text(json.dumps({"id": "a", "fs": 100.0, "samples": "none"}))
+    out_dir = tmp_path / "out"
+    assert main(["benchmark", str(tmp_path), "--methods", "cif", "--out", str(out_dir)]) == 0
+    skips = [line.split(":")[1] for line in capsys.readouterr().err.splitlines() if line.startswith("warning:")]
+    assert skips == [" skipping a.json", " skipping b.csv"]
+    assert json.loads((out_dir / "report.json").read_text())["skipped"] == ["a.json", "b.csv"]
+
+
 def test_a_json_the_reader_rejects_takes_no_part_in_the_id_check(tmp_path, capsys):
     _write_subject(tmp_path, "s00", seed=1)
     _write_subject(tmp_path, "s01", seed=2)
@@ -562,11 +585,10 @@ def test_estimate_short_record_exit_2(tmp_path, capsys):
     [
         ('{"id": "r", "fs": "abc", "samples": [0.0, 1.0, 0.0]}', "non-numeric value"),
         ('{"id": "r", "fs": 100, "samples": [0.0, "x", 0.0]}', "non-numeric value"),
-        ('{"id": "r", "fs": 100, "samples": [0.0, 1.0, 0.0], "reference": {"t": ["a"], "rr": [12]}}', "non-numeric value"),
         ("5", "expected a JSON object"),
         ('{"id": "r", "fs": 100, "samples": [[0.0, 1.0], [1.0, 0.0]]}', "samples must be 1-D"),
     ],
-    ids=["fs-text", "sample-text", "reference-t-text", "top-level-number", "samples-2d"],
+    ids=["fs-text", "sample-text", "top-level-number", "samples-2d"],
 )
 def test_estimate_malformed_json_exit_2(tmp_path, capsys, text, message):
     path = tmp_path / "rec.json"
@@ -574,6 +596,27 @@ def test_estimate_malformed_json_exit_2(tmp_path, capsys, text, message):
     assert main(["estimate", str(path)]) == 2
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
+
+
+def test_estimate_leaves_a_json_reference_unread(tmp_path, capsys):
+    # only benchmark and sweep read a record JSON's reference
+    record, _ = make_synth(duration=40.0, seed=1)
+    doc = {"id": record.id, "fs": record.fs, "samples": record.samples.tolist()}
+    (tmp_path / "plain.json").write_text(json.dumps(doc))
+    (tmp_path / "ref.json").write_text(json.dumps({**doc, "reference": {"t": [0, 2, 1], "rr": [12, 12, 12]}}))
+    assert main(["estimate", str(tmp_path / "ref.json"), "--out", str(tmp_path / "ref.csv")]) == 0
+    assert main(["estimate", str(tmp_path / "plain.json"), "--out", str(tmp_path / "plain.csv")]) == 0
+    assert capsys.readouterr().err == ""
+    assert (tmp_path / "ref.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+
+
+def test_benchmark_json_reference_text_exit_2(tmp_path, capsys):
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "rec.json").write_text('{"id": "r", "fs": 100, "samples": [0.0, 1.0, 0.0], "reference": {"t": ["a"], "rr": [12]}}')
+    assert main(["benchmark", str(data), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "warning: skipping rec.json: " in err and "non-numeric value" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize(

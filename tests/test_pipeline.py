@@ -44,6 +44,23 @@ def test_fuse_estimates_methods(late_start):
         fuse_estimates(late_start.estimates, "magic", 0.13)
 
 
+@pytest.mark.parametrize(("rr", "hr", "seed"), [(9.5, 65.0, 1), (15.5, 77.0, 2), (24.5, 95.0, 3), (30.5, 107.0, 4)])
+def test_one_physiology_gives_the_same_rates_at_every_sampling_rate(rr, hr, seed):
+    """One synthetic physiology sampled at 25, 100, 300 and 1000 Hz, fused by
+    CIF at t = 0.13: every rate retains at least 90 % of the windows, and in
+    each window that both it and 100 Hz retain the fused rates lie within
+    0.5 breaths/min. Both bounds were fixed before the test first ran."""
+    fused = {}
+    for fs in (25.0, 100.0, 300.0, 1000.0):
+        record, _ = make_synth(rr=rr, hr=hr, duration=120.0, fs=fs, depths=(0.1,) * 5, noise=0.02, seed=seed)
+        fused[fs] = fuse_estimates(pipeline.analyze_record(record).estimates, "cif", 0.13)
+    for fs, result in fused.items():
+        assert result.retained.shape == fused[100.0].retained.shape, fs
+        assert result.retained.mean() >= 0.9, fs
+        both = result.retained & fused[100.0].retained
+        assert np.abs(result.rr_fusion[both] - fused[100.0].rr_fusion[both]).max() <= 0.5, fs
+
+
 # scalings of a unit-amplitude pulse that leave the amplitude envelope, and the error each raises
 OUTSIDE_THE_ENVELOPE = {
     -540: InsufficientSignalError,

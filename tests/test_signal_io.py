@@ -19,8 +19,8 @@ from rrcif.signal_io import (
     ReferenceRr,
     SynthSpec,
     read_record,
-    read_record_json,
     read_reference,
+    read_subject,
     write_record,
     write_reference,
 )
@@ -144,10 +144,37 @@ def test_json_embedded_reference(tmp_path):
     obj = {"id": "s1", "fs": 50.0, "samples": list(np.sin(np.arange(500) / 5.0)),
            "reference": {"t": [0, 2, 4], "rr": [18, 18, 19]}}
     path.write_text(json.dumps(obj))
-    record, reference = read_record_json(path)
+    record, reference = read_subject(path)
     assert record.fs == 50.0
     assert reference is not None
     assert reference.rr[-1] == 19.0
+
+
+def test_read_record_leaves_a_json_reference_unread(tmp_path):
+    path = tmp_path / "rec.json"
+    obj = {"id": "s1", "fs": 50.0, "samples": [0.0, 1.0, 0.0], "reference": {"t": [0, 2, 1], "rr": [18, 18, 19]}}
+    path.write_text(json.dumps(obj))
+    assert read_record(path).samples.tolist() == [0.0, 1.0, 0.0]
+    with pytest.raises(ValidationError, match="decreasing timestamp at row 2"):
+        read_subject(path)
+
+
+def test_read_subject_csv_reads_the_reference_beside_it(tmp_path):
+    record, reference = make_synth(duration=20.0)
+    write_record(record, tmp_path / "X.CSV")
+    with pytest.raises(RrcifError, match="X.CSV: no matching X_ref.CSV reference"):
+        read_subject(tmp_path / "X.CSV")
+    write_reference(reference, tmp_path / "X_ref.CSV")
+    got_record, got_reference = read_subject(tmp_path / "X.CSV")
+    assert got_record.samples.tolist() == record.samples.tolist()
+    assert got_reference.rr.tolist() == reference.rr.tolist()
+
+
+def test_read_subject_json_needs_its_reference(tmp_path):
+    path = tmp_path / "rec.json"
+    path.write_text(json.dumps({"id": "s1", "fs": 50.0, "samples": [0.0, 1.0, 0.0], "reference": None}))
+    with pytest.raises(RrcifError, match="rec.json: JSON record has no embedded reference"):
+        read_subject(path)
 
 
 def test_reference_roundtrip(tmp_path):
@@ -242,7 +269,7 @@ def test_json_nan_fs_rejected(tmp_path):
     path = tmp_path / "rec.json"
     path.write_text('{"id": "r", "fs": NaN, "samples": [0.0, 1.0, 0.0]}')
     with pytest.raises(ValidationError, match="fs"):
-        read_record_json(path)
+        read_record(path)
 
 
 def test_record_validation():
@@ -402,7 +429,7 @@ def test_json_past_the_decoder_limits_is_a_parse_error(tmp_path, text):
     path = tmp_path / "rec.json"
     path.write_text(text)
     with pytest.raises(ParseError, match="invalid JSON"):
-        read_record_json(path)
+        read_record(path)
 
 
 def test_clean_csv_skips_row_loop(tmp_path, monkeypatch):
@@ -443,7 +470,7 @@ def test_json_wrong_shapes_rejected(tmp_path, obj, error, message):
     path = tmp_path / "rec.json"
     path.write_text(json.dumps(obj))
     with pytest.raises(error, match=message):
-        read_record_json(path)
+        read_subject(path)
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +487,8 @@ def _read_outcome(read, source):
         try:
             value = read(source)
         except RrcifError as exc:
-            value = (type(exc).__name__, str(exc).replace(str(source), "<path>"))
+            message = str(exc).replace(str(source), "<path>")
+            value = (type(exc).__name__, message.replace(f"record {Path(source).stem!r}", "record <id>"))
     if isinstance(value, tuple) and isinstance(value[0], PpgRecord):  # record JSON
         record, reference = value
         value = (record.id, record.fs, record.samples.tobytes(), reference and reference.times_s.tobytes(),
@@ -475,7 +503,7 @@ def _read_outcome(read, source):
 @needs_dev_fd
 @pytest.mark.parametrize(
     "kind, read",
-    [("record", read_record), ("reference", read_reference), ("json", read_record_json)],
+    [("record", read_record), ("reference", read_reference), ("json", read_subject)],
     ids=["record-csv", "reference-csv", "record-json"],
 )
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -486,6 +514,14 @@ def test_readers_give_a_result_or_an_error_alike_from_a_file_and_a_pipe(kind, re
         path = Path(tmp, "rec.json" if kind == "json" else "rec.csv")
         path.write_bytes(text)
         from_file = _read_outcome(read, path)
-    from_pipe = _through_pipe(text, lambda source: _read_outcome(read, source))
+
+        def read_pipe(source):
+            if kind != "json":
+                return _read_outcome(read, source)
+            link = Path(tmp, "pipe.json")  # read_subject knows a record JSON by its suffix
+            link.symlink_to(source)
+            return _read_outcome(read, link)
+
+        from_pipe = _through_pipe(text, read_pipe)
     assert from_file[1] == []
     assert from_file == from_pipe
