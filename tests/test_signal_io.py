@@ -491,8 +491,7 @@ def _read_outcome(read, source):
             value = (type(exc).__name__, message.replace(f"record {Path(source).stem!r}", "record <id>"))
     if isinstance(value, tuple) and isinstance(value[0], PpgRecord):  # record JSON
         record, reference = value
-        value = (record.id, record.fs, record.samples.tobytes(), reference and reference.times_s.tobytes(),
-                 reference and reference.rr.tobytes())
+        value = (record.id, record.fs, record.samples.tobytes(), reference.times_s.tobytes(), reference.rr.tobytes())
     elif isinstance(value, PpgRecord):
         value = (value.fs, value.samples.tobytes())
     elif isinstance(value, ReferenceRr):
