@@ -243,7 +243,7 @@ def _analyze_dataset(directory):
     workers = min(len(records), len(os.sched_getaffinity(0)))
     import multiprocessing
 
-    # forked workers inherit the analysis, scipy's compiled kernels and numpy.fft, so none loads them itself
+    # forked workers inherit the analysis, scipy's compiled kernels and the spectral basis, so none loads or builds them itself
     from . import pipeline  # noqa: F401
     from concurrent.futures import ProcessPoolExecutor
 

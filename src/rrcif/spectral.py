@@ -2,7 +2,7 @@
 
 For each 32 s window (2 s shift) of a 5 Hz variation series: remove the mean,
 apply a Hamming taper, zero-pad to 4096 points and take the magnitude-squared
-FFT. A line is fitted to log(P) vs log(f) over 2-4 and 65-100 breaths/min
+DFT. A line is fitted to log(P) vs log(f) over 2-4 and 65-100 breaths/min
 (excluding the 4-65 band of interest) and the implied power law
 
     P_fit = exp(k) * f**a
@@ -13,13 +13,22 @@ index is the positive residual peak over the positive residual sum in that
 band, rescaled as :func:`rate_windows` explains.
 
 Every window has the same fixed grid, built at import as read-only constants:
-bin frequencies FREQS in breaths/min, the N_RATED_BINS bins up to 100, the
-4-65 BAND slice, the fit bins' centred log-frequency terms, the Hamming taper.
+bin frequencies FREQS in breaths/min, the 4-65 BAND slice, the fit bins'
+centred log-frequency terms, the Hamming taper, and the DFT basis of the bins
+that rating reads.
+
+The spectrum is that zero-padded DFT, evaluated only on the bins it is read
+on, as a real matrix product. The taper is symmetric about the window centre,
+so a window folds into the sum and the difference of its two halves, and the
+product reads half as many samples (:func:`_basis`). The product also removes
+the window mean: the cosine columns, which multiply the sum, have their means
+subtracted, and the difference, which the sine columns multiply, has no mean.
 
 One kernel works over the last array axis: :func:`rate_windows` runs it on
 all windows of each row of a record's RivTable and returns the record's
-EstimateTable, and :func:`window_spectrum` returns the full spectrum and
-background of one (window, variation) pair for inspection.
+EstimateTable, and :func:`window_spectrum` runs it on every bin of one
+(window, variation) pair and returns the spectrum and background for
+inspection.
 """
 
 from __future__ import annotations
@@ -27,7 +36,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy import fft  # bound here, not on first use: a forked worker would load it for itself
 
 from .errors import RrcifError
 from .riv import ALL_KINDS, RIV_FS, RivKind, RivTable
@@ -38,9 +46,9 @@ WINDOW_SAMPLES = round(WINDOW_S * RIV_FS)
 NFFT = 4096
 RR_BAND_BPM = (4.0, 65.0)
 FIT_BANDS_BPM = ((2.0, 4.0), (65.0, 100.0))
-MAX_BPM = FIT_BANDS_BPM[-1][1]
 MIN_FIT_BINS = 5
-BATCH_ROWS = 64  # windows per rFFT call, which bounds the complex spectra held at once
+BATCH_ROWS = 64  # windows per basis product, which bounds the spectra held at once
+_COLUMN_STEP = 64  # basis columns come in whole steps of this many (see _basis)
 REASONS = ("none", "artifact", "out_of_range", "fit_degenerate")
 
 
@@ -49,14 +57,47 @@ def _constant(a) -> np.ndarray:
     return a
 
 
-FREQS = _constant(fft.rfftfreq(NFFT, d=1.0 / RIV_FS) * 60.0)  # bin frequencies, breaths/min
-N_RATED_BINS = int(np.searchsorted(FREQS, MAX_BPM, side="right"))  # the bins up to MAX_BPM
+FREQS = _constant(np.arange(NFFT // 2 + 1) * (RIV_FS / NFFT) * 60.0)  # bin frequencies, breaths/min
 BAND = slice(int(np.searchsorted(FREQS, RR_BAND_BPM[0])), int(np.searchsorted(FREQS, RR_BAND_BPM[1], side="right")))
 _TAPER = _constant(np.hamming(WINDOW_SAMPLES))
 _FIT_BINS = _constant(np.flatnonzero(np.logical_or.reduce([(FREQS >= lo) & (FREQS <= hi) for lo, hi in FIT_BANDS_BPM])))
 _FIT_CENTRE = np.log(FREQS[_FIT_BINS]).mean()
 _FIT_D = np.log(FREQS[_FIT_BINS]) - _FIT_CENTRE  # d: each fit bin's log f, centred
 _FIT_POWERS = _constant(np.stack([np.ones_like(_FIT_D), _FIT_D, _FIT_D * _FIT_D], axis=-1))  # 1, d, d**2
+
+
+def _basis(bins: np.ndarray):
+    """(even, odd): the folded real-DFT basis of the NFFT-point grid bins ``bins``.
+
+    Both have WINDOW_SAMPLES // 2 rows, and column j < bins.size belongs to
+    bins[j]. Row n holds the taper times the cosine (even) or sine (odd) of
+    the bin's angle at sample n, taken about the window centre
+    c = (WINDOW_SAMPLES - 1) / 2: 2*pi*k*(n - c) / NFFT = 2*pi*(2n - 2c)*k / (2*NFFT),
+    read from a 2*NFFT-entry table at the exact integer index
+    (2n - 2c)*k mod 2*NFFT. The taper and the cosine are even about c and the
+    sine is odd, which folds sample 2c - n onto row n. Each even column has
+    its mean taken off, which removes the window mean.
+
+    Zero columns pad the width to a multiple of _COLUMN_STEP. Without them
+    OpenBLAS computes the last columns of a product with a narrower kernel
+    whose sums round differently, and which columns those are depends on how
+    many threads (OPENBLAS_NUM_THREADS) split the product.
+    """
+    half = WINDOW_SAMPLES // 2
+    angles = np.arange(2 * NFFT) * (np.pi / NFFT)
+    turns = (2 * np.arange(half) - (WINDOW_SAMPLES - 1))[:, None] * bins % (2 * NFFT)
+    taper = _TAPER[:half, None]
+    even, odd = np.zeros((2, half, bins.size + -bins.size % _COLUMN_STEP))
+    np.multiply(taper, np.cos(angles)[turns], out=even[:, : bins.size])
+    even -= even.mean(axis=0)
+    np.multiply(taper, np.sin(angles)[turns], out=odd[:, : bins.size])
+    return _constant(even), _constant(odd)
+
+
+# The bins rating reads, in the columns of _EVEN and _ODD: the fit bins, then the BAND bins.
+_FIT_COLUMNS = slice(0, _FIT_BINS.size)
+_BAND_COLUMNS = slice(_FIT_BINS.size, _FIT_BINS.size + BAND.stop - BAND.start)
+_EVEN, _ODD = _basis(np.concatenate([_FIT_BINS, np.arange(BAND.start, BAND.stop)]))
 
 
 def window_starts(duration_s: float) -> np.ndarray:
@@ -85,32 +126,33 @@ class EstimateTable:
 # the kernel: every function works over the last axis
 
 
-def _power(x: np.ndarray, n_bins: int | None = None, out: np.ndarray | None = None) -> np.ndarray:
-    """Tapered, zero-padded power spectra of the WINDOW_SAMPLES-long rows of x, first n_bins bins.
+def _spectra(x: np.ndarray, basis) -> np.ndarray:
+    """Tapered, zero-padded power spectra of the WINDOW_SAMPLES-long rows of x, one bin per basis column.
 
-    ``out``, if given, receives the full complex rFFT of the rows. A constant
-    row has exactly zero power: mean subtraction would leave rounding residue
-    that the scale-free noise index could pick up.
+    ``basis`` is an (even, odd) pair from :func:`_basis`. A constant row has
+    exactly zero power: the basis's column means leave rounding residue that
+    the scale-free noise index could pick up.
     """
-    constant = np.ptp(x, axis=-1) == 0
-    tapered = (x - np.mean(x, axis=-1, keepdims=True)) * _TAPER
-    P = np.abs(fft.rfft(tapered, NFFT, axis=-1, out=out)[..., :n_bins]) ** 2
-    P[constant] = 0.0
+    even, odd = basis
+    half = WINDOW_SAMPLES // 2
+    head, tail = x[..., :half], x[..., : half - 1 : -1]
+    P = ((head + tail) @ even) ** 2 + ((head - tail) @ odd) ** 2
+    P[np.ptp(x, axis=-1) == 0] = 0.0
     return P
 
 
 def fit_power_law(P: np.ndarray):
     """Least-squares line log P = k + a*log f over the fit bands.
 
-    The last axis of ``P`` holds the first N_RATED_BINS or more bins of the
-    grid. Only bins with positive power count: with weights w = (P > 0) and
-    d = log f minus its mean over the fit bins, the line comes in closed form
+    The last axis of ``P`` holds the grid's fit bins, the bins in
+    FIT_BANDS_BPM, in grid order. Only bins with positive power count: with
+    weights w = (P > 0) and d = log f minus its mean over the fit bins, the
+    line comes in closed form
     from the sums of w, w*d, w*d**2, w*log P and w*log P*d, the same for
     every row whatever its mask. Returns (a, k, degenerate); a row with fewer
     than MIN_FIT_BINS usable bins is degenerate and gets a = 0, k = -inf,
     i.e. a zero power law.
     """
-    P = P[..., _FIT_BINS]
     use = P > 0
     logp = np.log(np.where(use, P, 1.0))  # 0 where unused
     n, s1, s2 = np.moveaxis(use.astype(float) @ _FIT_POWERS, -1, 0)
@@ -191,14 +233,12 @@ def rate_windows(rivs: RivTable, duration_s: float) -> EstimateTable:
     rated = np.flatnonzero(window_reason == "none")
     rr, ni = np.full((2, start_s.size, len(ALL_KINDS)), np.nan)
     reason = np.repeat(window_reason[:, None], len(ALL_KINDS), axis=1)
-    blocks = np.array_split(rated, max(1, -(-rated.size // BATCH_ROWS)))
-    spectra = np.empty((blocks[0].size, NFFT // 2 + 1), dtype=complex)  # one rFFT output for every call
-    for block in blocks:
+    for block in np.array_split(rated, max(1, -(-rated.size // BATCH_ROWS))):
         samples = i0[block, None] + np.arange(WINDOW_SAMPLES)
         for column, values in enumerate(rivs.values):
-            P = _power(values[samples], N_RATED_BINS, out=spectra[: block.size])
-            a, k, degenerate = fit_power_law(P)
-            residual = P[:, BAND] - _power_law(a, k, BAND)  # the background only where rates are read
+            P = _spectra(values[samples], (_EVEN, _ODD))
+            a, k, degenerate = fit_power_law(P[:, _FIT_COLUMNS])
+            residual = P[:, _BAND_COLUMNS] - _power_law(a, k, BAND)  # the background only where rates are read
             rr[block, column], ni[block, column] = np.where(degenerate, np.nan, _rate_ni(residual))
             reason[block[degenerate], column] = "fit_degenerate"
     return EstimateTable(start_s=start_s, rr=rr, ni=ni, reason=reason)
@@ -223,8 +263,8 @@ def window_spectrum(rivs: RivTable, table: EstimateTable, index: int, kind: RivK
     if reason in ("out_of_range", "artifact"):
         raise RrcifError(f"window {index} [{start:g}, {start + WINDOW_S:g}) s of {kind.name} is not rated: {reason}")
     i0 = _first_samples(rivs, start)
-    P = _power(rivs.values[column, i0 : i0 + WINDOW_SAMPLES])
-    a, k, _ = fit_power_law(P)
+    P = _spectra(rivs.values[column, i0 : i0 + WINDOW_SAMPLES], _basis(np.arange(FREQS.size)))[: FREQS.size]
+    a, k, _ = fit_power_law(P[_FIT_BINS])
     P_fit = np.zeros_like(P)
     P_fit[1:] = _power_law(a, k, slice(1, None))
     return FREQS, P, P_fit

@@ -83,7 +83,7 @@ def test_criterion_2_power_law_fit_exactness():
     a_true, c = np.array([(rng.uniform(-3.0, 0.0), rng.uniform(0.1, 10.0)) for _ in range(100)]).T
     P = np.zeros((100, freqs.size))
     P[:, 1:] = c[:, None] * freqs[1:] ** a_true[:, None]
-    a, k, degenerate = fit_power_law(P)  # one batch: a spectrum per row
+    a, k, degenerate = fit_power_law(P[:, spectral._FIT_BINS])  # one batch: a spectrum per row
     P_fit = np.zeros_like(P)
     P_fit[:, 1:] = spectral._power_law(a, k, slice(1, None))  # and 0 at f = 0
     P_out = P - P_fit

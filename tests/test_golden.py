@@ -13,6 +13,9 @@ rewrite it only for a deliberate change of behaviour::
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -114,6 +117,32 @@ def test_sweep_pinned(records, golden):
     np.testing.assert_array_equal(got[:, 0], want[:, 0])
     np.testing.assert_allclose(got[:, 1:4], want[:, 1:4], rtol=0, atol=FUSED_ATOL)
     np.testing.assert_array_equal(got[:, 4], want[:, 4])
+
+
+def test_rates_do_not_depend_on_blas_threads(tmp_path):
+    """The spectra are BLAS products, and the command keeps a user's OPENBLAS_NUM_THREADS: one or two threads rate alike."""
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from rrcif import pipeline\n"
+        "from test_golden import build\n"
+        "table = pipeline.analyze_record(build('clean12')[0]).estimates\n"
+        "np.savez(sys.argv[1], rr=table.rr, ni=table.ni, reason=table.reason)\n"
+    )
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(here.parent / "src"), str(here)])
+    tables = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}.npz"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+        subprocess.run([sys.executable, "-c", code, str(out)], env=env, check=True, timeout=120)
+        with np.load(out) as data:
+            tables.append(dict(data))
+    one, two = tables
+    assert (one["reason"] == "none").sum() > 1000
+    for name in ("rr", "ni"):
+        assert np.array_equal(one[name].view(np.uint64), two[name].view(np.uint64)), name
+    np.testing.assert_array_equal(one["reason"], two["reason"])
 
 
 if __name__ == "__main__":

@@ -12,10 +12,10 @@ from rrcif.spectral import (
     FIT_BANDS_BPM,
     FREQS,
     MIN_FIT_BINS,
-    N_RATED_BINS,
     NFFT,
     REASONS,
     WINDOW_S,
+    WINDOW_SAMPLES,
     EstimateTable,
     fit_power_law,
     rate_windows,
@@ -53,6 +53,17 @@ def _grid_freqs():
     return np.fft.rfftfreq(NFFT, d=0.2) * 60.0
 
 
+def _oracle(x):
+    """The spectrum by definition: |rfft((x - mean) * hamming, NFFT)|**2 of each row, on the full grid."""
+    x = np.asarray(x, dtype=float)
+    return np.abs(np.fft.rfft((x - x.mean(axis=-1, keepdims=True)) * np.hamming(x.shape[-1]), NFFT, axis=-1)) ** 2
+
+
+def _rated_bins():
+    """The grid bins behind the columns of spectral._EVEN and _ODD, in column order."""
+    return np.concatenate([spectral._FIT_BINS, np.arange(BAND.start, BAND.stop)])
+
+
 def _first_window(series):
     """window_spectrum of the first 32 s window of RIIV."""
     return window_spectrum(series, rate_windows(series, 32.0), 0, RivKind.RIIV)
@@ -68,7 +79,7 @@ def _first_rate(series):
 def _fitted(P):
     """(a, k, degenerate, P_fit, P_out) of one spectrum on the padded 5 Hz grid, P_fit = 0 at f = 0."""
     P = np.asarray(P, dtype=float)
-    a, k, degenerate = fit_power_law(P)
+    a, k, degenerate = fit_power_law(P[spectral._FIT_BINS])
     P_fit = np.zeros_like(P)
     P_fit[1:] = spectral._power_law(a, k, slice(1, None))
     return a, k, degenerate, P_fit, P - P_fit
@@ -108,21 +119,30 @@ def test_grid_constants_select_their_bins():
     bins = np.arange(f.size)
     np.testing.assert_array_equal(bins[BAND], np.flatnonzero((f >= 4.0) & (f <= 65.0)))
     np.testing.assert_array_equal(spectral._FIT_BINS, np.flatnonzero(((f >= 2.0) & (f <= 4.0)) | ((f >= 65.0) & (f <= 100.0))))
-    assert N_RATED_BINS == np.count_nonzero(f <= 100.0)
+    rated = _rated_bins()
+    np.testing.assert_array_equal(rated[spectral._FIT_COLUMNS], spectral._FIT_BINS)
+    np.testing.assert_array_equal(rated[spectral._BAND_COLUMNS], bins[BAND])
+    assert spectral._EVEN.shape == spectral._ODD.shape == (WINDOW_SAMPLES // 2, 1344)  # 1338 bins, 6 zero columns
+    assert not spectral._EVEN[:, rated.size :].any() and not spectral._ODD[:, rated.size :].any()
 
 
 def test_fit_alike_on_full_and_rated_grid():
-    # window_spectrum fits the full grid, rate_windows its first N_RATED_BINS bins
-    rng = np.random.default_rng(3)
-    P = np.exp(rng.standard_normal((6, FREQS.size)))
-    P[1, spectral._FIT_BINS[::2]] = 0.0  # some fit bins without power
-    P[2, :] = 0.0  # degenerate
-    for full, rated in zip(fit_power_law(P), fit_power_law(P[:, :N_RATED_BINS])):
-        np.testing.assert_array_equal(full, rated)
+    # window_spectrum fits the fit bins of a full-grid basis, rate_windows the fit columns of the rated
+    # basis: the two bases agree bit for bit on every rated bin
+    even, odd = spectral._basis(np.arange(FREQS.size))
+    rated = _rated_bins()
+    np.testing.assert_array_equal(even[:, rated], spectral._EVEN[:, : rated.size])
+    np.testing.assert_array_equal(odd[:, rated], spectral._ODD[:, : rated.size])
+
+
+def test_fold_preconditions():
+    # _basis folds sample WINDOW_SAMPLES - 1 - n onto sample n: that needs an even window and a symmetric taper
+    assert WINDOW_SAMPLES % 2 == 0
+    np.testing.assert_array_equal(spectral._TAPER, spectral._TAPER[::-1])
 
 
 def test_grid_constants_are_read_only():
-    for constant in (FREQS, spectral._TAPER, spectral._FIT_BINS, spectral._FIT_POWERS):
+    for constant in (FREQS, spectral._TAPER, spectral._FIT_BINS, spectral._FIT_POWERS, spectral._EVEN, spectral._ODD):
         with pytest.raises(ValueError, match="read-only"):
             constant[0] = 1
     freqs, _, _ = _first_window(_tone_table(0.3, duration=32.0)[0])
@@ -256,7 +276,7 @@ def test_fit_partially_masked_matches_polyfit():
     f_batch = f[f <= FIT_BANDS_BPM[-1][1]]
     unmasked = np.zeros_like(f_batch)
     unmasked[1:] = 2.0 / f_batch[1:]
-    a, k, degenerate = fit_power_law(np.stack([unmasked, P[: f_batch.size]]))
+    a, k, degenerate = fit_power_law(np.stack([unmasked, P[: f_batch.size]])[:, spectral._FIT_BINS])
     assert not degenerate.any()
     assert a[1] == pytest.approx(a_want, rel=1e-9) and k[1] == pytest.approx(k_want, rel=1e-9)
     assert a[0] == pytest.approx(-1.0, rel=1e-9) and k[0] == pytest.approx(np.log(2.0), rel=1e-9)
@@ -378,6 +398,37 @@ def test_row_permutation_permutes_columns(seed, n, t0, duration, shapes, artifac
 
 
 # ---------------------------------------------------------------------------
+# the kernel against its definition
+
+
+_FULL_BASIS = spectral._basis(np.arange(FREQS.size))  # the basis window_spectrum builds
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shapes=_SHAPES,
+    offset=st.floats(-10.0, 10.0),
+    exponents=st.lists(st.integers(-250, 250), min_size=5, max_size=5),
+)
+def test_kernel_matches_rfft_oracle(seed, shapes, offset, exponents):
+    """On every bin it computes, the folded product is |rfft|**2 of the tapered, mean-free, zero-padded window."""
+    rows = _random_table(seed, WINDOW_SAMPLES, 0.0, shapes, []).values + offset
+    x = rows * 2.0 ** np.array(exponents)[:, None]
+    want = _oracle(x)
+    rated = _rated_bins()
+    constant = np.ptp(x, axis=-1) == 0
+    for P, bins in (
+        (spectral._spectra(x, (spectral._EVEN, spectral._ODD)), rated),
+        (np.stack([spectral._spectra(row, _FULL_BASIS) for row in x]), np.arange(FREQS.size)),
+    ):
+        assert not P[:, bins.size :].any()  # the zero columns of the basis
+        assert not P[constant].any()
+        error = np.abs(P[:, : bins.size] - want[:, bins]).max(axis=-1)
+        assert (error[~constant] <= 1e-12 * want[~constant].max(axis=-1)).all()
+
+
+# ---------------------------------------------------------------------------
 # rate_windows: the batch over every window of every variation
 
 
@@ -393,8 +444,8 @@ def test_batch_matches_single_window():
     # reference: the kernel steps on every window of each row at once, over the full rfft grid
     starts = np.round(table.start_s / 0.2).astype(int)
     for column, row in enumerate(values):
-        P = spectral._power(row[starts[:, None] + np.arange(160)])
-        a, k, degenerate = fit_power_law(P)
+        P = _oracle(row[starts[:, None] + np.arange(160)])
+        a, k, degenerate = fit_power_law(P[:, spectral._FIT_BINS])
         assert not degenerate.any()
         rr_want, ni_want = spectral._rate_ni(P[:, BAND] - spectral._power_law(a, k, BAND))
         np.testing.assert_array_equal(table.rr[:, column], rr_want)
