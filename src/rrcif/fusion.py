@@ -1,19 +1,20 @@
 """Covariance intersection fusion of the gated per-variation estimates,
 plus the Smart Fusion baselines (SF3/SF5).
 
-The covariance of a rate estimate is one minus its noise index (floored at a
-small epsilon, since a perfect noise index would make the inverse-covariance
-terms blow up). With the constraint that all weighted covariances are equal,
+The covariance of a rate estimate is C = 1 - NI, floored at
+COVARIANCE_FLOOR, since a perfect noise index would make its precision
+infinite. For scalar rates the closed form of covariance intersection
+(Niehsen, FUSION 2002) weighs estimate i by w_i ∝ 1/C_i, the weights that
+make every w_i * C_i equal. With the precisions p_i = 1/C_i, p_i = 0 for a
+pair the gate drops, and q_i = p_i², the fused covariance and rate are
 
-    w1*C1 = w2*C2 = ... = wn*Cn,   sum(w) = 1,
+    C_f = sum(p) / sum(q),
+    x_f = x_0 + sum(q_i * (x_i - x_0)) / sum(q),
 
-the weights have the closed form w_i = (1/C_i) / sum_j (1/C_j), and the fused
-estimate follows from the convex information-space combination
-
-    1/C_f = sum_i w_i / C_i,
-    x_f   = C_f * sum_i w_i * x_i / C_i.
-
-This is the only place the noise-index gate is applied.
+where x_0 is the rate of the first contributor in ALL_KINDS order. So each
+rate's effective weight is q_i = 1/(1 - NI_i)², and contributors that share
+one rate fuse to that rate exactly. This is the only place the noise-index
+gate is applied.
 
 Smart Fusion instead averages a fixed set of variations (RIIV/RIAV/RIFV for
 SF3, all five for SF5) and discards the window when any of them is unrated,
@@ -58,18 +59,6 @@ class FusionResult:
     retained: np.ndarray
 
 
-def cif_weights(covariances) -> np.ndarray:
-    """Weights over the last axis satisfying the equal-product condition and
-    summing to one; an infinite covariance gets zero weight."""
-    c = np.asarray(covariances, dtype=float)
-    if c.shape[-1:] in ((), (0,)):
-        raise ValueError("need at least one covariance")
-    if np.any(c <= 0):
-        raise ValueError(f"covariances must be positive, got {c}")
-    inv = 1.0 / c
-    return inv / inv.sum(axis=-1, keepdims=True)
-
-
 def cif(rr, ni, t) -> FusionResult:
     """Covariance-intersection fusion of each row of (rate, noise index) pairs.
 
@@ -88,12 +77,14 @@ def cif(rr, ni, t) -> FusionResult:
     if np.any((ni < 0) | (ni > 1)):
         raise ValueError("noise indices must lie in [0, 1]")
     use = ni >= t.reshape(t.shape + (1,) * ni.ndim)
-    c = np.where(use, np.maximum(1.0 - ni, COVARIANCE_FLOOR), np.inf)
-    x = np.where(use, rr, 0.0)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        w = cif_weights(c)
-        c_fusion = 1.0 / np.sum(w / c, axis=-1)
-        x_fusion = c_fusion * np.sum(w * x / c, axis=-1)
+    p = np.where(use, 1.0 / np.maximum(1.0 - ni, COVARIANCE_FLOOR), 0.0)
+    q = p * p
+    # x_0 of each row; a row with no contributor gets 0/0 below, so NaN
+    x0 = np.take_along_axis(np.broadcast_to(rr, use.shape), use.argmax(axis=-1)[..., None], axis=-1)
+    sum_q = q.sum(axis=-1)
+    with np.errstate(invalid="ignore"):
+        c_fusion = p.sum(axis=-1) / sum_q
+        x_fusion = x0[..., 0] + np.sum(q * np.where(use, rr - x0, 0.0), axis=-1) / sum_q
     return FusionResult(rr_fusion=x_fusion, c_fusion=c_fusion, contributors=use, retained=use.any(axis=-1))
 
 

@@ -235,25 +235,40 @@ def _rows(reader, path, n_fields, increasing) -> list[list[float]]:
 def _read_columns(path, expected_header, increasing=False) -> np.ndarray:
     """Return the rows of a two-column CSV as an (n, 2) array.
 
-    The file is read once, and one ``csv.reader`` over its text reads the
-    header. One ``np.loadtxt`` call parses the body: from the path, in large
-    chunks in C, for a regular file whose suffix loadtxt does not take for a
-    compression format, else (a pipe, say) from the text. Whatever that call
-    rejects or cannot be trusted with (a parse error, an empty body, another
-    column count, a non-finite timestamp, with ``increasing`` one that does
-    not increase) is parsed by :func:`_rows` from the same reader, which
-    accepts the same files and raises the errors that name a line.
+    A regular file whose suffix loadtxt does not take for a compression
+    format is parsed by :func:`_parse_columns` from the open file and its
+    path; anything else (a pipe, say) is read whole first and parsed from
+    that text. A byte that is not UTF-8 anywhere in the file outranks every
+    other error, in either route.
     """
-    n_fields = len(expected_header)
     try:
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-            text = fh.read()
-            regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode) and path.suffix not in _COMPRESSED_SUFFIXES
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode) and path.suffix not in _COMPRESSED_SUFFIXES:
+                # absolute, so never taken for a URL
+                reader, source = csv.reader(fh), os.path.abspath(path)
+            else:
+                text = fh.read()
+                reader, source = csv.reader(io.StringIO(text, newline="")), io.StringIO(text, newline="")
+            try:
+                return _parse_columns(reader, source, path, expected_header, increasing)
+            except RrcifError:
+                fh.read()  # decodes what the reader has not reached
+                raise
     except UnicodeDecodeError as exc:
         raise _not_utf8(path, exc) from None
-    reader = csv.reader(io.StringIO(text, newline=""))
-    # absolute, so never taken for a URL
-    source = os.path.abspath(path) if regular else io.StringIO(text, newline="")
+
+
+def _parse_columns(reader, source, path, expected_header, increasing) -> np.ndarray:
+    """Read the header with ``reader``, then the body with one ``np.loadtxt``
+    call on ``source``, a path or the text that ``reader`` reads.
+
+    Whatever that call rejects or cannot be trusted with (a parse error, an
+    empty body, another column count, a non-finite timestamp, with
+    ``increasing`` one that does not increase) is parsed by :func:`_rows` from
+    the same reader, which accepts the same files and raises the errors that
+    name a line.
+    """
+    n_fields = len(expected_header)
     try:
         _read_header(reader, path, expected_header)
         try:

@@ -4,15 +4,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rrcif.errors import EmptyFusionError
+from rrcif.evaluation import T_GRID_DEFAULT
 from rrcif.fusion import (
     COVARIANCE_FLOOR,
     SF3,
     SF5,
     cif,
-    cif_weights,
     smart_fusion,
 )
 from rrcif.riv import ALL_KINDS, RivKind
+from rrcif.spectral import BAND, FREQS
 
 
 def solve_weights(covs):
@@ -44,51 +45,6 @@ def fuse_pairs(pairs):
 
 def kinds(mask):
     return {kind for kind, used in zip(ALL_KINDS, mask) if used}
-
-
-# ---------------------------------------------------------------------------
-# weights
-
-
-def test_weights_single():
-    np.testing.assert_allclose(cif_weights([0.5]), [1.0])
-
-
-def test_weights_symmetric():
-    np.testing.assert_allclose(cif_weights([0.5, 0.5]), [0.5, 0.5])
-
-
-def test_weights_hand_example():
-    w = cif_weights([0.2, 0.4])
-    np.testing.assert_allclose(w, [2.0 / 3.0, 1.0 / 3.0], rtol=1e-12)
-    np.testing.assert_allclose(w, solve_weights([0.2, 0.4]), rtol=1e-12)
-
-
-def test_weights_equal_product_and_sum():
-    rng = np.random.default_rng(5)
-    for _ in range(200):
-        c = rng.uniform(1e-6, 1.0, rng.integers(1, 6))
-        w = cif_weights(c)
-        assert w.sum() == pytest.approx(1.0, abs=1e-12)
-        products = w * c
-        np.testing.assert_allclose(products, products[0], rtol=1e-12)
-
-
-def test_weights_reject_nonpositive():
-    with pytest.raises(ValueError):
-        cif_weights([0.5, 0.0])
-    with pytest.raises(ValueError):
-        cif_weights([])
-    with pytest.raises(ValueError):
-        cif_weights(np.empty((3, 0)))
-
-
-def test_cif_weights_over_no_windows():
-    # the covariances of a record with no window: zero rows of five
-    assert cif_weights(np.ones((0, 5))).shape == (0, 5)
-    fused = cif(np.empty((0, 5)), np.empty((0, 5)), [0.0, 0.13])
-    assert fused.rr_fusion.shape == fused.retained.shape == (2, 0)
-    assert fused.contributors.shape == (2, 0, 5)
 
 
 # ---------------------------------------------------------------------------
@@ -130,6 +86,13 @@ def test_fuse_matches_inverse_square_closed_form():
 def test_fuse_empty_error():
     with pytest.raises(EmptyFusionError):
         fuse_pairs([])
+
+
+def test_cif_over_no_windows():
+    # a record with no window: zero rows of five
+    fused = cif(np.empty((0, 5)), np.empty((0, 5)), [0.0, 0.13])
+    assert fused.rr_fusion.shape == fused.retained.shape == (2, 0)
+    assert fused.contributors.shape == (2, 0, 5)
 
 
 def test_fuse_perfect_ni_uses_floor():
@@ -184,9 +147,9 @@ def test_fuse_window_contributors():
     result = cif(rr, ni, t=0.13)
     assert result.retained
     assert kinds(result.contributors) == {RivKind.RIIV, RivKind.RIFV}
-    weights = cif_weights(np.maximum(1.0 - ni[result.contributors], COVARIANCE_FLOOR))
-    assert sum(weights) == pytest.approx(1.0, abs=1e-9)
-    assert min(10.0, 14.0) <= result.rr_fusion <= max(10.0, 14.0)
+    # C = (0.5, 0.6): each rate weighs 1/C²
+    assert result.rr_fusion == pytest.approx((10.0 / 0.25 + 14.0 / 0.36) / (1 / 0.25 + 1 / 0.36), rel=1e-12)
+    assert result.c_fusion == pytest.approx((1 / 0.5 + 1 / 0.6) / (1 / 0.25 + 1 / 0.36), rel=1e-12)
 
 
 def test_fuse_window_all_low_gives_gap():
@@ -309,6 +272,47 @@ def test_cif_retained_count_never_rises_with_t(table, thresholds):
     # per window: the contributors to each row of the table, then whether it is retained at all
     assert np.all(np.diff(result.contributors.sum(axis=-1), axis=0) <= 0)
     assert np.all(np.diff(result.retained.astype(int), axis=0) <= 0)
+
+
+@st.composite
+def _agreeing_tables(draw):
+    """(rate, rr, ni, t) of 1-12 windows whose pairs at NI >= t all share `rate`.
+
+    `rate` is any rate in [4, 65] or a bin a spectrum can peak at; every window
+    has at least one such pair, and its other pairs are gated out (NI < t, any
+    rate) or unrated (NaN in both).
+    """
+    rate = draw(st.one_of(st.floats(4.0, 65.0), st.sampled_from(FREQS[BAND].tolist())))
+    t = draw(st.sampled_from(T_GRID_DEFAULT))
+    n = draw(st.integers(1, 12))
+    states = ["agree", "unrated"] + (["gated"] if t > 0 else [])
+    rr = np.empty((n, 5))
+    ni = np.empty((n, 5))
+    for window in range(n):
+        row = draw(st.lists(st.sampled_from(states), min_size=5, max_size=5).filter(lambda r: "agree" in r))
+        for j, state in enumerate(row):
+            if state == "agree":
+                rr[window, j], ni[window, j] = rate, draw(st.floats(t, 1.0))
+            elif state == "gated":
+                rr[window, j] = draw(st.floats(4.0, 65.0))
+                ni[window, j] = draw(st.floats(0.0, t, exclude_max=True))
+            else:
+                rr[window, j] = ni[window, j] = np.nan
+    return rate, rr, ni, t
+
+
+@settings(max_examples=200, deadline=None)
+@given(_agreeing_tables())
+def test_cif_agreeing_contributors_fuse_to_their_rate_exactly(table):
+    rate, rr, ni, t = table
+    single = cif(rr, ni, t)
+    assert single.retained.all()
+    assert np.all(single.rr_fusion == rate)
+    # on the sweep grid, every retained window whose contributors share the rate gives it exactly
+    grid = cif(rr, ni, T_GRID_DEFAULT)
+    agreeing = grid.retained & ~(grid.contributors & (rr != rate)).any(axis=-1)
+    assert agreeing[T_GRID_DEFAULT.index(t)].all()
+    assert np.all(grid.rr_fusion[agreeing] == rate)
 
 
 # ---------------------------------------------------------------------------

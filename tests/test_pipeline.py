@@ -5,7 +5,7 @@ from rrcif import METHODS, pipeline
 from rrcif.errors import InsufficientSignalError, ValidationError
 from rrcif.fusion import fuse_estimates
 from rrcif.signal_io import PpgRecord
-from rrcif.spectral import REASONS
+from rrcif.spectral import REASONS, WINDOW_S
 
 from conftest import make_synth
 
@@ -91,3 +91,26 @@ def test_power_of_two_scaling_leaves_the_analysis_unchanged(fs, seed):
         scaled = PpgRecord(id=record.id, fs=fs, samples=record.samples * 2.0**k)
         with pytest.raises(error, match=r"2\*\*-?400"):
             pipeline.analyze_record(scaled)
+
+
+BURST_S = (200.0, 205.0)  # 5 s of N(0, 1) noise, one nominal pulse amplitude in sd
+
+
+@pytest.mark.parametrize("depth, noise", [(0.1, 0.03), (0.015, 0.1)], ids=["clean", "low-snr"])
+@pytest.mark.parametrize(("rr", "hr"), [(9.5, 65.0), (30.5, 107.0)])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_a_burst_changes_only_the_windows_near_it(depth, noise, rr, hr, seed):
+    """A noise burst leaves every window whose span lies at least 10 s from it
+    as it was: the same rates and reasons, bit for bit, and NI within 1e-6.
+    Both bounds were fixed before the test first ran."""
+    record, _ = make_synth(rr=rr, hr=hr, duration=480.0, depths=(depth,) * 5, noise=noise, seed=seed)
+    burst = slice(*(round(t * record.fs) for t in BURST_S))
+    samples = record.samples.copy()
+    samples[burst] += np.random.default_rng(seed).normal(0.0, 1.0, burst.stop - burst.start)
+    base = pipeline.analyze_record(record).estimates
+    hit = pipeline.analyze_record(PpgRecord(id=record.id, fs=record.fs, samples=samples)).estimates
+    far = (base.start_s + WINDOW_S <= BURST_S[0] - 10.0) | (base.start_s >= BURST_S[1] + 10.0)
+    assert far.sum() > far.size / 2
+    assert hit.rr[far].tobytes() == base.rr[far].tobytes()
+    assert (hit.reason[far] == base.reason[far]).all()
+    np.testing.assert_allclose(hit.ni[far], base.ni[far], rtol=0, atol=1e-6, equal_nan=True)

@@ -385,6 +385,23 @@ def test_record_reads_alike_from_a_pipe_and_under_a_compression_suffix(tmp_path)
     assert _through_pipe(text, read_record).samples.tolist() == record.samples.tolist()
 
 
+@needs_dev_fd
+@pytest.mark.parametrize("head", ["t,ppg\n0,1\n", "t,ppg\n0,1\n0.01,x\n"], ids=["valid-rows", "malformed-row"])
+def test_byte_deep_in_the_body_that_is_not_utf8_is_named_in_every_route(tmp_path, head):
+    # the 0xff byte lies about 200 kB in, far past what reading the header decodes
+    body = "".join(f"{0.01 * i:.2f},1\n" for i in range(2, 20_000))
+    data = (head + body).encode("utf-8") + b"200,\xff\n"
+    path, gz = tmp_path / "rec.csv", tmp_path / "rec.gz"
+    path.write_bytes(data)
+    gz.write_bytes(data)
+
+    def outcome(source):
+        return _outcome(lambda: read_record(Path(source)), source)
+
+    expected = (ParseError, "<path>: not UTF-8 text: invalid start byte 0xff")
+    assert outcome(path) == outcome(gz) == _through_pipe(data, outcome) == expected
+
+
 def test_parse_error_after_a_non_increasing_timestamp_is_named_first(tmp_path):
     path = tmp_path / "rec.csv"
     path.write_text("t,ppg\n0,1\n0.01,2\n0.01,3\n0.03,x\n")
