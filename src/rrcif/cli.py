@@ -170,31 +170,22 @@ def _cmd_estimate(args, parser):
 
 
 def _analyze_subject(path):
-    """Read and analyze one subject; returns (estimates, reference) or the error message.
-
-    Runs in a worker process, so a data or I/O error comes back as text for
-    the parent to report; any other exception is a bug and propagates. The
-    beats and variation series stay in the worker.
+    """Read and analyze one subject in a worker process; returns its record id
+    with (estimates, reference) or with the error message. The id is a CSV's
+    stem, and a record JSON's ``"id"`` even when its reference fails, None
+    when its record does. A data or I/O error comes back as text for the
+    parent to report; any other exception is a bug and propagates.
     """
     from . import pipeline, signal_io
 
+    record_id = None if path.suffix.lower() == ".json" else path.stem
     try:
-        record, reference = signal_io.read_subject(path)
-        return pipeline.analyze_record(record).estimates, reference
+        record, read_reference = signal_io.read_subject(path)
+        record_id = record.id
+        reference = read_reference()
+        return record_id, (pipeline.analyze_record(record).estimates, reference)
     except (RrcifError, OSError) as exc:  # one bad subject must not end the run
-        return str(exc)
-
-
-def _record_id(path):
-    """The record id that reading `path` gives, without reading a CSV: its
-    stem, or the ``"id"`` that :func:`signal_io.read_record` takes from a record
-    JSON; None for a JSON record it rejects, which its worker reports."""
-    from . import signal_io
-
-    try:
-        return signal_io.read_record(path).id if path.suffix.lower() == ".json" else path.stem
-    except (RrcifError, OSError):
-        return None
+        return record_id, str(exc)
 
 
 def _end_with_parent(parent_pid):
@@ -218,14 +209,14 @@ def _analyze_dataset(directory):
     """Read and analyze every subject of a dataset directory, in id order.
 
     The records are the .json files and the .csv files other than _ref
-    references, suffixes in any case. :func:`signal_io.read_subject` reads
-    each with its reference in a worker process, one per available CPU but
-    no more than there are subjects. Workers are forked, so they start with
-    the modules this process has already imported; the analysis is imported
-    before the pool and loads no module on first use, so no worker imports a
-    numpy, scipy or rrcif module for itself. A subject that cannot be read or
-    analyzed is warned about and skipped, in file-name order. Two files with
-    the same record id are a data error, found before any subject is analyzed.
+    references, suffixes in any case. :func:`_analyze_subject` reads and
+    analyzes each, once, in a worker process, one per available CPU but no
+    more than there are subjects. Workers are forked with the analysis
+    imported, so none imports a numpy, scipy or rrcif module for itself;
+    each still loads ``gzip`` (through ``np.loadtxt``) and the ``utf-8-sig``
+    codec. Two files with one record id are a data error, found once the
+    workers are done and before anything is written. A subject that cannot
+    be read or analyzed is then warned about and skipped, in file-name order.
     Returns ({record id: (estimates, reference)} in id order, skipped names).
     """
     directory = Path(directory)
@@ -233,13 +224,6 @@ def _analyze_dataset(directory):
     records = [p for p in files if p.suffix.lower() == ".json" or (p.suffix.lower() == ".csv" and not p.stem.endswith("_ref"))]
     if not records:
         raise RrcifError(f"{directory}: no record files found")
-    paths = {}
-    for path in records:
-        record_id = _record_id(path)
-        if record_id in paths:
-            raise RrcifError(f"{directory}: record id {record_id!r} is used by both {paths[record_id].name} and {path.name}")
-        if record_id is not None:
-            paths[record_id] = path
     workers = min(len(records), len(os.sched_getaffinity(0)))
     import multiprocessing
 
@@ -253,16 +237,18 @@ def _analyze_dataset(directory):
         initializer=_end_with_parent,
         initargs=(os.getpid(),),
     ) as pool:
-        results = dict(zip(records, pool.map(_analyze_subject, records)))
-    skipped = []
-    for path, result in results.items():
-        if isinstance(result, str):
-            print(f"warning: skipping {path.name}: {result}", file=sys.stderr)
-            skipped.append(path.name)
-    subjects = {record_id: results[path] for record_id, path in sorted(paths.items()) if not isinstance(results[path], str)}
+        results = list(pool.map(_analyze_subject, records))
+    paths = {}
+    for path, (record_id, _) in zip(records, results):
+        if record_id is not None and paths.setdefault(record_id, path) != path:
+            raise RrcifError(f"{directory}: record id {record_id!r} is used by both {paths[record_id].name} and {path.name}")
+    errors = {path.name: result for path, (_, result) in zip(records, results) if isinstance(result, str)}
+    for name, error in errors.items():
+        print(f"warning: skipping {name}: {error}", file=sys.stderr)
+    subjects = dict(sorted((record_id, result) for record_id, result in results if not isinstance(result, str)))
     if not subjects:
         raise RrcifError(f"{directory}: no subject could be analyzed")
-    return subjects, skipped
+    return subjects, list(errors)
 
 
 def _cmd_benchmark(args, parser):
@@ -285,6 +271,8 @@ def _cmd_benchmark(args, parser):
     lines = [_header(",".join(methods), args.t), "id,method,t,rmse,retention\n"]
     for method, (rmse, retention) in scores.items():
         for record_id, subject_rmse, subject_retention in zip(subjects, rmse.tolist(), retention.tolist()):
+            if any(c in record_id for c in ',"\r\n'):  # RFC 4180 quotes a comma, a quote and a line break
+                record_id = '"' + record_id.replace('"', '""') + '"'
             subject_rmse = "" if math.isnan(subject_rmse) else f"{subject_rmse:.6g}"
             lines.append(f"{record_id},{method.upper()},{args.t:.2f},{subject_rmse},{subject_retention:.6g}\n")
     _emit(out_dir / "subjects.csv", lines)

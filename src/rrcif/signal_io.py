@@ -24,6 +24,7 @@ import math
 import os
 import stat
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -321,21 +322,30 @@ def read_record(path) -> PpgRecord:
     return PpgRecord(id=path.stem, fs=1.0 / step, samples=np.ascontiguousarray(data[:, 1]))
 
 
-def read_subject(path) -> tuple[PpgRecord, ReferenceRr]:
-    """Load a record, as :func:`read_record` does, and its reference: a record
-    JSON's embedded ``reference``, or the reference CSV at :func:`reference_path`."""
+def read_subject(path) -> tuple[PpgRecord, Callable[[], ReferenceRr]]:
+    """Load a record, as :func:`read_record` does, and a function that reads and
+    checks its reference when called: a record JSON's embedded ``reference``
+    (the JSON is parsed once), or the reference CSV at :func:`reference_path`."""
     path = Path(path)
     if path.suffix.lower() != ".json":
-        record, ref_path = read_record(path), reference_path(path)
-        if not ref_path.exists():
-            raise RrcifError(f"{path}: no matching {ref_path.name} reference")
-        return record, read_reference(ref_path)
+        return read_record(path), lambda: _reference_beside(path)
     record, ref = _read_json(path)
+    return record, lambda: _embedded_reference(path, ref)
+
+
+def _reference_beside(path) -> ReferenceRr:
+    ref_path = reference_path(path)
+    if not ref_path.exists():
+        raise RrcifError(f"{path}: no matching {ref_path.name} reference")
+    return read_reference(ref_path)
+
+
+def _embedded_reference(path, ref) -> ReferenceRr:
     if ref is None:
         raise RrcifError(f"{path}: JSON record has no embedded reference")
     if not isinstance(ref, dict) or "t" not in ref or "rr" not in ref:
         raise ParseError(f"{path}: reference must hold 't' and 'rr' arrays")
-    return record, ReferenceRr(_json_floats(path, ref["t"]), _json_floats(path, ref["rr"]))
+    return ReferenceRr(_json_floats(path, ref["t"]), _json_floats(path, ref["rr"]))
 
 
 def reference_path(path: Path) -> Path:

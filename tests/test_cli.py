@@ -469,21 +469,33 @@ def test_sweep_id_of_two_jsons_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_duplicate_ids_are_found_before_the_pool_starts(tmp_path, monkeypatch):
-    import concurrent.futures
+def test_duplicate_ids_leave_no_output_and_no_warning(tmp_path, capsys):
+    # both files would be skipped, yet the clash ends the command before any warning
+    (tmp_path / "s00.csv").write_text("t,ppg\n")  # cannot be read: a CSV's id is its stem all the same
+    (tmp_path / "s00.json").write_text(json.dumps({"id": "s00", "fs": 100.0, "samples": [0.0] * 50}))  # no reference
+    _write_subject(tmp_path, "s01", seed=1)
+    out_dir = tmp_path / "out"
+    assert main(["benchmark", str(tmp_path), "--out", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert "record id 's00' is used by both s00.csv and s00.json" in err
+    assert "warning:" not in err
+    assert not out_dir.exists()
 
-    from rrcif import cli
-    from rrcif.errors import RrcifError
 
-    class NoPool:
-        def __init__(self, *args, **kwargs):
-            raise AssertionError("the pool was created")
+def test_subjects_csv_quotes_record_ids(tmp_path):
+    import csv
 
-    (tmp_path / "s00.csv").write_text("t,ppg\n")  # never read: a CSV's id is its stem
-    (tmp_path / "s00.json").write_text(json.dumps({"id": "s00", "fs": 100.0, "samples": [0.0] * 50}))
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
-    with pytest.raises(RrcifError, match="record id 's00' is used by both s00.csv and s00.json"):
-        cli._analyze_dataset(tmp_path)
+    _write_subject(tmp_path, "a,b", duration=40.0, seed=1)
+    _write_subject(tmp_path, 'a"b', duration=40.0, seed=2)
+    _write_json_subject(tmp_path / "c.json", "c\nd", seed=3)
+    _write_json_subject(tmp_path / "e.json", "e\rf", seed=4)
+    out_dir = tmp_path / "out"
+    assert main(["benchmark", str(tmp_path), "--methods", "cif", "--out", str(out_dir)]) == 0
+    with open(out_dir / "subjects.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[1] == ["id", "method", "t", "rmse", "retention"]
+    assert [row[0] for row in rows[2:]] == ['a"b', "a,b", "c\nd", "e\rf"]
+    assert all(len(row) == 5 for row in rows[2:])
 
 
 def test_a_repeated_json_id_key_clashes_by_its_last_value(tmp_path, capsys):
@@ -698,10 +710,25 @@ def test_analyze_subject_returns_estimates_and_reference(tmp_path):
     path = _write_subject(tmp_path, "s1", rr=18.0, hr=78.0, noise=0.03, seed=1)
     result = cli._analyze_subject(path)
     assert isinstance(result, tuple) and len(result) == 2
-    estimates, reference = result
+    record_id, (estimates, reference) = result
+    assert record_id == "s1"
     assert isinstance(estimates, EstimateTable) and isinstance(reference, ReferenceRr)
     _assert_tables_bit_equal(estimates, pipeline.analyze_record(read_record(path)).estimates)
     np.testing.assert_array_equal(reference.times_s, read_reference(tmp_path / "s1_ref.csv").times_s)
+
+
+def test_analyze_subject_returns_the_record_id_with_its_error(tmp_path):
+    from rrcif import cli
+
+    (tmp_path / "bad.csv").write_text("t,ppg\n")
+    (tmp_path / "bad.json").write_text("{")
+    _write_json_subject(tmp_path / "x.json", "s9", seed=1)
+    doc = json.loads((tmp_path / "x.json").read_text())
+    (tmp_path / "x.json").write_text(json.dumps({**doc, "reference": {"t": [0, 2, 1], "rr": [12, 12, 12]}}))
+    results = {name: cli._analyze_subject(tmp_path / name) for name in ("bad.csv", "bad.json", "x.json")}
+    assert {name: record_id for name, (record_id, _) in results.items()} == {"bad.csv": "bad", "bad.json": None, "x.json": "s9"}
+    assert all(isinstance(error, str) for _, error in results.values())
+    assert "decreasing timestamp" in results["x.json"][1]
 
 
 # ---------------------------------------------------------------------------

@@ -179,6 +179,36 @@ def test_workers_import_no_numpy_scipy_or_rrcif_module(tmp_path):
     assert sorted(n for n in loaded if n.split(".")[0] in ("numpy", "scipy", "rrcif")) == []
 
 
+@pytest.mark.parametrize("command", ["benchmark", "sweep"])
+def test_each_json_subject_is_parsed_once_and_in_a_worker(tmp_path, command):
+    # The worker that analyzes a record JSON also gives its id; the command
+    # itself never parses one. Every parse of a record JSON is logged.
+    import json
+
+    data = _write_dataset(tmp_path / "data")
+    for name, seed, times in (("c", 3, [0, 40]), ("d", 4, [0, 2, 1])):  # d's reference is invalid
+        record, _ = make_synth(duration=40.0, seed=seed)
+        doc = {"id": name, "fs": record.fs, "samples": record.samples.tolist(), "reference": {"t": times, "rr": [15] * len(times)}}
+        (data / f"{name}.json").write_text(json.dumps(doc))
+    log = tmp_path / "parsed"
+    code = (
+        "import os\n"
+        "from rrcif import cli, signal_io\n"
+        "parse = signal_io._read_json\n"
+        "def logged(path):\n"
+        f"    with open({str(log)!r}, 'a') as fh:\n"
+        "        fh.write(f'{os.getpid()} {path.name}\\n')\n"
+        "    return parse(path)\n"
+        "signal_io._read_json = logged\n"
+        f"print(os.getpid(), cli.main([{command!r}, {str(data)!r}, '--out', {str(tmp_path / 'out')!r}]))\n"
+    )
+    pid, code = _python(code)
+    assert code == "0"
+    parses = [line.split() for line in log.read_text().splitlines()]
+    assert sorted(name for _, name in parses) == ["c.json", "d.json"]
+    assert pid not in {parser for parser, _ in parses}
+
+
 def test_commands_load_neither_importlib_metadata_nor_statistics(tmp_path):
     # the version is a constant, no median comes from the statistics module,
     # and no median or percentile from numpy's, which load numpy.ma

@@ -30,6 +30,12 @@ from conftest import make_synth, mutated_file
 needs_dev_fd = pytest.mark.skipif(not Path("/dev/fd").is_dir(), reason="needs /dev/fd")
 
 
+def _read_whole_subject(path):
+    """A subject's record and its reference, as read_subject and the function it returns give them."""
+    record, read_reference = read_subject(path)
+    return record, read_reference()
+
+
 def test_read_record_csv(tmp_path):
     path = tmp_path / "rec.csv"
     lines = ["t,ppg"] + [f"{i / 100.0},{np.sin(i / 10.0)}" for i in range(800)]
@@ -144,7 +150,7 @@ def test_json_embedded_reference(tmp_path):
     obj = {"id": "s1", "fs": 50.0, "samples": list(np.sin(np.arange(500) / 5.0)),
            "reference": {"t": [0, 2, 4], "rr": [18, 18, 19]}}
     path.write_text(json.dumps(obj))
-    record, reference = read_subject(path)
+    record, reference = _read_whole_subject(path)
     assert record.fs == 50.0
     assert reference is not None
     assert reference.rr[-1] == 19.0
@@ -155,17 +161,19 @@ def test_read_record_leaves_a_json_reference_unread(tmp_path):
     obj = {"id": "s1", "fs": 50.0, "samples": [0.0, 1.0, 0.0], "reference": {"t": [0, 2, 1], "rr": [18, 18, 19]}}
     path.write_text(json.dumps(obj))
     assert read_record(path).samples.tolist() == [0.0, 1.0, 0.0]
+    record, read_reference = read_subject(path)  # the record, and its id, come before the reference check
+    assert record.id == "s1"
     with pytest.raises(ValidationError, match="decreasing timestamp at row 2"):
-        read_subject(path)
+        read_reference()
 
 
 def test_read_subject_csv_reads_the_reference_beside_it(tmp_path):
     record, reference = make_synth(duration=20.0)
     write_record(record, tmp_path / "X.CSV")
     with pytest.raises(RrcifError, match="X.CSV: no matching X_ref.CSV reference"):
-        read_subject(tmp_path / "X.CSV")
+        _read_whole_subject(tmp_path / "X.CSV")
     write_reference(reference, tmp_path / "X_ref.CSV")
-    got_record, got_reference = read_subject(tmp_path / "X.CSV")
+    got_record, got_reference = _read_whole_subject(tmp_path / "X.CSV")
     assert got_record.samples.tolist() == record.samples.tolist()
     assert got_reference.rr.tolist() == reference.rr.tolist()
 
@@ -174,7 +182,7 @@ def test_read_subject_json_needs_its_reference(tmp_path):
     path = tmp_path / "rec.json"
     path.write_text(json.dumps({"id": "s1", "fs": 50.0, "samples": [0.0, 1.0, 0.0], "reference": None}))
     with pytest.raises(RrcifError, match="rec.json: JSON record has no embedded reference"):
-        read_subject(path)
+        _read_whole_subject(path)
 
 
 def test_reference_roundtrip(tmp_path):
@@ -487,7 +495,7 @@ def test_json_wrong_shapes_rejected(tmp_path, obj, error, message):
     path = tmp_path / "rec.json"
     path.write_text(json.dumps(obj))
     with pytest.raises(error, match=message):
-        read_subject(path)
+        _read_whole_subject(path)
 
 
 # ---------------------------------------------------------------------------
@@ -519,7 +527,7 @@ def _read_outcome(read, source):
 @needs_dev_fd
 @pytest.mark.parametrize(
     "kind, read",
-    [("record", read_record), ("reference", read_reference), ("json", read_subject)],
+    [("record", read_record), ("reference", read_reference), ("json", _read_whole_subject)],
     ids=["record-csv", "reference-csv", "record-json"],
 )
 @settings(max_examples=30, deadline=None, derandomize=True)
