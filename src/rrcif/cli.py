@@ -49,11 +49,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _header(method: str, t: float) -> str:
-    text = f"{t:g}"
-    if float(text) != t:  # :g keeps 6 significant digits; the header must name the t used
-        text = repr(t)
-    return f"# rrcif {VERSION} method={method} t={text}\n"
+def _header(method: str, **thresholds: float) -> str:
+    # :g keeps 6 significant digits; the header must name each threshold used
+    named = "".join(f" {name}={t:g}" if float(f"{t:g}") == t else f" {name}={t!r}" for name, t in thresholds.items())
+    return f"# rrcif {VERSION} method={method}{named}\n"
 
 
 def _check_t(parser, t):
@@ -74,7 +73,7 @@ def _check_on_grid(parser, option, value, zero_ok=False):
 def _write_estimates(path, fusion: FusionResult, estimates: EstimateTable, method, t):
     from .riv import ALL_KINDS
 
-    lines = [_header(method, t), "window_start_s,rr_fusion,c_fusion,retained,contributors\n"]
+    lines = [_header(method, t=t), "window_start_s,rr_fusion,c_fusion,retained,contributors\n"]
     starts = estimates.start_s.tolist()
     rows = zip(starts, fusion.rr_fusion.tolist(), fusion.c_fusion.tolist(), fusion.retained, fusion.contributors)
     for start, rr, c, retained, contributors in rows:
@@ -171,18 +170,17 @@ def _cmd_estimate(args, parser):
 
 def _analyze_subject(path):
     """Read and analyze one subject in a worker process; returns its record id
-    with (estimates, reference) or with the error message. The id is a CSV's
-    stem, and a record JSON's ``"id"`` even when its reference fails, None
-    when its record does. A data or I/O error comes back as text for the
-    parent to report; any other exception is a bug and propagates.
+    with (estimates, reference) or with the error message. The id is the one
+    :func:`signal_io.read_subject` gives, None when it raises. A data or I/O
+    error comes back as text for the parent to report; any other exception
+    is a bug and propagates.
     """
     from . import pipeline, signal_io
 
-    record_id = None if path.suffix.lower() == ".json" else path.stem
+    record_id = None
     try:
-        record, read_reference = signal_io.read_subject(path)
-        record_id = record.id
-        reference = read_reference()
+        record_id, read = signal_io.read_subject(path)
+        record, reference = read()
         return record_id, (pipeline.analyze_record(record).estimates, reference)
     except (RrcifError, OSError) as exc:  # one bad subject must not end the run
         return record_id, str(exc)
@@ -208,28 +206,27 @@ def _end_with_parent(parent_pid):
 def _analyze_dataset(directory):
     """Read and analyze every subject of a dataset directory, in id order.
 
-    The records are the .json files and the .csv files other than _ref
-    references, suffixes in any case. :func:`_analyze_subject` reads and
-    analyzes each, once, in a worker process, one per available CPU but no
-    more than there are subjects. Workers are forked with the analysis
-    imported, so none imports a numpy, scipy or rrcif module for itself;
-    each still loads ``gzip`` (through ``np.loadtxt``) and the ``utf-8-sig``
-    codec. Two files with one record id are a data error, found once the
+    :func:`_analyze_subject` reads and analyzes each subject that
+    :func:`signal_io.list_subjects` lists, once, in a worker process, one per
+    available CPU but no more than there are subjects. Workers are forked
+    with the analysis imported, so none imports a numpy, scipy or rrcif
+    module for itself; each still loads ``gzip`` (through ``np.loadtxt``)
+    and the ``utf-8-sig`` codec. Two files with one record id are a data error, found once the
     workers are done and before anything is written. A subject that cannot
     be read or analyzed is then warned about and skipped, in file-name order.
     Returns ({record id: (estimates, reference)} in id order, skipped names).
     """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    # forked workers inherit the analysis, scipy's compiled kernels and the spectral basis, so none loads or builds them itself
+    from . import pipeline, signal_io  # noqa: F401
+
     directory = Path(directory)
-    files = sorted(directory.glob("*"))
-    records = [p for p in files if p.suffix.lower() == ".json" or (p.suffix.lower() == ".csv" and not p.stem.endswith("_ref"))]
+    records = signal_io.list_subjects(directory)
     if not records:
         raise RrcifError(f"{directory}: no record files found")
     workers = min(len(records), len(os.sched_getaffinity(0)))
-    import multiprocessing
-
-    # forked workers inherit the analysis, scipy's compiled kernels and the spectral basis, so none loads or builds them itself
-    from . import pipeline  # noqa: F401
-    from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(
         workers,
@@ -268,7 +265,7 @@ def _cmd_benchmark(args, parser):
     scores, summary = evaluation.report(list(subjects.values()), methods, args.t)
 
     out_dir = Path(args.out)
-    lines = [_header(",".join(methods), args.t), "id,method,t,rmse,retention\n"]
+    lines = [_header(",".join(methods), t=args.t), "id,method,t,rmse,retention\n"]
     for method, (rmse, retention) in scores.items():
         for record_id, subject_rmse, subject_retention in zip(subjects, rmse.tolist(), retention.tolist()):
             if any(c in record_id for c in ',"\r\n'):  # RFC 4180 quotes a comma, a quote and a line break
@@ -294,7 +291,8 @@ def _cmd_sweep(args, parser):
 
     subjects, _ = _analyze_dataset(args.dataset)
     rows = evaluation.sweep(list(subjects.values()), t_grid)
-    lines = [_header("cif", args.t_min), "t,rmse_p25,rmse_median,rmse_p75,retention_median\n"]
+    header = _header("cif", t_min=args.t_min, t_max=args.t_max, t_step=args.t_step)
+    lines = [header, "t,rmse_p25,rmse_median,rmse_p75,retention_median\n"]
     for row in rows:
         lines.append(
             f"{row.t:.2f},{row.rmse_p25:.6g},{row.rmse_median:.6g},{row.rmse_p75:.6g},{row.retention_median:.6g}\n"
@@ -345,15 +343,16 @@ def build_parser() -> _Parser:
     p.add_argument("--dump-spectrum", nargs=2, metavar=("WINDOW", "KIND"), help="also write one window's spectrum CSV")
     p.set_defaults(fn=_cmd_estimate)
 
+    dataset_help = "directory of record JSONs and <id>.csv records with their <id>_ref.csv; a reference with no record is skipped"
     p = sub.add_parser("benchmark", help="score methods over a dataset directory")
-    p.add_argument("dataset", help="directory of <id>.csv + <id>_ref.csv pairs (or JSON records)")
+    p.add_argument("dataset", help=dataset_help)
     p.add_argument("--methods", default="cif,sf3,sf5")
     p.add_argument("--t", type=float, default=DEFAULT_THRESHOLD)
     p.add_argument("--out", default="benchmark_out", help="output directory")
     p.set_defaults(fn=_cmd_benchmark)
 
     p = sub.add_parser("sweep", help="threshold sweep over a dataset directory")
-    p.add_argument("dataset")
+    p.add_argument("dataset", help=dataset_help)
     p.add_argument("--t-min", type=float, default=0.0)
     p.add_argument("--t-max", type=float, default=0.3)
     p.add_argument("--t-step", type=float, default=0.01)

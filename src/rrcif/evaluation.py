@@ -250,8 +250,6 @@ def wilcoxon_signed_rank(a, b) -> float:
     var = n * (n + 1) * (2 * n + 1) / 24.0
     _, tie_counts = np.unique(ranks, return_counts=True)
     var -= float(np.sum(tie_counts**3 - tie_counts)) / 48.0
-    if var <= 0:
-        return 1.0
     delta = w_plus - mean
     z = (delta - 0.5 * np.sign(delta)) / math.sqrt(var)
     return float(min(1.0, math.erfc(abs(z) / math.sqrt(2.0))))

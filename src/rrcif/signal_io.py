@@ -322,15 +322,25 @@ def read_record(path) -> PpgRecord:
     return PpgRecord(id=path.stem, fs=1.0 / step, samples=np.ascontiguousarray(data[:, 1]))
 
 
-def read_subject(path) -> tuple[PpgRecord, Callable[[], ReferenceRr]]:
-    """Load a record, as :func:`read_record` does, and a function that reads and
-    checks its reference when called: a record JSON's embedded ``reference``
-    (the JSON is parsed once), or the reference CSV at :func:`reference_path`."""
+def read_subject(path) -> tuple[str, Callable[[], tuple[PpgRecord, ReferenceRr]]]:
+    """A subject's record id and a function that loads its record, as
+    :func:`read_record` does, and its checked reference: a record JSON's
+    embedded ``reference``, or the CSV at :func:`reference_path`. A CSV's id is
+    its stem; a record JSON is parsed here, once, and a record that fails raises."""
     path = Path(path)
     if path.suffix.lower() != ".json":
-        return read_record(path), lambda: _reference_beside(path)
+        return path.stem, lambda: (read_record(path), _reference_beside(path))
     record, ref = _read_json(path)
-    return record, lambda: _embedded_reference(path, ref)
+    return record.id, lambda: (record, _embedded_reference(path, ref))
+
+
+def list_subjects(directory) -> list[Path]:
+    """A dataset directory's subject files in name order: each ``.json``, and each
+    ``.csv`` that is not the :func:`reference_path` of another (suffixes in any
+    case), so a reference without its record is read, and fails, as one."""
+    files = sorted(Path(directory).glob("*"))
+    references = {reference_path(p) for p in files if p.suffix.lower() == ".csv"}
+    return [p for p in files if p.suffix.lower() in (".csv", ".json") and p not in references]
 
 
 def _reference_beside(path) -> ReferenceRr:

@@ -214,6 +214,19 @@ def test_sweep_default_31_rows(tmp_path):
     assert all(b <= a + 1e-12 for a, b in zip(retention, retention[1:]))
 
 
+@pytest.mark.parametrize(
+    "argv, named",
+    [([], "t_min=0 t_max=0.3 t_step=0.01"), (["--t-min", "0.05", "--t-max", "0.2"], "t_min=0.05 t_max=0.2 t_step=0.01"),
+     (["--t-max", "0.30000000000000004", "--t-step", "0.1"], "t_min=0 t_max=0.30000000000000004 t_step=0.1")],
+    ids=["default", "narrowed", "repr"],
+)
+def test_sweep_header_names_the_whole_grid(tmp_path, argv, named):
+    _write_subject(tmp_path, "s1", duration=40.0)
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", str(tmp_path), *argv, "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[0].endswith(f" method=cif {named}")
+
+
 def test_sweep_coarse_step_4_rows(tmp_path):
     _write_subject(tmp_path, "s1")
     out = tmp_path / "sweep.csv"
@@ -521,6 +534,33 @@ def test_a_json_whose_reference_fails_takes_part_in_the_id_check(tmp_path, capsy
     assert main(["sweep", str(tmp_path), "--out", str(out)]) == 2
     assert "record id 's00' is used by both s00.csv and x.json" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_a_record_named_like_a_reference_is_scored(tmp_path, capsys):
+    # synth --out DIR/x_ref writes the record x_ref.csv and its reference x_ref_ref.csv
+    _write_subject(tmp_path, "a", duration=40.0, seed=1)
+    argv = ["--rr", "15", "--hr", "75", "--duration", "40", "--noise-sd", "0.02", "--seed", "2"]
+    assert main(["synth", *argv, "--out", str(tmp_path / "x_ref")]) == 0
+    out_dir = tmp_path / "out"
+    assert main(["benchmark", str(tmp_path), "--methods", "cif", "--out", str(out_dir)]) == 0
+    assert "warning" not in capsys.readouterr().err
+    _, rows = _read_table(out_dir / "subjects.csv")
+    assert [row[0] for row in rows] == ["a", "x_ref"]
+
+
+@pytest.mark.parametrize("command", ["benchmark", "sweep"])
+def test_a_reference_without_its_record_is_skipped_with_a_warning(tmp_path, capsys, command):
+    from rrcif.signal_io import write_reference
+
+    _write_subject(tmp_path, "a", duration=40.0, seed=1)
+    write_reference(make_synth(duration=40.0)[1], tmp_path / "y_ref.csv")
+    out = tmp_path / "out"
+    assert main([command, str(tmp_path), "--out", str(out)]) == 0
+    warnings = [line for line in capsys.readouterr().err.splitlines() if line.startswith("warning:")]
+    assert len(warnings) == 1
+    assert warnings[0].startswith("warning: skipping y_ref.csv: ") and "expected header 't,ppg', got 't,rr'" in warnings[0]
+    if command == "benchmark":
+        assert json.loads((out / "report.json").read_text())["skipped"] == ["y_ref.csv"]
 
 
 def test_skipped_subjects_come_in_file_name_order(tmp_path, capsys):

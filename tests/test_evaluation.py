@@ -206,6 +206,11 @@ def test_sweep_empty_dataset_rejected():
         sweep([])
 
 
+def test_report_empty_dataset_rejected():
+    with pytest.raises(ValueError, match="need at least one subject"):
+        report([], ["cif"], 0.13)
+
+
 def _assert_same_bits(got, want):
     assert got.shape == want.shape
     assert np.array_equal(np.isnan(got), np.isnan(want))
@@ -329,6 +334,11 @@ def test_agreement_needs_two_pairs():
         agreement([10.0], [10.0])
 
 
+def test_agreement_needs_paired_inputs():
+    with pytest.raises(ValueError, match="equal-length 1-d"):
+        agreement([10.0, 11.0, 12.0], [10.0, 11.0])
+
+
 # ---------------------------------------------------------------------------
 # wilcoxon
 
@@ -385,6 +395,15 @@ def test_wilcoxon_large_n_approximation():
     ours = wilcoxon_signed_rank(a, b)
     theirs = scipy_wilcoxon(a, b, correction=True, method="approx").pvalue
     assert ours == pytest.approx(theirs, rel=1e-9)
+
+
+def test_wilcoxon_one_tie_group_keeps_a_positive_variance():
+    # the tie-corrected variance is smallest with all n differences tied, and still n(n+1)^2/16 > 0
+    from scipy.stats import wilcoxon as scipy_wilcoxon
+
+    d = np.r_[np.ones(20), -np.ones(10)]
+    theirs = scipy_wilcoxon(d, correction=True, method="approx").pvalue
+    assert wilcoxon_signed_rank(d, np.zeros(30)) == pytest.approx(theirs, rel=1e-9)
 
 
 @st.composite

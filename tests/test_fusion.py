@@ -198,6 +198,9 @@ def test_gate_parameter_error():
         cif([20.0], [0.5], 1.5)
     with pytest.raises(ValueError):
         cif([20.0], [0.5], -0.1)
+    for ni in (-0.1, 1.1):
+        with pytest.raises(ValueError, match="noise indices must lie in"):
+            cif([20.0], [ni], 0.13)
 
 
 def test_threshold_grid_matches_single_calls():

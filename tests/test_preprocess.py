@@ -102,6 +102,12 @@ def test_segment_flatline_errors():
         segment_beats(bandpass(PpgRecord("flat", 100.0, np.full(6000, 1.0))))
 
 
+def test_segment_single_step_has_no_peaks():
+    # the band-passed step has no interior local maximum for find_peaks to take
+    with pytest.raises(InsufficientSignalError, match="^no pulse peaks detected$"):
+        segment_beats(bandpass(PpgRecord("step", 100.0, np.r_[np.zeros(21), 1.0])))
+
+
 def test_segment_beat_invariants_fuzz():
     rng = np.random.default_rng(13)
     for _ in range(8):
@@ -412,6 +418,18 @@ def test_kernels_load_from_the_installed_scipy():
     # otherwise the oracle below would compare scipy.signal with itself
     assert len(_sigkernels._load_kernels()) == 4
     assert _sigkernels._sosfilt is sys.modules["scipy.signal._sosfilt"]._sosfilt
+
+
+@pytest.mark.parametrize(
+    "kernels, message",
+    [({"_no_such_kernel": {}}, "no _no_such_kernel extension in "),
+     ({"_sosfilt": {"_sosfilt": ("sos", "x")}}, r"_sosfilt takes \('sos', 'x', 'zi'\), not \('sos', 'x'\)")],
+    ids=["missing-extension", "other-parameters"],
+)
+def test_kernels_refuse_an_extension_they_do_not_know(monkeypatch, kernels, message):
+    monkeypatch.setattr(_sigkernels, "_KERNELS", kernels)
+    with pytest.raises(ImportError, match=message):
+        _sigkernels._load_kernels()
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

@@ -18,6 +18,7 @@ from rrcif.signal_io import (
     PpgRecord,
     ReferenceRr,
     SynthSpec,
+    list_subjects,
     read_record,
     read_reference,
     read_subject,
@@ -31,9 +32,9 @@ needs_dev_fd = pytest.mark.skipif(not Path("/dev/fd").is_dir(), reason="needs /d
 
 
 def _read_whole_subject(path):
-    """A subject's record and its reference, as read_subject and the function it returns give them."""
-    record, read_reference = read_subject(path)
-    return record, read_reference()
+    """A subject's record and its reference, as the function read_subject returns gives them."""
+    _, read = read_subject(path)
+    return read()
 
 
 def test_read_record_csv(tmp_path):
@@ -161,10 +162,10 @@ def test_read_record_leaves_a_json_reference_unread(tmp_path):
     obj = {"id": "s1", "fs": 50.0, "samples": [0.0, 1.0, 0.0], "reference": {"t": [0, 2, 1], "rr": [18, 18, 19]}}
     path.write_text(json.dumps(obj))
     assert read_record(path).samples.tolist() == [0.0, 1.0, 0.0]
-    record, read_reference = read_subject(path)  # the record, and its id, come before the reference check
-    assert record.id == "s1"
+    record_id, read = read_subject(path)  # the id comes before the reference check
+    assert record_id == "s1"
     with pytest.raises(ValidationError, match="decreasing timestamp at row 2"):
-        read_reference()
+        read()
 
 
 def test_read_subject_csv_reads_the_reference_beside_it(tmp_path):
@@ -176,6 +177,24 @@ def test_read_subject_csv_reads_the_reference_beside_it(tmp_path):
     got_record, got_reference = _read_whole_subject(tmp_path / "X.CSV")
     assert got_record.samples.tolist() == record.samples.tolist()
     assert got_reference.rr.tolist() == reference.rr.tolist()
+
+
+def test_list_subjects_leaves_out_only_the_references_of_records(tmp_path):
+    names = ["a.csv", "a_ref.csv", "b_ref.csv", "b_ref_ref.csv", "C.JSON", "c_ref.json", "orphan_ref.csv",
+             "X.CSV", "X_ref.csv", "Y.Csv", "Y_ref.Csv", "notes.txt"]
+    for name in names:
+        (tmp_path / name).write_text("")
+    # X_ref.csv is not X.CSV's reference, which reference_path spells X_ref.CSV
+    assert [p.name for p in list_subjects(tmp_path)] == [
+        "C.JSON", "X.CSV", "X_ref.csv", "Y.Csv", "a.csv", "b_ref.csv", "c_ref.json", "orphan_ref.csv"
+    ]
+
+
+def test_read_subject_gives_a_csv_id_before_reading_the_file(tmp_path):
+    record_id, read = read_subject(tmp_path / "x_ref.csv")
+    assert record_id == "x_ref"
+    with pytest.raises(OSError):
+        read()
 
 
 def test_read_subject_json_needs_its_reference(tmp_path):
@@ -264,6 +283,16 @@ def test_read_record_nan_timestamp_names_line(tmp_path):
 def test_reference_nan_time_rejected():
     with pytest.raises(ValidationError, match="non-finite timestamp"):
         ReferenceRr(np.array([0.0, np.nan, 4.0]), np.full(3, 20.0))
+
+
+@pytest.mark.parametrize(
+    "times, rates, message",
+    [([0.0, 2.0], [20.0], "t and rr lengths differ"), ([], [], "reference: empty")],
+    ids=["unequal-lengths", "empty"],
+)
+def test_reference_rejects_unpaired_or_no_rows(times, rates, message):
+    with pytest.raises(ValidationError, match=message):
+        ReferenceRr(np.array(times), np.array(rates))
 
 
 def test_read_reference_nan_time_names_line(tmp_path):
