@@ -49,15 +49,15 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _header(method: str, **thresholds: float) -> str:
-    # :g keeps 6 significant digits; the header must name each threshold used
-    named = "".join(f" {name}={t:g}" if float(f"{t:g}") == t else f" {name}={t!r}" for name, t in thresholds.items())
-    return f"# rrcif {VERSION} method={method}{named}\n"
+def _header(*words: str, **values) -> str:
+    # the provenance text; :g keeps 6 significant digits, so a number it would round prints as its repr
+    named = (f"{k}={v if isinstance(v, str) else f'{v:g}' if float(f'{v:g}') == v else repr(v)}" for k, v in values.items())
+    return " ".join((f"rrcif {VERSION}", *words, *named))
 
 
-def _check_t(parser, t):
+def _check_t(parser, option, t):
     if not 0.0 <= t <= 1.0:
-        parser.error(f"--t must lie in [0, 1], got {t}")
+        parser.error(f"{option} must lie in [0, 1], got {t}")
 
 
 def _check_on_grid(parser, option, value, zero_ok=False):
@@ -73,7 +73,7 @@ def _check_on_grid(parser, option, value, zero_ok=False):
 def _write_estimates(path, fusion: FusionResult, estimates: EstimateTable, method, t):
     from .riv import ALL_KINDS
 
-    lines = [_header(method, t=t), "window_start_s,rr_fusion,c_fusion,retained,contributors\n"]
+    lines = [f"# {_header(method=method, t=t)}\n", "window_start_s,rr_fusion,c_fusion,retained,contributors\n"]
     starts = estimates.start_s.tolist()
     rows = zip(starts, fusion.rr_fusion.tolist(), fusion.c_fusion.tolist(), fusion.retained, fusion.contributors)
     for start, rr, c, retained, contributors in rows:
@@ -144,7 +144,7 @@ def _spectrum_request(parser, raw):
 
 
 def _cmd_estimate(args, parser):
-    _check_t(parser, args.t)
+    _check_t(parser, "--t", args.t)
     # usage errors come before any reading or writing
     spectrum_at = _spectrum_request(parser, args.dump_spectrum) if args.dump_spectrum else None
     from . import fusion, pipeline, signal_io
@@ -249,7 +249,7 @@ def _analyze_dataset(directory):
 
 
 def _cmd_benchmark(args, parser):
-    _check_t(parser, args.t)
+    _check_t(parser, "--t", args.t)
     _check_on_grid(parser, "--t", args.t)
     methods = [m.strip().lower() for m in args.methods.split(",")]
     for i, m in enumerate(methods):
@@ -265,7 +265,7 @@ def _cmd_benchmark(args, parser):
     scores, summary = evaluation.report(list(subjects.values()), methods, args.t)
 
     out_dir = Path(args.out)
-    lines = [_header(",".join(methods), t=args.t), "id,method,t,rmse,retention\n"]
+    lines = [f"# {_header(method=','.join(methods), t=args.t)}\n", "id,method,t,rmse,retention\n"]
     for method, (rmse, retention) in scores.items():
         for record_id, subject_rmse, subject_retention in zip(subjects, rmse.tolist(), retention.tolist()):
             if any(c in record_id for c in ',"\r\n'):  # RFC 4180 quotes a comma, a quote and a line break
@@ -281,8 +281,8 @@ def _cmd_benchmark(args, parser):
 def _cmd_sweep(args, parser):
     if args.t_min > args.t_max:
         parser.error(f"--t-min {args.t_min} exceeds --t-max {args.t_max}")
-    for t in (args.t_min, args.t_max):
-        _check_t(parser, t)
+    _check_t(parser, "--t-min", args.t_min)
+    _check_t(parser, "--t-max", args.t_max)
     _check_on_grid(parser, "--t-min", args.t_min, zero_ok=True)
     _check_on_grid(parser, "--t-step", args.t_step)
     n_steps = math.floor((args.t_max - args.t_min) / args.t_step + 1e-9) + 1
@@ -291,8 +291,8 @@ def _cmd_sweep(args, parser):
 
     subjects, _ = _analyze_dataset(args.dataset)
     rows = evaluation.sweep(list(subjects.values()), t_grid)
-    header = _header("cif", t_min=args.t_min, t_max=args.t_max, t_step=args.t_step)
-    lines = [header, "t,rmse_p25,rmse_median,rmse_p75,retention_median\n"]
+    header = _header(method="cif", t_min=args.t_min, t_max=args.t_max, t_step=args.t_step)
+    lines = [f"# {header}\n", "t,rmse_p25,rmse_median,rmse_p75,retention_median\n"]
     for row in rows:
         lines.append(
             f"{row.t:.2f},{row.rmse_p25:.6g},{row.rmse_median:.6g},{row.rmse_p75:.6g},{row.retention_median:.6g}\n"
@@ -319,10 +319,8 @@ def _cmd_synth(args, parser):
     out = Path(args.out).with_suffix(".csv")
     ref_out = signal_io.reference_path(out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    provenance = (
-        f"rrcif {VERSION} synth rr={spec.rr:g} hr={spec.hr:g} fs={spec.fs:g} "
-        f"noise_sd={spec.noise_sd:g} seed={spec.seed}"
-    )
+    provenance = _header("synth", rr=spec.rr, hr=spec.hr, duration=spec.duration_s, fs=spec.fs,
+                         **vars(spec.depths), noise_sd=spec.noise_sd, seed=spec.seed)
     signal_io.write_record(record, out, comment=provenance)
     signal_io.write_reference(reference, ref_out, comment=provenance)
     print(f"wrote {out} and {ref_out}")
@@ -341,7 +339,7 @@ def build_parser() -> _Parser:
     p.add_argument("--dump-beats", metavar="PATH", help="also write detected beats as CSV")
     p.add_argument("--dump-riv", metavar="DIR", help="also write one CSV per variation series")
     p.add_argument("--dump-spectrum", nargs=2, metavar=("WINDOW", "KIND"), help="also write one window's spectrum CSV")
-    p.set_defaults(fn=_cmd_estimate)
+    p.set_defaults(fn=_cmd_estimate, parser=p)
 
     dataset_help = "directory of record JSONs and <id>.csv records with their <id>_ref.csv; a reference with no record is skipped"
     p = sub.add_parser("benchmark", help="score methods over a dataset directory")
@@ -349,7 +347,7 @@ def build_parser() -> _Parser:
     p.add_argument("--methods", default="cif,sf3,sf5")
     p.add_argument("--t", type=float, default=DEFAULT_THRESHOLD)
     p.add_argument("--out", default="benchmark_out", help="output directory")
-    p.set_defaults(fn=_cmd_benchmark)
+    p.set_defaults(fn=_cmd_benchmark, parser=p)
 
     p = sub.add_parser("sweep", help="threshold sweep over a dataset directory")
     p.add_argument("dataset", help=dataset_help)
@@ -357,7 +355,7 @@ def build_parser() -> _Parser:
     p.add_argument("--t-max", type=float, default=0.3)
     p.add_argument("--t-step", type=float, default=0.01)
     p.add_argument("--out", default="-")
-    p.set_defaults(fn=_cmd_sweep)
+    p.set_defaults(fn=_cmd_sweep, parser=p)
 
     p = sub.add_parser("synth", help="write a synthetic recording + reference")
     p.add_argument("--rr", type=float, required=True, help="true respiratory rate, breaths/min")
@@ -374,18 +372,24 @@ def build_parser() -> _Parser:
     p.add_argument("--noise-sd", type=float, default=0.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output path prefix")
-    p.set_defaults(fn=_cmd_synth)
+    p.set_defaults(fn=_cmd_synth, parser=p)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.fn(args, parser)
+        return args.fn(args, args.parser)  # a usage error names the command, through its own parser
     except (RrcifError, OSError) as exc:
-        print(f"rrcif: error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return _io_error(exc)
+
+
+def _io_error(exc) -> int:
+    try:  # one line on stderr, which may itself be full or closed
+        print(f"rrcif: error: {exc}", file=sys.stderr, flush=True)
+    except OSError:
+        pass
+    return EXIT_IO
 
 
 def run():
@@ -401,9 +405,11 @@ def run():
         if not isinstance(exc.code, int):
             raise
         code = exc.code
-    for stream in (sys.stdout, sys.stderr):
-        if stream is not None:  # None when the descriptor was closed at startup
+    for stream in filter(None, (sys.stdout, sys.stderr)):  # None when the descriptor was closed at startup
+        try:
             stream.flush()
+        except OSError as exc:  # a full disk or a closed pipe; a command that failed keeps its own report
+            code = code or _io_error(exc)
     os._exit(code)
 
 

@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import re
 import tempfile
 import warnings
 from pathlib import Path
@@ -104,8 +105,9 @@ def test_synth_out_without_file_name_exit_64(tmp_path, capsys, monkeypatch, out)
         main(["synth", "--rr", "15", "--hr", "70", "--duration", "60", "--out", out])
     assert exc.value.code == 64
     err = capsys.readouterr().err
-    # argparse's usage line, then the one error line
-    assert err.splitlines()[1:] == [f"rrcif: error: --out must end in a file name, got {out!r}"]
+    # synth's usage line, then the one error line, both naming the command
+    assert err.splitlines()[0].startswith("usage: rrcif synth ")
+    assert err.splitlines()[-1] == f"rrcif synth: error: --out must end in a file name, got {out!r}"
     assert "Traceback" not in err
     assert list(tmp_path.iterdir()) == []
 
@@ -303,12 +305,6 @@ def test_dataset_with_record_shorter_than_a_window(tmp_path):
     assert len(_read_table(sweep_csv)[1]) == 31
 
 
-def test_sweep_bad_range_exit_64(tmp_path):
-    with pytest.raises(SystemExit) as exc:
-        main(["sweep", str(tmp_path), "--t-min", "0.2", "--t-max", "0.1"])
-    assert exc.value.code == 64
-
-
 def test_sweep_fine_step_exit_64(tmp_path):
     # rejected before any record is read: an empty dataset would otherwise exit 2
     with pytest.raises(SystemExit) as exc:
@@ -317,24 +313,50 @@ def test_sweep_fine_step_exit_64(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "argv, option",
+    "argv, message",
     [
-        (["sweep", "--t-min", "0.005"], "--t-min"),
-        (["sweep", "--t-step", "0.015"], "--t-step"),
-        (["sweep", "--t-step", "0"], "--t-step"),
-        (["sweep", "--t-step", "1e308"], "--t-step"),  # its count of grid steps overflows
-        (["benchmark", "--t", "0.125"], "--t"),
-        (["benchmark", "--t", "0"], "--t"),
+        (["sweep", "--t-min", "0.005"], "--t-min must be a non-negative multiple of 0.01, got 0.005"),
+        (["sweep", "--t-step", "0.015"], "--t-step must be a positive multiple of 0.01, got 0.015"),
+        (["sweep", "--t-step", "0"], "--t-step must be a positive multiple of 0.01, got 0.0"),
+        (["sweep", "--t-step", "1e308"], "--t-step must be a positive multiple"),  # its count of grid steps overflows
+        (["sweep", "--t-min", "-0.01"], "--t-min must lie in [0, 1], got -0.01"),
+        (["sweep", "--t-max", "1.5"], "--t-max must lie in [0, 1], got 1.5"),
+        (["sweep", "--t-min", "0.2", "--t-max", "0.1"], "--t-min 0.2 exceeds --t-max 0.1"),
+        (["benchmark", "--t", "0.125"], "--t must be a positive multiple of 0.01, got 0.125"),
+        (["benchmark", "--t", "0"], "--t must be a positive multiple of 0.01, got 0.0"),
+        (["benchmark", "--t", "1.5"], "--t must lie in [0, 1], got 1.5"),
+        (["benchmark", "--methods", "cif,foo"], "unknown method 'foo'"),
+        (["benchmark", "--methods", "cif,cif"], "method 'cif' given twice"),
+        (["benchmark", "--methods", "cif,sf3,CIF"], "method 'cif' given twice"),
+        (["estimate", "--t", "2"], "--t must lie in [0, 1], got 2.0"),
+        (["estimate", "--dump-spectrum", "x", "riiv"], "--dump-spectrum window must be an integer, got 'x'"),
+        (["estimate", "--dump-spectrum", "0", "zz"], "--dump-spectrum kind must be one of "),
+        (["synth", "--out", ""], "--out must end in a file name, got ''"),
     ],
-    ids=["sweep-t-min", "sweep-t-step", "sweep-t-step-0", "sweep-t-step-overflow", "benchmark-t", "benchmark-t-0"],
+    ids=[
+        "sweep-t-min", "sweep-t-step", "sweep-t-step-0", "sweep-t-step-overflow", "sweep-t-min-negative",
+        "sweep-t-max-above-1", "sweep-t-min-above-t-max",
+        "benchmark-t", "benchmark-t-0", "benchmark-t-above-1",
+        "benchmark-unknown-method", "benchmark-repeated-method", "benchmark-repeated-method-any-case",
+        "estimate-t-above-1", "estimate-spectrum-window", "estimate-spectrum-kind",
+        "synth-out-empty",
+    ],
 )
-def test_threshold_off_the_t_column_grid_exit_64(tmp_path, capsys, argv, option):
-    # the t column prints two decimals, so a threshold between them would be misreported;
-    # rejected before any record is read: an empty dataset would otherwise exit 2
+def test_threshold_off_the_t_column_grid_exit_64(tmp_path, capsys, argv, message):
+    # Every usage error a command raises, each before any input is read: the t column prints two
+    # decimals, so a threshold between them would be misreported; a missing input would exit 2.
+    command, *options = argv
+    inputs = {"estimate": [str(tmp_path / "missing.csv")], "synth": ["--rr", "15", "--hr", "70"]}
     with pytest.raises(SystemExit) as exc:
-        main([argv[0], str(tmp_path), *argv[1:]])
+        main([command, *inputs.get(command, [str(tmp_path)]), *options])
     assert exc.value.code == 64
-    assert f"{option} must be a " in capsys.readouterr().err
+    # the command's own usage and error lines, naming only options the command has
+    *usage, error = capsys.readouterr().err.splitlines()
+    assert usage[0].startswith(f"usage: rrcif {command} ")
+    assert error.startswith(f"rrcif {command}: error: {message}")
+    named = re.findall(r"(?<![\w-])--[a-z][\w-]*", error)
+    assert set(named) <= set(re.findall(r"(?<![\w-])--[a-z][\w-]*", " ".join(usage)))
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_threshold_on_the_t_column_grid_is_printed_as_fused(tmp_path):
@@ -582,18 +604,6 @@ def test_a_json_the_reader_rejects_takes_no_part_in_the_id_check(tmp_path, capsy
     assert main(["benchmark", str(tmp_path), "--out", str(out_dir)]) == 0
     assert "warning: skipping s00.json" in capsys.readouterr().err
     assert (out_dir / "report.json").exists()
-
-
-def test_benchmark_unknown_method_exit_64(tmp_path):
-    with pytest.raises(SystemExit) as exc:
-        main(["benchmark", str(tmp_path), "--methods", "cif,magic"])
-    assert exc.value.code == 64
-
-
-def test_benchmark_repeated_method_exit_64(tmp_path):
-    with pytest.raises(SystemExit) as exc:
-        main(["benchmark", str(tmp_path), "--methods", "cif,sf3,CIF"])
-    assert exc.value.code == 64
 
 
 def test_benchmark_bonferroni_counts_tested_pairs(tmp_path):

@@ -253,6 +253,25 @@ def test_estimate_loads_neither_scipy_signal_nor_scipy_stats(tmp_path):
     assert (tmp_path / "est.csv").is_file()
 
 
+def test_scipy_signal_fallback_analyzes_a_record_to_the_same_bytes(tmp_path):
+    # _load_kernels finds no extension beside a scipy that claims to live elsewhere, so the
+    # first import of rrcif takes the scipy.signal fallback; rates, NI and reasons must not move
+    from rrcif.signal_io import write_record
+
+    record, _ = make_synth(seed=3)
+    write_record(record, tmp_path / "r.csv")
+    analyze = (
+        "import hashlib, sys\n"
+        "from rrcif import pipeline, signal_io\n"
+        f"table = pipeline.analyze_record(signal_io.read_record({str(tmp_path / 'r.csv')!r})).estimates\n"
+        "print('scipy.signal' in sys.modules, *(hashlib.sha256(getattr(table, n).tobytes()).hexdigest() for n in ('rr', 'ni', 'reason')))\n"
+    )
+    kernels = _python(analyze)
+    fallback = _python("import scipy\nscipy.__file__ = '/nonexistent/scipy/__init__.py'\n" + analyze)
+    assert (kernels[0], fallback[0]) == ("False", "True")
+    assert fallback[1:] == kernels[1:]
+
+
 def test_only_preprocess_imports_scipy():
     # and the module that loads scipy's compiled signal kernels for it
     offenders = []
@@ -308,6 +327,23 @@ def test_missing_file_exit_2(tmp_path):
     result = _cli("estimate", tmp_path / "nope.csv")
     assert result.returncode == 2
     assert result.stderr.startswith("rrcif: error:")
+    assert "Traceback" not in result.stderr
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [["estimate", "{tmp}/r.csv", "--out", "-"], ["--help"]], ids=["estimate", "help"])
+def test_stdout_on_a_full_disk_exit_2(tmp_path, argv):
+    # the output fits stdout's buffer, so the write fails only when run() flushes it
+    from rrcif.signal_io import write_record
+
+    write_record(make_synth(duration=120.0, seed=1)[0], tmp_path / "r.csv")
+    with open("/dev/full", "w") as full:
+        result = subprocess.run(
+            [sys.executable, "-m", "rrcif.cli", *(arg.format(tmp=tmp_path) for arg in argv)],
+            env=_env(), stdout=full, stderr=subprocess.PIPE, text=True, timeout=120,
+        )
+    assert result.returncode == 2, result.stderr
+    assert len(result.stderr.splitlines()) == 1 and result.stderr.startswith("rrcif: error: [Errno 28] ")
     assert "Traceback" not in result.stderr
 
 
