@@ -204,6 +204,34 @@ def test_estimate_dump_flags(tmp_path):
     assert ni == pytest.approx(estimates.ni[10, riav], abs=1e-12)
 
 
+# sha256 of each CSV file the commands write on six 96 s, 100 Hz subjects
+OUTPUT_CSV_SHA256 = {
+    "estimate.csv": "144dde1728267f4d41ff1f3352be18b6cc16b87a127e01d1e19646884d2b35bf",
+    "beats.csv": "2492d422832f3cc56b5d8be0c019bfa10f4307c05b48bb73da477e91d6830f2b",
+    "subjects.csv": "3fb49e5b4846abe8acb74f43d63592fcc8c27291917ef3b236d663265aeb5140",
+    "sweep.csv": "e790a3659c386a859105ee54798708602d1d5101866afa6709f786a3eaca9686",
+    # t from 0.9 to 1: no subject retains a window, so the RMSE columns read nan
+    "sweep_high_t.csv": "c16c9c7c83b016c6a03efe9ca2f24c6e8903de8e46e4b9267438e5e61221a2b1",
+}
+
+
+def test_output_csv_files_are_pinned(tmp_path):
+    data = tmp_path / "data"
+    data.mkdir()
+    for i in range(6):
+        _write_subject(data, f"s{i:02d}", rr=9.5 + 3 * i, hr=65.0 + 6 * i, duration=96.0, seed=i + 1, noise=0.03)
+    out = tmp_path / "out"
+    assert main(["benchmark", str(data), "--out", str(out)]) == 0
+    assert main(["sweep", str(data), "--out", str(out / "sweep.csv")]) == 0
+    assert main(["sweep", str(data), "--t-min", "0.9", "--t-max", "1", "--t-step", "0.05",
+                 "--out", str(out / "sweep_high_t.csv")]) == 0
+    assert main(["estimate", str(data / "s02.csv"), "--out", str(out / "estimate.csv"),
+                 "--dump-beats", str(out / "beats.csv")]) == 0
+    assert ",nan," in (out / "sweep_high_t.csv").read_text()
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in OUTPUT_CSV_SHA256}
+    assert digests == OUTPUT_CSV_SHA256
+
+
 def test_sweep_default_31_rows(tmp_path):
     _write_subject(tmp_path, "s1")
     _write_subject(tmp_path, "s2", rr=14.0, seed=2)
