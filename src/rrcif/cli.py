@@ -73,15 +73,14 @@ def _check_on_grid(parser, option, value, zero_ok=False):
 def _write_estimates(path, fusion: FusionResult, estimates: EstimateTable, method, t):
     from .riv import ALL_KINDS
 
-    lines = [f"# {_header(method=method, t=t)}\n", "window_start_s,rr_fusion,c_fusion,retained,contributors\n"]
-    starts = estimates.start_s.tolist()
-    rows = zip(starts, fusion.rr_fusion.tolist(), fusion.c_fusion.tolist(), fusion.retained, fusion.contributors)
-    for start, rr, c, retained, contributors in rows:
+    rows = []
+    windows = zip(estimates.start_s.tolist(), fusion.rr_fusion.tolist(), fusion.c_fusion.tolist(), fusion.retained, fusion.contributors)
+    for start, rr, c, retained, contributors in windows:
         rr = f"{rr:.4f}" if retained else ""
         c = f"{c:.6g}" if retained and not math.isnan(c) else ""
         names = "|".join(k.name for k, used in zip(ALL_KINDS, contributors) if used)
-        lines.append(f"{start:.1f},{rr},{c},{int(retained)},{names}\n")
-    _emit(path, lines)
+        rows.append(f"{start:.1f},{rr},{c},{int(retained)},{names}")
+    _emit_table(path, "window_start_s,rr_fusion,c_fusion,retained,contributors", rows, _header(method=method, t=t))
 
 
 def _emit(path, lines):
@@ -93,36 +92,18 @@ def _emit(path, lines):
             fh.writelines(lines)
 
 
-def _dump_beats(path, beats):
-    header = "t_foot,v_foot,t_peak,v_peak,width50,rise25_75,period,artifact"
-    lines = [header + "\n"]
-    rows = zip(*(getattr(beats, name).tolist() for name in header.split(",")))
-    for t_foot, v_foot, t_peak, v_peak, width50, rise, period, artifact in rows:
-        period = "" if math.isnan(period) else f"{period:.6g}"
-        lines.append(
-            f"{t_foot:.4f},{v_foot:.6g},{t_peak:.4f},{v_peak:.6g},"
-            f"{width50:.6g},{rise:.6g},{period},{int(artifact)}\n"
-        )
-    _emit(path, lines)
+def _emit_table(path, header, rows, comment=None):
+    """Write `# comment` when given, then the header and each row, each ended by a newline."""
+    lines = [f"# {comment}"] if comment is not None else []
+    _emit(path, [f"{line}\n" for line in (*lines, header, *rows)])
 
 
 def _dump_riv(directory, rivs):
     from .riv import ALL_KINDS
 
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
     for kind, values in zip(ALL_KINDS, rivs.values):
-        lines = ["t,value,artifact\n"]
-        for t, v, a in zip(rivs.times, values, rivs.artifact):
-            lines.append(f"{t:.4f},{v:.8g},{int(a)}\n")
-        _emit(directory / f"{kind.name.lower()}.csv", lines)
-
-
-def _dump_spectrum(out_dir, window_index, kind, spectrum):
-    lines = ["f,P,P_fit,P_out\n"]
-    for f, p, pf in zip(*spectrum):
-        lines.append(f"{f:.6g},{p:.8g},{pf:.8g},{p - pf:.8g}\n")
-    _emit(Path(out_dir) / f"spectrum_w{window_index}_{kind.name.lower()}.csv", lines)
+        rows = (f"{t:.4f},{v:.8g},{int(a)}" for t, v, a in zip(rivs.times, values, rivs.artifact))
+        _emit_table(Path(directory) / f"{kind.name.lower()}.csv", "t,value,artifact", rows)
 
 
 def _spectrum_request(parser, raw):
@@ -159,12 +140,19 @@ def _cmd_estimate(args, parser):
     fused = fusion.fuse_estimates(analysis.estimates, args.method, args.t)
     _write_estimates(args.out, fused, analysis.estimates, args.method, args.t)
     if args.dump_beats:
-        _dump_beats(args.dump_beats, analysis.beats)
+        header = "t_foot,v_foot,t_peak,v_peak,width50,rise25_75,period,artifact"
+        beats = zip(*(getattr(analysis.beats, name).tolist() for name in header.split(",")))
+        _emit_table(args.dump_beats, header, (
+            f"{t_foot:.4f},{v_foot:.6g},{t_peak:.4f},{v_peak:.6g},{width50:.6g},{rise:.6g},"
+            f"{'' if math.isnan(period) else f'{period:.6g}'},{int(artifact)}"
+            for t_foot, v_foot, t_peak, v_peak, width50, rise, period, artifact in beats
+        ))
     if args.dump_riv:
         _dump_riv(args.dump_riv, analysis.rivs)
     if spectrum_at:
         out_dir = Path(args.out).parent if args.out != "-" else Path(".")
-        _dump_spectrum(out_dir, window_index, kind, spectrum)
+        rows = (f"{f:.6g},{p:.8g},{pf:.8g},{p - pf:.8g}" for f, p, pf in zip(*spectrum))
+        _emit_table(out_dir / f"spectrum_w{window_index}_{kind.name.lower()}.csv", "f,P,P_fit,P_out", rows)
     return EXIT_OK
 
 
@@ -265,14 +253,14 @@ def _cmd_benchmark(args, parser):
     scores, summary = evaluation.report(list(subjects.values()), methods, args.t)
 
     out_dir = Path(args.out)
-    lines = [f"# {_header(method=','.join(methods), t=args.t)}\n", "id,method,t,rmse,retention\n"]
+    rows = []
     for method, (rmse, retention) in scores.items():
         for record_id, subject_rmse, subject_retention in zip(subjects, rmse.tolist(), retention.tolist()):
             if any(c in record_id for c in ',"\r\n'):  # RFC 4180 quotes a comma, a quote and a line break
                 record_id = '"' + record_id.replace('"', '""') + '"'
             subject_rmse = "" if math.isnan(subject_rmse) else f"{subject_rmse:.6g}"
-            lines.append(f"{record_id},{method.upper()},{args.t:.2f},{subject_rmse},{subject_retention:.6g}\n")
-    _emit(out_dir / "subjects.csv", lines)
+            rows.append(f"{record_id},{method.upper()},{args.t:.2f},{subject_rmse},{subject_retention:.6g}")
+    _emit_table(out_dir / "subjects.csv", "id,method,t,rmse,retention", rows, _header(method=",".join(methods), t=args.t))
     report = {"version": VERSION, "skipped": skipped, **summary}
     _emit(out_dir / "report.json", [json.dumps(report, indent=2, sort_keys=True), "\n"])
     return EXIT_OK
@@ -290,14 +278,12 @@ def _cmd_sweep(args, parser):
     from . import evaluation
 
     subjects, _ = _analyze_dataset(args.dataset)
-    rows = evaluation.sweep(list(subjects.values()), t_grid)
-    header = _header(method="cif", t_min=args.t_min, t_max=args.t_max, t_step=args.t_step)
-    lines = [f"# {header}\n", "t,rmse_p25,rmse_median,rmse_p75,retention_median\n"]
-    for row in rows:
-        lines.append(
-            f"{row.t:.2f},{row.rmse_p25:.6g},{row.rmse_median:.6g},{row.rmse_p75:.6g},{row.retention_median:.6g}\n"
-        )
-    _emit(args.out, lines)
+    rows = (
+        f"{row.t:.2f},{row.rmse_p25:.6g},{row.rmse_median:.6g},{row.rmse_p75:.6g},{row.retention_median:.6g}"
+        for row in evaluation.sweep(list(subjects.values()), t_grid)
+    )
+    comment = _header(method="cif", t_min=args.t_min, t_max=args.t_max, t_step=args.t_step)
+    _emit_table(args.out, "t,rmse_p25,rmse_median,rmse_p75,retention_median", rows, comment)
     return EXIT_OK
 
 
