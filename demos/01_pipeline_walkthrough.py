@@ -24,7 +24,7 @@ print(f"synthetic record: {record.duration_s:.0f} s at {record.fs:.0f} Hz, true 
 # -------------------------------------------------------------- preprocess
 filtered = bandpass(record)
 beats = flag_artifacts(segment_beats(filtered), record=record)
-print(f"beats detected: {len(beats)} ({np.count_nonzero(beats.artifact)} flagged as artifact)")
+print(f"beats detected: {len(beats)} ({np.count_nonzero(beats.rules != 0)} flagged as artifact)")
 period = np.nanmedian(beats.period)
 print(f"median beat period {period:.3f} s -> heart rate {60 / period:.1f} beats/min")
 

@@ -141,7 +141,8 @@ def _cmd_estimate(args, parser):
     _write_estimates(args.out, fused, analysis.estimates, args.method, args.t)
     if args.dump_beats:
         header = "t_foot,v_foot,t_peak,v_peak,width50,rise25_75,period,artifact"
-        beats = zip(*(getattr(analysis.beats, name).tolist() for name in header.split(",")))
+        columns = [getattr(analysis.beats, name) for name in header.split(",")[:-1]] + [analysis.beats.rules != 0]
+        beats = zip(*(column.tolist() for column in columns))
         _emit_table(args.dump_beats, header, (
             f"{t_foot:.4f},{v_foot:.6g},{t_peak:.4f},{v_peak:.6g},{width50:.6g},{rise:.6g},"
             f"{'' if math.isnan(period) else f'{period:.6g}'},{int(artifact)}"

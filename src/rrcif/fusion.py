@@ -14,12 +14,13 @@ pair the gate drops, and q_i = p_i², the fused covariance and rate are
 where x_0 is the rate of the first contributor in ALL_KINDS order. So each
 rate's effective weight is q_i = 1/(1 - NI_i)², and contributors that share
 one rate fuse to that rate exactly. This is the only place the noise-index
-gate is applied.
+gate is applied. A window CIF drops is "below_t" when some pair has a finite
+NI and "unrated" when none has (``EstimateTable.reason`` says why).
 
 Smart Fusion instead averages a fixed set of variations (RIIV/RIAV/RIFV for
 SF3, all five for SF5) and discards the window when any of them is unrated,
-or when the sample standard deviation across them exceeds 4 breaths/min. It
-applies no noise-index gating.
+or when the sample standard deviation across them exceeds 4 breaths/min: the
+reasons "member_unrated" and "sd_exceeded". It applies no noise-index gating.
 
 Both fuse over the last axis of (window, variation) arrays such as an
 :class:`EstimateTable`'s, where NaN marks an unrated pair.
@@ -47,7 +48,8 @@ SF5 = ALL_KINDS
 
 @dataclass(frozen=True)
 class FusionResult:
-    """Per-window arrays; ``retained`` False marks a gap, where the rate is NaN.
+    """Per-window arrays; ``reason`` is "none" for a retained window and
+    otherwise says why it is a gap, where the rate is NaN.
 
     ``c_fusion`` is NaN for Smart Fusion; ``contributors`` flags the
     variations fused in each window.
@@ -56,16 +58,21 @@ class FusionResult:
     rr_fusion: np.ndarray
     c_fusion: np.ndarray
     contributors: np.ndarray
-    retained: np.ndarray
+    reason: np.ndarray
+
+    @property
+    def retained(self) -> np.ndarray:
+        return self.reason == "none"
 
 
 def cif(rr, ni, t) -> FusionResult:
     """Covariance-intersection fusion of each row of (rate, noise index) pairs.
 
     A pair contributes when its noise index is at least t (NaN never does);
-    covariances are 1 - ni floored at COVARIANCE_FLOOR. `t` may be an array
-    of thresholds, which become the leading axes of the result. Raises
-    :class:`EmptyFusionError` when the rows hold no pairs at all.
+    covariances are 1 - ni floored at COVARIANCE_FLOOR. A row with no
+    contributor is "below_t" when some noise index is finite, else "unrated".
+    `t` may be an array of thresholds, which become the leading axes of the
+    result. Raises :class:`EmptyFusionError` when the rows hold no pairs at all.
     """
     rr = np.asarray(rr, dtype=float)
     ni = np.asarray(ni, dtype=float)
@@ -85,27 +92,30 @@ def cif(rr, ni, t) -> FusionResult:
     with np.errstate(invalid="ignore"):
         c_fusion = p.sum(axis=-1) / sum_q
         x_fusion = x0[..., 0] + np.sum(q * np.where(use, rr - x0, 0.0), axis=-1) / sum_q
-    return FusionResult(rr_fusion=x_fusion, c_fusion=c_fusion, contributors=use, retained=use.any(axis=-1))
+    reason = np.where(use.any(axis=-1), "none", np.where(np.isfinite(ni).any(axis=-1), "below_t", "unrated"))
+    return FusionResult(rr_fusion=x_fusion, c_fusion=c_fusion, contributors=use, reason=reason)
 
 
 def smart_fusion(rr, kinds: tuple[RivKind, ...]) -> FusionResult:
     """Smart Fusion baseline: mean of a fixed set of variations, such as
     SF3 or SF5, discarded on disagreement.
 
-    A row is dropped when any of `kinds` is unrated, or when the sample
-    standard deviation (ddof=1) of their rates exceeds the 4 breaths/min
-    limit. Noise indices are ignored.
+    A row is dropped when any of `kinds` is unrated ("member_unrated"), or
+    when the sample standard deviation (ddof=1) of their rates exceeds the
+    4 breaths/min limit ("sd_exceeded"). Noise indices are ignored.
     """
     rr = np.asarray(rr, dtype=float)
     member = np.array([kind in kinds for kind in ALL_KINDS])
     rates = rr[..., member]
     with np.errstate(invalid="ignore"):
-        retained = np.isfinite(rates).all(axis=-1) & ~(np.std(rates, axis=-1, ddof=1) > SF_SD_LIMIT_BPM)
+        spread = np.std(rates, axis=-1, ddof=1) > SF_SD_LIMIT_BPM
+    reason = np.where(~np.isfinite(rates).all(axis=-1), "member_unrated", np.where(spread, "sd_exceeded", "none"))
+    retained = reason == "none"
     return FusionResult(
         rr_fusion=np.where(retained, np.mean(rates, axis=-1), np.nan),
         c_fusion=np.full(retained.shape, np.nan),
         contributors=retained[..., None] & member,
-        retained=retained,
+        reason=reason,
     )
 
 

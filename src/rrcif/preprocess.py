@@ -13,10 +13,12 @@ whose prominence reaches half the median of the last 10 accepted ones; feet
 are the minima between consecutive peaks. Width and rise time
 come from linearly interpolated level crossings on each pulse.
 
-Artifact criteria (tunable module constants): a beat whose period or
-amplitude deviates from the running median of the previous 10 beats by more
-than a factor of 1.75, or that contains a run of >= 3 samples pinned at the
-raw record's global minimum or maximum.
+Artifact rules (tunable module constants), each a bit of ``BeatTable.rules``:
+RULE_PERIOD (1) and RULE_AMPLITUDE (2) when the beat's period or amplitude
+deviates from the running median of the previous 10 beats by more than a
+factor of 1.75, RULE_CLIPPING (4) when it contains a run of >= 3 samples
+pinned at the raw record's global minimum or maximum. A beat is an artifact
+when any bit is set.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ PROMINENCE_WINDOW = 10          # beats in the running prominence median
 ARTIFACT_FACTOR = 1.75          # allowed deviation factor from the running median
 ARTIFACT_WINDOW = 10            # beats in the running period/amplitude medians
 CLIP_RUN = 3                    # consecutive saturated samples that mark a beat
+RULE_PERIOD, RULE_AMPLITUDE, RULE_CLIPPING = 1, 2, 4  # the bits of BeatTable.rules
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,7 +55,8 @@ class BeatTable:
     """Detected pulses as equal-length columns, one row per beat in peak-time order.
 
     Times in seconds, values in record units. `period` is the peak-to-peak
-    interval from the previous beat, NaN for the first beat.
+    interval from the previous beat, NaN for the first beat. `rules` is the
+    uint8 bitmask of the artifact rules that fired; ``rules != 0`` marks an artifact.
     """
 
     t_foot: np.ndarray
@@ -62,7 +66,7 @@ class BeatTable:
     width50: np.ndarray
     rise25_75: np.ndarray
     period: np.ndarray
-    artifact: np.ndarray  # bool
+    rules: np.ndarray
 
     def __len__(self) -> int:
         return self.t_peak.size
@@ -144,7 +148,7 @@ def _crossings(x, starts, stops, levels, rising):
 def segment_beats(filtered: PpgRecord) -> BeatTable:
     """Detect pulses in a band-passed record and measure per-beat features.
 
-    Returns the beats with no artifact flags set. Beats whose level crossings
+    Returns the beats with no artifact rule set. Beats whose level crossings
     cannot be measured (e.g. a decay truncated at the record edge) are dropped.
     Raises :class:`InsufficientSignalError` if fewer than 3 beats remain.
     """
@@ -196,7 +200,7 @@ def segment_beats(filtered: PpgRecord) -> BeatTable:
         width50=(t50d - t50u)[keep],
         rise25_75=(t75 - t25)[keep],
         period=np.concatenate(([np.nan], np.diff(t_peak))),
-        artifact=np.zeros(t_peak.size, dtype=bool),
+        rules=np.zeros(t_peak.size, dtype=np.uint8),
     )
 
 
@@ -229,19 +233,21 @@ def _deviates(values: np.ndarray, med: np.ndarray) -> np.ndarray:
 
 
 def flag_artifacts(beats: BeatTable, record: PpgRecord) -> BeatTable:
-    """Return a copy of `beats` with the artifact column set.
+    """Return a copy of `beats` with the rules column set.
 
-    A beat is flagged when its period or amplitude deviates from the running
-    median of the previous ARTIFACT_WINDOW beats by more than ARTIFACT_FACTOR,
-    or when the samples of the raw `record` it spans contain a run of
-    >= CLIP_RUN values pinned at the record's global min or max.
-    Flags do not read the artifact column, so the operation is idempotent.
+    A beat gets RULE_PERIOD or RULE_AMPLITUDE when its period or amplitude
+    deviates from the running median of the previous ARTIFACT_WINDOW beats by
+    more than ARTIFACT_FACTOR, and RULE_CLIPPING when the samples of the raw
+    `record` it spans contain a run of >= CLIP_RUN values pinned at the
+    record's global min or max. The rules column is not read, so the
+    operation is idempotent.
     """
     if len(beats) < 3:
         raise InsufficientSignalError("need >= 3 beats for artifact detection")
     amps = beats.v_peak - beats.v_foot
     periods = beats.period
-    flags = _deviates(amps, _running_median(amps)) | (~np.isnan(periods) & _deviates(periods, _running_median(periods)))
+    rules = RULE_PERIOD * (~np.isnan(periods) & _deviates(periods, _running_median(periods)))
+    rules |= RULE_AMPLITUDE * _deviates(amps, _running_median(amps))
     runs = _clip_runs(record.samples)
     bounds = np.append(beats.t_foot, beats.t_peak[-1] + beats.width50[-1])
     idx = np.clip((bounds * record.fs).astype(int), 0, record.samples.size)
@@ -249,5 +255,5 @@ def flag_artifacts(beats: BeatTable, record: PpgRecord) -> BeatTable:
     start = idx[:-1]
     stop = np.minimum(np.maximum(idx[1:], start + 1), runs.size)
     pinned_before = np.concatenate(([0], np.cumsum(runs)))
-    flags |= pinned_before[stop] > pinned_before[start]
-    return BeatTable(**{**vars(beats), "artifact": flags})
+    rules |= RULE_CLIPPING * (pinned_before[stop] > pinned_before[start])
+    return BeatTable(**{**vars(beats), "rules": rules.astype(np.uint8)})

@@ -70,7 +70,8 @@ def extract(beats: BeatTable, t_end: float) -> RivTable:
         RivKind.RIWV: beats.width50,
         RivKind.RISV: beats.rise25_75,
     }
-    knots = {kind: ~beats.artifact & np.isfinite(value) for kind, value in features.items()}
+    artifact = beats.rules != 0
+    knots = {kind: ~artifact & np.isfinite(value) for kind, value in features.items()}
     for kind, used in knots.items():
         if np.count_nonzero(used) < 3:
             raise InsufficientSignalError(f"{kind.name}: only {np.count_nonzero(used)} usable beats, need >= 3")
@@ -82,6 +83,6 @@ def extract(beats: BeatTable, t_end: float) -> RivTable:
     grid = t0 + np.arange(n) * GRID_STEP_S
     right = np.searchsorted(beats.t_peak, grid)
     last = len(beats) - 1
-    mask = beats.artifact[np.clip(right - 1, 0, last)] | beats.artifact[np.clip(right, 0, last)]
+    mask = artifact[np.clip(right - 1, 0, last)] | artifact[np.clip(right, 0, last)]
     values = np.stack([np.interp(grid, beats.t_peak[used], features[kind][used]) for kind, used in knots.items()])
     return RivTable(t0, values, mask)

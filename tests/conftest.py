@@ -33,7 +33,7 @@ def make_beats(n=40, period=0.75, v_peak=1.0, amp=1.0, width=0.19, rise=0.075, t
         width50=np.full(n, width),
         rise25_75=np.full(n, rise),
         period=np.where(np.arange(n) == 0, np.nan, period),
-        artifact=np.zeros(n, dtype=bool),
+        rules=np.zeros(n, dtype=np.uint8),
     )
 
 

@@ -32,7 +32,7 @@ def _fusion(rates):
     retained = np.array([rr is not None for rr in rates])
     rr = np.array([np.nan if rr is None else rr for rr in rates])
     return FusionResult(rr_fusion=rr, c_fusion=np.where(retained, 0.5, np.nan),
-                        contributors=np.zeros((len(rates), 5), dtype=bool), retained=retained)
+                        contributors=np.zeros((len(rates), 5), dtype=bool), reason=np.where(retained, "none", "below_t"))
 
 
 # ---------------------------------------------------------------------------

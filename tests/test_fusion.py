@@ -193,6 +193,18 @@ def test_gate_boundaries():
     assert cif([20.0], [0.13], 0.13).retained  # equality passes
 
 
+def test_fused_reasons_name_the_drop_rule():
+    assert cif([20.0, 21.0], [0.5, np.nan], 0.13).reason == "none"
+    assert cif([20.0, 21.0], [0.12, np.nan], 0.13).reason == "below_t"
+    assert cif([np.nan, np.nan], [np.nan, np.nan], 0.0).reason == "unrated"
+    rr, _ = _window_estimates([0.9] * 5, [10.0, 12.0, 20.0, 12.0, 12.0])
+    assert smart_fusion(rr, SF3).reason == "sd_exceeded"
+    assert smart_fusion(rr, SF5).reason == "none"  # sd of all five is 3.9
+    rr, _ = _unrated(_window_estimates([0.9] * 5, [12.0] * 5), RivKind.RISV)
+    assert smart_fusion(rr, SF3).reason == "none"
+    assert smart_fusion(rr, SF5).reason == "member_unrated"
+
+
 def test_gate_parameter_error():
     with pytest.raises(ValueError):
         cif([20.0], [0.5], 1.5)
@@ -275,6 +287,40 @@ def test_cif_retained_count_never_rises_with_t(table, thresholds):
     # per window: the contributors to each row of the table, then whether it is retained at all
     assert np.all(np.diff(result.contributors.sum(axis=-1), axis=0) <= 0)
     assert np.all(np.diff(result.retained.astype(int), axis=0) <= 0)
+
+
+def _assert_one_reason_per_drop(result, drop_reasons):
+    """`retained` holds exactly where the reason is "none", every dropped window
+    has one of `drop_reasons`, and their counts sum to the dropped windows."""
+    reason = result.reason
+    assert reason.shape == result.rr_fusion.shape
+    assert np.array_equal(result.retained, reason == "none")
+    assert np.array_equal(result.retained, ~np.isnan(result.rr_fusion))
+    dropped = np.count_nonzero(~result.retained)
+    assert sum(np.count_nonzero(reason == r) for r in drop_reasons) == dropped
+
+
+@settings(max_examples=200, deadline=None)
+@given(_estimate_tables())
+def test_cif_reasons_on_the_sweep_grid(table):
+    rr, ni = table
+    result = cif(rr, ni, T_GRID_DEFAULT)
+    assert result.reason.shape == (len(T_GRID_DEFAULT), rr.shape[0])
+    _assert_one_reason_per_drop(result, ("below_t", "unrated"))
+    # below_t only where some NI is finite; unrated exactly where none is
+    some_finite = np.broadcast_to(np.isfinite(ni).any(axis=-1), result.reason.shape)
+    assert not np.any((result.reason == "below_t") & ~some_finite)
+    assert np.array_equal(result.reason == "unrated", ~some_finite)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_estimate_tables(), st.sampled_from([SF3, SF5]))
+def test_sf_reasons(table, members):
+    rr, _ = table
+    result = smart_fusion(rr, members)
+    _assert_one_reason_per_drop(result, ("member_unrated", "sd_exceeded"))
+    complete = np.isfinite(rr[:, [kind in members for kind in ALL_KINDS]]).all(axis=-1)
+    assert np.array_equal(result.reason == "member_unrated", ~complete)
 
 
 @st.composite

@@ -24,6 +24,9 @@ from rrcif.preprocess import (
     PROMINENCE_FACTOR,
     PROMINENCE_WINDOW,
     REFRACTORY_S,
+    RULE_AMPLITUDE,
+    RULE_CLIPPING,
+    RULE_PERIOD,
     BeatTable,
     _clip_runs,
     _refine_extremum,
@@ -137,20 +140,20 @@ def test_segmentation_stable_under_small_noise():
 def test_flag_artifacts_clean_synthetic():
     record, _ = make_synth(duration=120.0)
     beats = flag_artifacts(segment_beats(bandpass(record)), record=record)
-    assert not beats.artifact.any()
+    assert not beats.rules.any()
 
 
 def test_flag_artifacts_injected_amplitude():
     beats = make_beats(n=30)
     beats = edit_beat(beats, 17, v_peak=beats.v_foot[17] + 3.0 * (beats.v_peak[17] - beats.v_foot[17]))
     flagged = flag_artifacts(beats, ramp_record(beats))
-    assert np.flatnonzero(flagged.artifact).tolist() == [17]
+    assert np.flatnonzero(flagged.rules).tolist() == [17]
 
 
 def test_flag_artifacts_identical_beats_zero_flags():
     beats = make_beats(n=25)
     flagged = flag_artifacts(beats, ramp_record(beats))
-    assert not flagged.artifact.any()
+    assert not flagged.rules.any()
 
 
 def test_flag_artifacts_idempotent():
@@ -158,7 +161,7 @@ def test_flag_artifacts_idempotent():
     record = ramp_record(beats)
     once = flag_artifacts(beats, record)
     twice = flag_artifacts(once, record)
-    assert once.artifact.tolist() == twice.artifact.tolist()
+    assert once.rules.tolist() == twice.rules.tolist()
 
 
 def test_flag_artifacts_clipping_run():
@@ -171,7 +174,25 @@ def test_flag_artifacts_clipping_run():
     beats = segment_beats(bandpass(clipped_record))
     flagged = flag_artifacts(beats, record=clipped_record)
     spanning = (flagged.t_foot <= 30.0) & (30.0 <= flagged.t_foot + 1.5)
-    assert flagged.artifact[spanning].any()
+    assert flagged.rules[spanning].any()
+
+
+@pytest.mark.parametrize("rule", [RULE_PERIOD, RULE_AMPLITUDE, RULE_CLIPPING])
+def test_each_artifact_rule_sets_only_its_bit(rule):
+    beats = make_beats(n=30)
+    record = ramp_record(beats)
+    if rule == RULE_PERIOD:
+        beats = edit_beat(beats, 17, period=2.0)
+    elif rule == RULE_AMPLITUDE:
+        beats = edit_beat(beats, 17, v_peak=beats.v_foot[17] + 3.0)
+    else:  # CLIP_RUN samples inside beat 17 pinned at the record's global max
+        samples = record.samples.copy()
+        i = int((beats.t_foot[17] + 0.1) * record.fs)
+        samples[i : i + CLIP_RUN] = samples.max()
+        record = PpgRecord(record.id, record.fs, samples)
+    rules = flag_artifacts(beats, record).rules
+    assert rules.dtype == np.uint8
+    assert rules.tolist() == [rule if i == 17 else 0 for i in range(len(beats))]
 
 
 def test_flag_artifacts_needs_three_beats():
@@ -263,7 +284,7 @@ def _segment_beats_loop(filtered):
 
 
 def _flag_artifacts_loop(beats, record):
-    """Per-beat artifact flags of a beat table, as a list of bools."""
+    """Per-beat artifact rule bits of a beat table, as a list of ints."""
     amps = beats.v_peak - beats.v_foot
     periods = beats.period
     runs = _clip_runs(record.samples)
@@ -273,17 +294,17 @@ def _flag_artifacts_loop(beats, record):
     out = []
     for i in range(len(beats)):
         lo = max(0, i - ARTIFACT_WINDOW)
-        flag = False
+        rules = RULE_CLIPPING if clipped[i] else 0
         if i > lo:
             med = float(np.median(amps[lo:i]))
             if med > 0 and not (1.0 / ARTIFACT_FACTOR <= amps[i] / med <= ARTIFACT_FACTOR):
-                flag = True
+                rules |= RULE_AMPLITUDE
         prev_periods = periods[lo:i][~np.isnan(periods[lo:i])]
         if not np.isnan(periods[i]) and prev_periods.size:
             med = float(np.median(prev_periods))
             if med > 0 and not (1.0 / ARTIFACT_FACTOR <= periods[i] / med <= ARTIFACT_FACTOR):
-                flag = True
-        out.append(flag or clipped[i])
+                rules |= RULE_PERIOD
+        out.append(rules)
     return out
 
 
@@ -308,12 +329,12 @@ def _outcome(fn, *args):
         return str(exc)
 
 
-def _assert_table(beats, rows, artifact):
-    """`beats` holds exactly the oracle's rows and flags, NaN where a row has no period."""
+def _assert_table(beats, rows, rules):
+    """`beats` holds exactly the oracle's rows and rule bits, NaN where a row has no period."""
     assert isinstance(beats, BeatTable)
     for name, column in zip(BEAT_COLUMNS, zip(*rows)):
         np.testing.assert_array_equal(getattr(beats, name), np.array(column, dtype=float), err_msg=name, strict=True)
-    np.testing.assert_array_equal(beats.artifact, np.array(artifact, dtype=bool), strict=True)
+    np.testing.assert_array_equal(beats.rules, np.array(rules, dtype=np.uint8), strict=True)
 
 
 # The stress inputs of the oracle and invariant tests below.
@@ -352,7 +373,7 @@ def test_array_beats_match_loop_oracles(seed, fs, rr, hr_over_rr, hrv, noise, bu
     if isinstance(rows, str):
         assert beats == rows
         return
-    _assert_table(beats, rows, [False] * len(rows))
+    _assert_table(beats, rows, [0] * len(rows))
     _assert_table(flag_artifacts(beats, record=record), rows, _flag_artifacts_loop(beats, record))
 
 
@@ -363,14 +384,14 @@ def test_beat_table_invariants(seed, fs, rr, hr_over_rr, hrv, noise, bursts, cli
     beats = _outcome(segment_beats, bandpass(record))
     if isinstance(beats, str):
         return
-    assert {getattr(beats, name).shape for name in (*BEAT_COLUMNS, "artifact")} == {(len(beats),)}
+    assert {getattr(beats, name).shape for name in (*BEAT_COLUMNS, "rules")} == {(len(beats),)}
     assert np.all(np.diff(beats.t_peak) > 0)
     assert np.isnan(beats.period[0])
     assert np.array_equal(beats.period[1:], np.diff(beats.t_peak))
     assert np.all(beats.t_foot < beats.t_peak)
     assert np.all(beats.v_peak > beats.v_foot)
     once = flag_artifacts(beats, record=record)
-    assert np.array_equal(flag_artifacts(once, record=record).artifact, once.artifact)
+    assert np.array_equal(flag_artifacts(once, record=record).rules, once.rules)
     for name in BEAT_COLUMNS:
         assert np.array_equal(getattr(once, name), getattr(beats, name), equal_nan=True), name
 
@@ -492,7 +513,7 @@ def test_scipy_signal_fallback_gives_the_same_output(monkeypatch, fs):
         importlib.reload(_sigkernels)
     assert calls == ["butter", "sosfiltfilt", "find_peaks"]
     _same_bits(fallback.samples, filtered.samples)
-    for name in (*BEAT_COLUMNS, "artifact"):
+    for name in (*BEAT_COLUMNS, "rules"):
         _same_bits(getattr(fallback_beats, name), getattr(beats, name))
     segment_beats(bandpass(record))
     assert len(calls) == 3  # the reload restored the compiled path

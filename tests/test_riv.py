@@ -6,7 +6,7 @@ import pytest
 
 from rrcif import DEFAULT_THRESHOLD
 from rrcif.errors import InsufficientSignalError
-from rrcif.preprocess import bandpass, segment_beats
+from rrcif.preprocess import RULE_AMPLITUDE, RULE_CLIPPING, RULE_PERIOD, bandpass, segment_beats
 from rrcif.riv import ALL_KINDS, GRID_STEP_S, RivKind, extract
 from rrcif.spectral import rate_windows
 
@@ -67,7 +67,7 @@ def test_constant_train_gives_constant_series():
 
 def test_artifact_beats_excluded_and_masked():
     beats = make_beats(n=40)
-    beats = edit_beat(beats, 20, v_peak=beats.v_peak[20] + 5.0, artifact=True)
+    beats = edit_beat(beats, 20, v_peak=beats.v_peak[20] + 5.0, rules=RULE_AMPLITUDE)
     rivs = extract(beats, beats.t_peak[-1])
     # the spike is not a knot, so values stay at the clean level
     assert np.ptp(rivs.values[RIIV]) == 0.0
@@ -79,7 +79,7 @@ def test_artifact_beats_excluded_and_masked():
 
 def test_insufficient_beats():
     beats = make_beats(n=4)
-    flagged = replace(beats, artifact=np.array([True, True, False, False]))
+    flagged = replace(beats, rules=np.array([RULE_PERIOD, RULE_CLIPPING, 0, 0], dtype=np.uint8))
     with pytest.raises(InsufficientSignalError, match="^RIIV: only 2 usable beats, need >= 3$"):
         extract(flagged, beats.t_peak[-1])
 
@@ -90,7 +90,7 @@ def test_insufficient_beats_reported_in_kind_order():
     with pytest.raises(InsufficientSignalError, match="^RIFV: only 2 usable beats, need >= 3$"):
         extract(beats, beats.t_peak[-1])
     with pytest.raises(InsufficientSignalError, match="^RIIV: only 2 usable beats, need >= 3$"):
-        extract(edit_beat(beats, 1, artifact=True), beats.t_peak[-1])
+        extract(edit_beat(beats, 1, rules=RULE_CLIPPING), beats.t_peak[-1])
     with pytest.raises(InsufficientSignalError, match="^t_end precedes the first beat$"):
         extract(make_beats(n=4), 0.0)
 
