@@ -29,13 +29,13 @@ analysis = pipeline.analyze_record(record)
 table = analysis.estimates
 
 print("per-variation noise index across all windows (frequency depth = 0):")
-print(f"{'variation':>10} {'NI median':>10} {'NI p90':>8} {'pass rate at t=0.13':>20}")
+print(f"{'variation':>10} {'NI median':>10} {'NI p90':>8} {f'pass rate at t={DEFAULT_THRESHOLD}':>20}")
 for column, kind in enumerate(ALL_KINDS):
     nis = table.ni[:, column][np.isfinite(table.ni[:, column])]
-    print(f"{kind.name:>10} {np.median(nis):>10.3f} {np.percentile(nis, 90):>8.3f} {np.mean(nis >= 0.13):>20.2f}")
+    print(f"{kind.name:>10} {np.median(nis):>10.3f} {np.percentile(nis, 90):>8.3f} {np.mean(nis >= DEFAULT_THRESHOLD):>20.2f}")
 
 print("\nsweeping the gate from 0 to 0.3 (fraction of estimates forwarded):")
-for t in (0.0, 0.05, 0.13, 0.2, 0.3):
+for t in sorted({0.0, 0.05, DEFAULT_THRESHOLD, 0.2, 0.3}):
     rated = np.isfinite(table.ni)
     passing = (table.ni >= t).sum(axis=0) / rated.sum(axis=0)
     row = "  ".join(f"{kind.name}={frac:.2f}" for kind, frac in zip(ALL_KINDS, passing))

@@ -39,7 +39,6 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 EXIT_OK = 0
 EXIT_IO = 2
 EXIT_USAGE = 64
-T_RESOLUTION = 0.01  # the printed t column has two decimals
 PR_SET_PDEATHSIG = 1  # from <linux/prctl.h>
 
 
@@ -60,14 +59,13 @@ def _check_t(parser, option, t):
         parser.error(f"{option} must lie in [0, 1], got {t}")
 
 
-def _check_on_grid(parser, option, value, zero_ok=False):
-    """Usage error unless `value` is a positive multiple of T_RESOLUTION (or 0
-    with `zero_ok`) within 1e-9, so the printed t column names the threshold used."""
-    steps = value / T_RESOLUTION
-    k = round(steps) if math.isfinite(steps) else -1  # a huge value overflows to inf
-    if not (abs(value - k * T_RESOLUTION) <= 1e-9 and (k > 0 or zero_ok and k == 0)):
-        kind = "a non-negative" if zero_ok else "a positive"
-        parser.error(f"{option} must be {kind} multiple of {T_RESOLUTION}, got {value}")
+def _hundredths(parser, option, value):
+    """The k for which `value`, in [0, 1], lies within 1e-9 of k / 100, as the t column prints it; else a usage error."""
+    _check_t(parser, option, value)
+    k = round(value * 100)
+    if abs(value - k / 100) > 1e-9:
+        parser.error(f"{option} must be a multiple of 0.01, got {value}")
+    return k
 
 
 def _write_estimates(path, fusion: FusionResult, estimates: EstimateTable, method, t):
@@ -238,8 +236,7 @@ def _analyze_dataset(directory):
 
 
 def _cmd_benchmark(args, parser):
-    _check_t(parser, "--t", args.t)
-    _check_on_grid(parser, "--t", args.t)
+    t = _hundredths(parser, "--t", args.t) / 100
     methods = [m.strip().lower() for m in args.methods.split(",")]
     for i, m in enumerate(methods):
         if m not in METHODS:
@@ -251,7 +248,7 @@ def _cmd_benchmark(args, parser):
     from . import evaluation
 
     subjects, skipped = _analyze_dataset(args.dataset)
-    scores, summary = evaluation.report(list(subjects.values()), methods, args.t)
+    scores, summary = evaluation.report(list(subjects.values()), methods, t)
 
     out_dir = Path(args.out)
     rows = []
@@ -260,22 +257,23 @@ def _cmd_benchmark(args, parser):
             if any(c in record_id for c in ',"\r\n'):  # RFC 4180 quotes a comma, a quote and a line break
                 record_id = '"' + record_id.replace('"', '""') + '"'
             subject_rmse = "" if math.isnan(subject_rmse) else f"{subject_rmse:.6g}"
-            rows.append(f"{record_id},{method.upper()},{args.t:.2f},{subject_rmse},{subject_retention:.6g}")
-    _emit_table(out_dir / "subjects.csv", "id,method,t,rmse,retention", rows, _header(method=",".join(methods), t=args.t))
+            rows.append(f"{record_id},{method.upper()},{t:.2f},{subject_rmse},{subject_retention:.6g}")
+    _emit_table(out_dir / "subjects.csv", "id,method,t,rmse,retention", rows, _header(method=",".join(methods), t=t))
     report = {"version": VERSION, "skipped": skipped, **summary}
     _emit(out_dir / "report.json", [json.dumps(report, indent=2, sort_keys=True), "\n"])
     return EXIT_OK
 
 
 def _cmd_sweep(args, parser):
-    if args.t_min > args.t_max:
-        parser.error(f"--t-min {args.t_min} exceeds --t-max {args.t_max}")
-    _check_t(parser, "--t-min", args.t_min)
     _check_t(parser, "--t-max", args.t_max)
-    _check_on_grid(parser, "--t-min", args.t_min, zero_ok=True)
-    _check_on_grid(parser, "--t-step", args.t_step)
-    n_steps = math.floor((args.t_max - args.t_min) / args.t_step + 1e-9) + 1
-    t_grid = [round(args.t_min + i * args.t_step, 10) for i in range(n_steps)]
+    k_min = _hundredths(parser, "--t-min", args.t_min)
+    k_step = _hundredths(parser, "--t-step", args.t_step)
+    if k_step == 0:
+        parser.error(f"--t-step must be positive, got {args.t_step}")
+    k_max = math.floor(args.t_max * 100 + 1e-9)  # a bound: the grid's last point is the largest one not above it
+    if k_min > k_max:
+        parser.error(f"--t-min {args.t_min} exceeds --t-max {args.t_max}")
+    t_grid = [k / 100 for k in range(k_min, k_max + 1, k_step)]
     from . import evaluation
 
     subjects, _ = _analyze_dataset(args.dataset)
@@ -283,7 +281,7 @@ def _cmd_sweep(args, parser):
         f"{row.t:.2f},{row.rmse_p25:.6g},{row.rmse_median:.6g},{row.rmse_p75:.6g},{row.retention_median:.6g}"
         for row in evaluation.sweep(list(subjects.values()), t_grid)
     )
-    comment = _header(method="cif", t_min=args.t_min, t_max=args.t_max, t_step=args.t_step)
+    comment = _header(method="cif", t_min=k_min / 100, t_max=args.t_max, t_step=k_step / 100)
     _emit_table(args.out, "t,rmse_p25,rmse_median,rmse_p75,retention_median", rows, comment)
     return EXIT_OK
 

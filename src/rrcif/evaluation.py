@@ -20,7 +20,7 @@ from .fusion import FusionResult, fuse_estimates
 from .signal_io import ReferenceRr, _median
 from .spectral import WINDOW_S, EstimateTable
 
-T_GRID_DEFAULT = tuple(round(0.01 * i, 2) for i in range(31))  # 0 .. 0.3
+T_GRID_DEFAULT = tuple(k / 100 for k in range(31))  # 0 .. 0.3, in whole hundredths as `rrcif sweep` builds its grid
 LOA_FACTOR = 1.96
 WILCOXON_EXACT_MAX_N = 25
 

@@ -12,8 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rrcif import pipeline, spectral
+from rrcif import __version__, pipeline, spectral
 from rrcif.cli import main
+from rrcif.evaluation import T_GRID_DEFAULT
 from rrcif.riv import ALL_KINDS, RivKind
 from rrcif.signal_io import PpgRecord, read_record, read_reference, write_record
 
@@ -213,6 +214,24 @@ OUTPUT_CSV_SHA256 = {
     # t from 0.9 to 1: no subject retains a window, so the RMSE columns read nan
     "sweep_high_t.csv": "c16c9c7c83b016c6a03efe9ca2f24c6e8903de8e46e4b9267438e5e61221a2b1",
 }
+# report.json of `benchmark` on the same six subjects
+REPORT_JSON_PINNED = {
+    "agreement_cif": {"bias": 0.004918487365712802, "loa_high": 0.0655698608913302, "loa_low": -0.0557328861599046,
+                      "n_pairs": 195, "r": 0.9999818565444233},
+    "methods": {
+        "cif": {"retention_median": 0.9848484848484849, "rmse_median": 0.027140780133318373},
+        "sf3": {"retention_median": 0.9848484848484849, "rmse_median": 0.032865942267401825},
+        "sf5": {"retention_median": 0.9848484848484849, "rmse_median": 0.03133138215899538},
+    },
+    "skipped": [],
+    "subjects": 6,
+    "t": 0.13,
+    "version": __version__,
+    "wilcoxon_bonferroni": {
+        "retention": {"cif_vs_sf3": 1.0, "cif_vs_sf5": 1.0, "sf3_vs_sf5": 1.0},
+        "rmse": {"cif_vs_sf3": 0.65625, "cif_vs_sf5": 0.1875, "sf3_vs_sf5": 1.0},
+    },
+}
 
 
 def test_output_csv_files_are_pinned(tmp_path):
@@ -230,6 +249,20 @@ def test_output_csv_files_are_pinned(tmp_path):
     assert ",nan," in (out / "sweep_high_t.csv").read_text()
     digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in OUTPUT_CSV_SHA256}
     assert digests == OUTPUT_CSV_SHA256
+    # report.json prints floats to 17 digits, which another BLAS build may move: its numbers are pinned to 1e-9
+    report, pinned = dict(_leaves(json.loads((out / "report.json").read_text()))), dict(_leaves(REPORT_JSON_PINNED))
+    assert report.keys() == pinned.keys()
+    for path, value in pinned.items():
+        assert report[path] == (pytest.approx(value, abs=1e-9) if isinstance(value, float) else value), path
+
+
+def _leaves(node, path=()):
+    """(key path, value) of every value in nested dicts that is not itself a dict."""
+    if not isinstance(node, dict):
+        yield path, node
+        return
+    for key, value in node.items():
+        yield from _leaves(value, (*path, key))
 
 
 def test_sweep_default_31_rows(tmp_path):
@@ -240,6 +273,8 @@ def test_sweep_default_31_rows(tmp_path):
     header, rows = _read_table(out)
     assert header == ["t", "rmse_p25", "rmse_median", "rmse_p75", "retention_median"]
     assert len(rows) == 31
+    # the command's default options and the library's default grid are two definitions of one grid
+    assert [float(row[0]) for row in rows] == list(T_GRID_DEFAULT)
     retention = [float(r[4]) for r in rows]
     assert all(b <= a + 1e-12 for a, b in zip(retention, retention[1:]))
 
@@ -247,8 +282,11 @@ def test_sweep_default_31_rows(tmp_path):
 @pytest.mark.parametrize(
     "argv, named",
     [([], "t_min=0 t_max=0.3 t_step=0.01"), (["--t-min", "0.05", "--t-max", "0.2"], "t_min=0.05 t_max=0.2 t_step=0.01"),
-     (["--t-max", "0.30000000000000004", "--t-step", "0.1"], "t_min=0 t_max=0.30000000000000004 t_step=0.1")],
-    ids=["default", "narrowed", "repr"],
+     (["--t-max", "0.30000000000000004", "--t-step", "0.1"], "t_min=0 t_max=0.30000000000000004 t_step=0.1"),
+     # within 1e-9 of the grid: the values used, whole hundredths, are named; --t-max is a bound, named as given
+     (["--t-min", "0.0500000001", "--t-max", "0.2000000001", "--t-step", "0.0999999999"],
+      "t_min=0.05 t_max=0.2000000001 t_step=0.1")],
+    ids=["default", "narrowed", "repr", "near-grid"],
 )
 def test_sweep_header_names_the_whole_grid(tmp_path, argv, named):
     _write_subject(tmp_path, "s1", duration=40.0)
@@ -343,15 +381,16 @@ def test_sweep_fine_step_exit_64(tmp_path):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["sweep", "--t-min", "0.005"], "--t-min must be a non-negative multiple of 0.01, got 0.005"),
-        (["sweep", "--t-step", "0.015"], "--t-step must be a positive multiple of 0.01, got 0.015"),
-        (["sweep", "--t-step", "0"], "--t-step must be a positive multiple of 0.01, got 0.0"),
-        (["sweep", "--t-step", "1e308"], "--t-step must be a positive multiple"),  # its count of grid steps overflows
+        (["sweep", "--t-min", "0.005"], "--t-min must be a multiple of 0.01, got 0.005"),
+        (["sweep", "--t-step", "0.015"], "--t-step must be a multiple of 0.01, got 0.015"),
+        (["sweep", "--t-step", "0"], "--t-step must be positive, got 0.0"),
+        (["sweep", "--t-step", "1e308"], "--t-step must lie in [0, 1], got 1e+308"),
+        (["sweep", "--t-step", "2"], "--t-step must lie in [0, 1], got 2.0"),
         (["sweep", "--t-min", "-0.01"], "--t-min must lie in [0, 1], got -0.01"),
         (["sweep", "--t-max", "1.5"], "--t-max must lie in [0, 1], got 1.5"),
         (["sweep", "--t-min", "0.2", "--t-max", "0.1"], "--t-min 0.2 exceeds --t-max 0.1"),
-        (["benchmark", "--t", "0.125"], "--t must be a positive multiple of 0.01, got 0.125"),
-        (["benchmark", "--t", "0"], "--t must be a positive multiple of 0.01, got 0.0"),
+        (["benchmark", "--t", "0.125"], "--t must be a multiple of 0.01, got 0.125"),
+        (["benchmark", "--t", "0.13000001"], "--t must be a multiple of 0.01, got 0.13000001"),  # 1e-8 off
         (["benchmark", "--t", "1.5"], "--t must lie in [0, 1], got 1.5"),
         (["benchmark", "--methods", "cif,foo"], "unknown method 'foo'"),
         (["benchmark", "--methods", "cif,cif"], "method 'cif' given twice"),
@@ -362,9 +401,9 @@ def test_sweep_fine_step_exit_64(tmp_path):
         (["synth", "--out", ""], "--out must end in a file name, got ''"),
     ],
     ids=[
-        "sweep-t-min", "sweep-t-step", "sweep-t-step-0", "sweep-t-step-overflow", "sweep-t-min-negative",
-        "sweep-t-max-above-1", "sweep-t-min-above-t-max",
-        "benchmark-t", "benchmark-t-0", "benchmark-t-above-1",
+        "sweep-t-min", "sweep-t-step", "sweep-t-step-0", "sweep-t-step-overflow", "sweep-t-step-above-1",
+        "sweep-t-min-negative", "sweep-t-max-above-1", "sweep-t-min-above-t-max",
+        "benchmark-t", "benchmark-t-1e-8-off", "benchmark-t-above-1",
         "benchmark-unknown-method", "benchmark-repeated-method", "benchmark-repeated-method-any-case",
         "estimate-t-above-1", "estimate-spectrum-window", "estimate-spectrum-kind",
         "synth-out-empty",
@@ -397,6 +436,20 @@ def test_threshold_on_the_t_column_grid_is_printed_as_fused(tmp_path):
     assert {row[2] for row in _read_table(tmp_path / "b" / "subjects.csv")[1]} == {"0.07"}
     # estimate prints no t column, so any threshold in [0, 1] is accepted
     assert main(["estimate", str(tmp_path / "s1.csv"), "--t", "0.125", "--out", str(tmp_path / "e.csv")]) == 0
+
+
+@pytest.mark.parametrize(
+    "given, printed, named", [("0", "0.00", "t=0"), ("0.1300000001", "0.13", "t=0.13")], ids=["t-0", "t-near-0.13"]
+)
+def test_benchmark_fuses_at_the_printed_threshold(tmp_path, given, printed, named):
+    # a threshold within 1e-9 of a whole number of hundredths is read as that number: it is fused at
+    # (report.json's t is the value the report fused at), and the rows and the provenance line name it
+    _write_subject(tmp_path, "s1", duration=40.0)
+    out = tmp_path / "out"
+    assert main(["benchmark", str(tmp_path), "--t", given, "--out", str(out)]) == 0
+    assert (out / "subjects.csv").read_text().splitlines()[0].endswith(f" method=cif,sf3,sf5 {named}")
+    assert {row[2] for row in _read_table(out / "subjects.csv")[1]} == {printed}
+    assert json.loads((out / "report.json").read_text())["t"] == float(printed)
 
 
 def _write_fast_record(path):

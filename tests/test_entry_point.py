@@ -288,7 +288,6 @@ def test_only_preprocess_imports_scipy():
     assert offenders == []
 
 
-@pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is new in Python 3.11")
 def test_source_tree_version_matches_pyproject():
     # output headers print VERSION, a constant that must track pyproject
     import tomllib
