@@ -9,13 +9,15 @@ evaluation harness are included.
 
 The package root re-exports nothing and imports nothing, so importing it
 loads neither numpy nor scipy. It holds only the version, which output
-headers print, and the two constants that both the analysis modules and the
-command line's parser need. Import the submodules:
+headers print and ``pyproject.toml`` reads, and the three constants that
+both the analysis modules and the command line's parser need: ``METHODS``,
+``DEFAULT_THRESHOLD`` and ``T_GRID_DEFAULT``. Import the submodules:
 ``from rrcif import pipeline``.
 """
 
-# Kept equal to pyproject.toml's static version; a constant, so that naming it
-# costs no scan of the installed distributions.
+# The one statement of the version: pyproject.toml reads it as its dynamic
+# version. A constant, so that naming it costs no scan of the installed
+# distributions.
 __version__ = "0.1.0"
 
 # The fusion methods by name: CIF and the two Smart Fusion baselines.
@@ -23,3 +25,7 @@ METHODS = ("cif", "sf3", "sf5")
 
 # The noise-index threshold that fusion uses unless told otherwise.
 DEFAULT_THRESHOLD = 0.13
+
+# The thresholds `rrcif sweep` and `evaluation.sweep` run unless told
+# otherwise: 0 .. 0.3 in whole hundredths, built as the sweep builds its grid.
+T_GRID_DEFAULT = tuple(k / 100 for k in range(31))

@@ -26,7 +26,7 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from . import DEFAULT_THRESHOLD, METHODS, __version__ as VERSION
+from . import DEFAULT_THRESHOLD, METHODS, T_GRID_DEFAULT, __version__ as VERSION
 from .errors import RrcifError
 
 if TYPE_CHECKING:
@@ -329,16 +329,16 @@ def build_parser() -> _Parser:
     dataset_help = "directory of record JSONs and <id>.csv records with their <id>_ref.csv; a reference with no record is skipped"
     p = sub.add_parser("benchmark", help="score methods over a dataset directory")
     p.add_argument("dataset", help=dataset_help)
-    p.add_argument("--methods", default="cif,sf3,sf5")
+    p.add_argument("--methods", default=",".join(METHODS))
     p.add_argument("--t", type=float, default=DEFAULT_THRESHOLD)
     p.add_argument("--out", default="benchmark_out", help="output directory")
     p.set_defaults(fn=_cmd_benchmark, parser=p)
 
     p = sub.add_parser("sweep", help="threshold sweep over a dataset directory")
     p.add_argument("dataset", help=dataset_help)
-    p.add_argument("--t-min", type=float, default=0.0)
-    p.add_argument("--t-max", type=float, default=0.3)
-    p.add_argument("--t-step", type=float, default=0.01)
+    p.add_argument("--t-min", type=float, default=T_GRID_DEFAULT[0])
+    p.add_argument("--t-max", type=float, default=T_GRID_DEFAULT[-1])
+    p.add_argument("--t-step", type=float, default=T_GRID_DEFAULT[1] - T_GRID_DEFAULT[0])
     p.add_argument("--out", default="-")
     p.set_defaults(fn=_cmd_sweep, parser=p)
 

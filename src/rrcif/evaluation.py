@@ -16,11 +16,11 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from . import T_GRID_DEFAULT
 from .fusion import FusionResult, fuse_estimates
 from .signal_io import ReferenceRr, _median
 from .spectral import WINDOW_S, EstimateTable
 
-T_GRID_DEFAULT = tuple(k / 100 for k in range(31))  # 0 .. 0.3, in whole hundredths as `rrcif sweep` builds its grid
 LOA_FACTOR = 1.96
 WILCOXON_EXACT_MAX_N = 25
 

@@ -12,9 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rrcif import __version__, pipeline, spectral
+from rrcif import DEFAULT_THRESHOLD, T_GRID_DEFAULT, __version__, pipeline, spectral
 from rrcif.cli import main
-from rrcif.evaluation import T_GRID_DEFAULT
 from rrcif.riv import ALL_KINDS, RivKind
 from rrcif.signal_io import PpgRecord, read_record, read_reference, write_record
 
@@ -273,10 +272,15 @@ def test_sweep_default_31_rows(tmp_path):
     header, rows = _read_table(out)
     assert header == ["t", "rmse_p25", "rmse_median", "rmse_p75", "retention_median"]
     assert len(rows) == 31
-    # the command's default options and the library's default grid are two definitions of one grid
+    # the command's default options are read from the package's default grid
     assert [float(row[0]) for row in rows] == list(T_GRID_DEFAULT)
     retention = [float(r[4]) for r in rows]
     assert all(b <= a + 1e-12 for a, b in zip(retention, retention[1:]))
+
+
+def test_default_threshold_lies_on_the_default_grid():
+    # so the default sweep table has a row at the threshold that benchmark and estimate fuse at
+    assert DEFAULT_THRESHOLD in T_GRID_DEFAULT
 
 
 @pytest.mark.parametrize(

@@ -289,15 +289,28 @@ def test_only_preprocess_imports_scipy():
 
 
 def test_source_tree_version_matches_pyproject():
-    # output headers print VERSION, a constant that must track pyproject
+    # output headers print VERSION; pyproject states no version of its own but reads this constant
     import tomllib
 
     import rrcif
     from rrcif import cli
 
-    with open(Path(SRC).parent / "pyproject.toml", "rb") as fh:
-        declared = tomllib.load(fh)["project"]["version"]
-    assert rrcif.__version__ == cli.VERSION == declared
+    pyproject = Path(SRC).parent / "pyproject.toml"
+    with open(pyproject, "rb") as fh:
+        declared = tomllib.load(fh)
+    assert "version" not in declared["project"]
+    assert "version" in declared["project"]["dynamic"]
+    assert declared["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "rrcif.__version__"}
+    # setuptools reads the attribute from the source, importing neither rrcif nor numpy
+    expanded, imported = _python(
+        "import sys, warnings\n"
+        "warnings.simplefilter('ignore')  # older setuptools call [tool.setuptools] beta\n"
+        "from setuptools.config.pyprojecttoml import read_configuration\n"
+        f"print(read_configuration({str(pyproject)!r})['project']['version'])\n"
+        "print(any(m.split('.')[0] in ('rrcif', 'numpy') for m in sys.modules))\n"
+    )
+    assert rrcif.__version__ == cli.VERSION == expanded
+    assert imported == "False"
 
 
 def test_help_exit_0():

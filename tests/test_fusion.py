@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rrcif import T_GRID_DEFAULT
 from rrcif.errors import EmptyFusionError
-from rrcif.evaluation import T_GRID_DEFAULT
 from rrcif.fusion import (
     COVARIANCE_FLOOR,
     SF3,
