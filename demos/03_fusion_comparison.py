@@ -23,7 +23,7 @@ for seed in SEEDS:
     )
     record, reference = signal_io.synthesize(spec)
     subjects.append((pipeline.analyze_record(record).estimates, reference))
-scores, _ = evaluation.report(subjects, METHODS, t=0.13)
+scores, _ = evaluation.report(subjects)
 
 print(f"{'subject':>8} {'method':>6} {'RMSE':>7} {'retention':>10}")
 for i, seed in enumerate(SEEDS):

@@ -1,4 +1,4 @@
-"""Retention/RMSE trade-off: sweep the noise-index threshold from 0 to 0.3.
+"""Retention/RMSE trade-off: sweep the noise-index threshold over rrcif.T_GRID_DEFAULT.
 
 Writes a plot-ready CSV (t, RMSE quartiles, median retention) to
 demo_out/sweep.csv and prints the table. Raising the gate discards weaker

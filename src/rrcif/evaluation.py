@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import T_GRID_DEFAULT
+from . import DEFAULT_THRESHOLD, METHODS, T_GRID_DEFAULT
 from .fusion import FusionResult, fuse_estimates
 from .signal_io import ReferenceRr, _median
 from .spectral import WINDOW_S, EstimateTable
@@ -126,7 +126,7 @@ def _nan_quartiles(x: np.ndarray) -> np.ndarray:
     return np.where(count > 0, quartiles, np.nan)
 
 
-def report(subjects: list[tuple[EstimateTable, ReferenceRr]], methods, t) -> tuple[dict, dict]:
+def report(subjects: list[tuple[EstimateTable, ReferenceRr]], methods=METHODS, t=DEFAULT_THRESHOLD) -> tuple[dict, dict]:
     """(scores, summary) of `methods` fused at `t` over (EstimateTable, ReferenceRr) subjects.
 
     ``scores[method]`` holds per-subject rmse (NaN where no window is

@@ -359,6 +359,30 @@ def test_stdout_on_a_full_disk_exit_2(tmp_path, argv):
     assert "Traceback" not in result.stderr
 
 
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+@pytest.mark.parametrize("command", ["estimate", "sweep", "benchmark"])
+def test_stderr_on_a_full_disk_exit_2(tmp_path, command):
+    # estimate fails on a missing file; sweep and benchmark fail writing the skip warning of broken.csv
+    from rrcif.signal_io import write_record, write_reference
+
+    record, reference = make_synth(duration=120.0, seed=1)
+    write_record(record, tmp_path / "a.csv")
+    write_reference(reference, tmp_path / "a_ref.csv")
+    (tmp_path / "broken.csv").write_text("t,ppg\n0,1\nnot,numbers\n")
+    argv = {
+        "estimate": ["estimate", tmp_path / "nope.csv"],
+        "sweep": ["sweep", tmp_path, "--out", "-"],
+        "benchmark": ["benchmark", tmp_path, "--out", tmp_path / "out"],
+    }[command]
+    with open("/dev/full", "w") as full:
+        result = subprocess.run(
+            [sys.executable, "-m", "rrcif.cli", *map(str, argv)],
+            env=_env(), stdout=subprocess.PIPE, stderr=full, text=True, timeout=120,
+        )
+    assert (result.returncode, result.stdout) == (2, "")
+    assert not (tmp_path / "out").exists()
+
+
 def test_sweep_to_stdout_prints_every_row(tmp_path):
     from rrcif.signal_io import write_record, write_reference
 

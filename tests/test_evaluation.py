@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import rankdata
 
+from rrcif import DEFAULT_THRESHOLD, METHODS
 from rrcif.evaluation import (
     _midranks,
     _nan_quartiles,
@@ -276,6 +277,16 @@ def test_report_bonferroni_counts_the_pairs_tested_per_metric():
     assert max(p, *raw.values()) < 1.0 / 3.0  # so a wrong factor would show
     assert summary["methods"]["cif"]["rmse_median"] == float(np.median(rmse["cif"][:5]))
     assert summary["agreement_cif"]["n_pairs"] == 9 + 8 + 7 + 6 + 5
+
+
+def test_report_defaults_to_every_method_at_the_default_threshold():
+    subjects = _bonferroni_subjects()
+    scores, summary = report(subjects)
+    want_scores, want_summary = report(subjects, METHODS, DEFAULT_THRESHOLD)
+    assert list(scores) == list(want_scores) == list(METHODS)
+    for method in METHODS:
+        np.testing.assert_array_equal(scores[method], want_scores[method])
+    assert summary == want_summary
 
 
 def test_report_fewer_than_six_subjects_tests_nothing():
