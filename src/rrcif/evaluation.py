@@ -4,7 +4,9 @@ the report of a dataset; `report` and `sweep` score through one path.
 
 Reference alignment: each analysis window scores against the mean of the
 reference samples falling inside it, or the value interpolated at the window
-center when none do. Percentiles interpolate linearly between order
+center when none do. Interpolation holds the end values, so a window with no
+sample whose center lies before the first reference time, or past the last,
+scores against the first, or the last, rate. Percentiles interpolate linearly between order
 statistics. Agreement statistics pool the retained windows of all subjects.
 """
 
@@ -44,7 +46,8 @@ class SweepRow:
 
 
 def reference_at(reference: ReferenceRr, start_s) -> np.ndarray:
-    """Reference rate of each window: in-window mean, else value at the center.
+    """Reference rate of each window: in-window mean, else value at the center,
+    which is the first or the last rate outside the reference's time span.
 
     `start_s` holds window starts such as ``EstimateTable.start_s``; a window
     holds the reference samples with start <= time < start + WINDOW_S.

@@ -58,14 +58,19 @@ def _median(values: np.ndarray, axis: int = 0) -> np.ndarray:
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
-    out = np.asarray(a, dtype=float)
+    """A read-only float64 copy of ``a``, which a later write to ``a`` cannot reach."""
+    out = np.array(a, dtype=float)
     out.setflags(write=False)
     return out
 
 
 @dataclass(frozen=True)
 class PpgRecord:
-    """A uniformly sampled PPG waveform."""
+    """A uniformly sampled PPG waveform.
+
+    The record holds its own read-only copy of the samples it is given, so
+    a later write to the caller's array does not reach it.
+    """
 
     id: str
     fs: float
@@ -90,7 +95,11 @@ class PpgRecord:
 
 @dataclass(frozen=True)
 class ReferenceRr:
-    """Reference respiratory rate annotations (e.g. from capnography)."""
+    """Reference respiratory rate annotations (e.g. from capnography).
+
+    The reference holds its own read-only copies of the arrays it is given,
+    so a later write to the caller's arrays does not reach it.
+    """
 
     times_s: np.ndarray
     rr: np.ndarray
@@ -319,7 +328,7 @@ def read_record(path) -> PpgRecord:
         raise ValidationError(f"{path}: timestamp step {step} is not finite")
     if np.max(np.abs(dt - step)) > STEP_TOLERANCE * step:
         raise ValidationError(f"{path}: non-uniform sampling (step {step:g} s, max deviation {np.max(np.abs(dt - step)):g} s)")
-    return PpgRecord(id=path.stem, fs=1.0 / step, samples=np.ascontiguousarray(data[:, 1]))
+    return PpgRecord(id=path.stem, fs=1.0 / step, samples=data[:, 1])
 
 
 def read_subject(path) -> tuple[str, Callable[[], tuple[PpgRecord, ReferenceRr]]]:
@@ -398,7 +407,7 @@ def read_reference(path) -> ReferenceRr:
     data = _read_columns(Path(path), ("t", "rr"))
     if data.shape[0] == 0:
         raise ValidationError(f"{path}: reference has no rows")
-    return ReferenceRr(np.ascontiguousarray(data[:, 0]), np.ascontiguousarray(data[:, 1]))
+    return ReferenceRr(data[:, 0], data[:, 1])
 
 
 def write_record(record: PpgRecord, path, comment: str | None = None) -> None:

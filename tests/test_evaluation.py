@@ -56,6 +56,12 @@ def test_reference_at_symmetric_step():
 def test_reference_at_outside_interpolates_center():
     ref = _reference([0.0, 100.0], [10.0, 30.0])
     assert reference_at(ref, [40.0])[0] == pytest.approx(10.0 + 20.0 * 56.0 / 100.0)
+    # a window with no sample whose center lies past the last reference time
+    # takes the last rate
+    ref = _reference([0.0, 2.0, 4.0], [10.0, 11.0, 12.0])
+    assert reference_at(ref, [0.0, 100.0, 400.0]).tolist() == [11.0, 12.0, 12.0]
+    # and one before the first takes the first rate
+    assert reference_at(_reference([100.0, 102.0], [10.0, 11.0]), [0.0]).tolist() == [10.0]
 
 
 def test_reference_at_no_windows():

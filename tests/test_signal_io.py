@@ -323,6 +323,45 @@ def test_duration_exact():
     assert rec.duration_s == 480.0
 
 
+@st.composite
+def _caller_array(draw, values):
+    """A caller's writeable float64 array of the drawn ``values``, and its
+    base: the array itself, or a larger array of which it is a strided view."""
+    values = np.array(values, dtype=float)
+    if not draw(st.booleans()):
+        return values, values
+    step, offset = draw(st.integers(1, 3)), draw(st.integers(0, 2))
+    base = np.zeros(offset + step * values.size)
+    view = base[offset::step]
+    view[:] = values
+    return view, base
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_record_and_reference_own_read_only_copies_of_their_arrays(data):
+    n = data.draw(st.integers(1, 12))
+    samples = data.draw(st.lists(st.floats(-1e6, 1e6), min_size=n, max_size=n))
+    times = sorted(data.draw(st.lists(st.floats(0.0, 1e6), min_size=n, max_size=n)))
+    rates = data.draw(st.lists(st.floats(1.0, 119.0), min_size=n, max_size=n))
+    given_arrays = [data.draw(_caller_array(v)) for v in (samples, times, rates)]
+    (s, s_base), (t, t_base), (r, r_base) = given_arrays
+    record = PpgRecord("x", 100.0, s)
+    reference = ReferenceRr(t, r)
+    for a, _ in given_arrays:
+        assert a.flags.writeable
+    for a, base in given_arrays:
+        a[0] = 500.0
+        base[-1] = 500.0
+    assert record.samples.tolist() == samples
+    assert reference.times_s.tolist() == times
+    assert reference.rr.tolist() == rates
+    for stored in (record.samples, reference.times_s, reference.rr):
+        assert not stored.flags.writeable
+        assert stored.flags.c_contiguous
+        assert stored.dtype == np.float64
+
+
 # Each body follows a "t,ppg" header. The one-call reader must give what the
 # row loop gives (the same values, or the same error type and message), and
 # the same bytes must read alike from every source.
