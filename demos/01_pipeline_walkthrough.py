@@ -7,7 +7,7 @@ import numpy as np
 
 from rrcif import DEFAULT_THRESHOLD, evaluation, signal_io
 from rrcif.fusion import fuse_estimates
-from rrcif.preprocess import bandpass, flag_artifacts, segment_beats
+from rrcif.preprocess import segment_beats
 from rrcif.riv import ALL_KINDS, extract
 from rrcif.spectral import WINDOW_S, rate_windows
 from rrcif.signal_io import ModDepths, SynthSpec
@@ -22,8 +22,7 @@ record, reference = signal_io.synthesize(spec)
 print(f"synthetic record: {record.duration_s:.0f} s at {record.fs:.0f} Hz, true rate {spec.rr} breaths/min")
 
 # -------------------------------------------------------------- preprocess
-filtered = bandpass(record)
-beats = flag_artifacts(segment_beats(filtered), record=record)
+beats = segment_beats(record)  # band-passed, segmented and flagged
 print(f"beats detected: {len(beats)} ({np.count_nonzero(beats.rules != 0)} flagged as artifact)")
 period = np.nanmedian(beats.period)
 print(f"median beat period {period:.3f} s -> heart rate {60 / period:.1f} beats/min")

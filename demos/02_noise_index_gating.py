@@ -6,8 +6,13 @@ falls below the other four's, yet the default gate still passes most of its
 windows.
 
 The last part rates variation tables that hold no breathing at all, five
-rows of white noise and five of random walks (2000 s, seed 0), to show
-why: the noise index of pure noise mostly lies above the default gate.
+rows each (2000 s, seed 0), to show why: the noise index of pure noise
+mostly lies above the default gate. Two tables hold white noise and random
+walks drawn on the 5 Hz grid; two hold white noise drawn once per beat at a
+steady heart rate of 65 or 107 beats/min and linearly interpolated onto the
+grid, as `riv.extract` does with a real feature. Linear interpolation of
+per-beat noise piles the rates up at 4-6 breaths/min, and the noise index of
+such noise depends on the heart rate.
 
 Run:  python3 demos/02_noise_index_gating.py
 """
@@ -15,7 +20,7 @@ Run:  python3 demos/02_noise_index_gating.py
 import numpy as np
 
 from rrcif import DEFAULT_THRESHOLD, pipeline, signal_io
-from rrcif.riv import ALL_KINDS, RIV_FS, RivTable
+from rrcif.riv import ALL_KINDS, GRID_STEP_S, RIV_FS, RivTable
 from rrcif.signal_io import ModDepths, SynthSpec
 from rrcif.spectral import rate_windows
 
@@ -42,11 +47,28 @@ for t in sorted({0.0, 0.05, DEFAULT_THRESHOLD, 0.2, 0.3}):
     print(f"  t={t:.2f}: {row}")
 
 print("\nnoise index of variations that carry no breathing (2000 s, five rows each, seed 0):")
-print(f"{'series':>12} {'pairs':>6} {'NI 5%':>6} {'NI 50%':>7} {'NI 95%':>7} {f'share >= {DEFAULT_THRESHOLD}':>13}")
+print(f"{'series':>22} {'pairs':>6} {'rr 4-6':>7} {'NI 5%':>6} {'NI 50%':>7} {'NI 95%':>7} {f'share >= {DEFAULT_THRESHOLD}':>13}")
 n = int(2000.0 * RIV_FS)
+grid = np.arange(n) * GRID_STEP_S
 rng = np.random.default_rng(0)
-for name, values in (("white noise", rng.standard_normal((5, n))), ("random walk", rng.standard_normal((5, n)).cumsum(axis=1))):
-    null = rate_windows(RivTable(t0=0.0, values=values, artifact=np.zeros(n, dtype=bool)), 2000.0).ni
-    nis = null[np.isfinite(null)]
+
+
+def per_beat_noise(hr):
+    """Five rows of white noise drawn once per beat at `hr` beats/min, linearly interpolated onto the grid."""
+    beat_t = np.arange(0.0, 2000.0 + 60.0 / hr, 60.0 / hr)
+    return np.stack([np.interp(grid, beat_t, rng.standard_normal(beat_t.size)) for _ in range(5)])
+
+
+series = {
+    "white noise": rng.standard_normal((5, n)),
+    "random walk": rng.standard_normal((5, n)).cumsum(axis=1),
+    "white per beat, hr 65": per_beat_noise(65.0),
+    "white per beat, hr 107": per_beat_noise(107.0),
+}
+for name, values in series.items():
+    null = rate_windows(RivTable(t0=0.0, values=values, artifact=np.zeros(n, dtype=bool)), 2000.0)
+    rated = np.isfinite(null.ni)
+    nis, rates = null.ni[rated], null.rr[rated]
     p5, p50, p95 = np.percentile(nis, [5, 50, 95])
-    print(f"{name:>12} {nis.size:>6} {p5:>6.3f} {p50:>7.3f} {p95:>7.3f} {np.mean(nis >= DEFAULT_THRESHOLD):>13.1%}")
+    low = np.mean((4.0 <= rates) & (rates <= 6.0))
+    print(f"{name:>22} {nis.size:>6} {low:>7.1%} {p5:>6.3f} {p50:>7.3f} {p95:>7.3f} {np.mean(nis >= DEFAULT_THRESHOLD):>13.1%}")

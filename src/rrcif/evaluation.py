@@ -83,11 +83,15 @@ def score(fusion: FusionResult, ref_rates):
     return rmse, n_kept / max(kept.shape[-1], 1)
 
 
-def _fuse_and_score(subjects, method, t):
-    """Each subject's (fusion, reference rates, rmse, retention), fused by `method` at threshold(s) `t`."""
-    for table, reference in subjects:
+def _aligned(subjects):
+    """Each (EstimateTable, ReferenceRr) subject as (table, reference rate per window)."""
+    return [(table, reference_at(reference, table.start_s)) for table, reference in subjects]
+
+
+def _fuse_and_score(aligned, method, t):
+    """Each aligned subject's (fusion, reference rates, rmse, retention), fused by `method` at threshold(s) `t`."""
+    for table, ref_rates in aligned:
         fusion = fuse_estimates(table, method, t)
-        ref_rates = reference_at(reference, table.start_s)
         yield (fusion, ref_rates, *score(fusion, ref_rates))
 
 
@@ -100,7 +104,7 @@ def sweep(subjects: list[tuple[EstimateTable, ReferenceRr]], t_grid=T_GRID_DEFAU
     if not subjects:
         raise ValueError("need at least one subject")
     t_grid = np.asarray(t_grid, dtype=float)
-    rmse, retention = map(np.array, zip(*(scores for _, _, *scores in _fuse_and_score(subjects, "cif", t_grid))))
+    rmse, retention = map(np.array, zip(*(scores for _, _, *scores in _fuse_and_score(_aligned(subjects), "cif", t_grid))))
     return [
         SweepRow(t=float(t), rmse_p25=float(p25), rmse_median=float(med), rmse_p75=float(p75), retention_median=float(r))
         for t, (p25, med, p75), r in zip(t_grid, _nan_quartiles(rmse).T, _median(retention))
@@ -142,8 +146,9 @@ def report(subjects: list[tuple[EstimateTable, ReferenceRr]], methods=METHODS, t
         raise ValueError("need at least one subject")
     summary = {"t": t, "subjects": len(subjects), "methods": {}, "wilcoxon_bonferroni": {}}
     scores, est, ref = {}, np.empty(0), np.empty(0)
+    aligned = _aligned(subjects)
     for method in methods:
-        fusions, ref_rates, rmse, retention = zip(*_fuse_and_score(subjects, method, t))
+        fusions, ref_rates, rmse, retention = zip(*_fuse_and_score(aligned, method, t))
         rmse, retention = scores[method] = np.array(rmse), np.array(retention)
         scored = rmse[~np.isnan(rmse)]
         rmse_median = float(_median(scored)) if scored.size else None

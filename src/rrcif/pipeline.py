@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .preprocess import BeatTable, bandpass, flag_artifacts, segment_beats
+from .preprocess import BeatTable, segment_beats
 from .riv import RivTable, extract
 from .signal_io import PpgRecord
 from .spectral import EstimateTable, rate_windows
@@ -28,8 +28,7 @@ def analyze_record(record: PpgRecord) -> RecordAnalysis:
     the reason it was not rated. No threshold is applied here, so the
     estimates can be fused at any threshold later.
     """
-    filtered = bandpass(record)
-    beats = flag_artifacts(segment_beats(filtered), record=record)
+    beats = segment_beats(record)
     rivs = extract(beats, t_end=record.duration_s)
     estimates = rate_windows(rivs, record.duration_s)
     return RecordAnalysis(estimates=estimates, beats=beats, rivs=rivs)

@@ -1,5 +1,8 @@
 """PPG preprocessing: band-pass filtering, beat segmentation, artifact flags.
 
+The entry point, :func:`segment_beats`, takes the raw record, band-passes
+and segments it, and returns the beats flagged against the raw samples.
+
 The filter is a 3rd-order Butterworth band-pass (0.4-8 Hz) applied forward
 and backward (zero phase), which keeps the cardiac pulse shape and all five
 respiratory modulations while removing drift and high-frequency noise.
@@ -72,8 +75,8 @@ class BeatTable:
         return self.t_peak.size
 
 
-def bandpass(record: PpgRecord) -> PpgRecord:
-    """Zero-phase 0.4-8 Hz band-pass; length preserved, DC removed.
+def bandpass(record: PpgRecord) -> np.ndarray:
+    """The record's samples through a zero-phase 0.4-8 Hz band-pass; length preserved, DC removed.
 
     Raises :class:`UnsupportedRateError` for a sampling rate outside
     [MIN_FS_HZ, MAX_FS_HZ], :class:`ValidationError` when a raw |sample|
@@ -99,7 +102,7 @@ def bandpass(record: PpgRecord) -> PpgRecord:
     y -= np.mean(y)  # filter edge transients leave a residual mean
     if np.abs(y).max() < MIN_ABS_FILTERED:
         raise InsufficientSignalError("band-passed signal is flat: every |value| is below 2**-400")
-    return PpgRecord(id=record.id, fs=record.fs, samples=y)
+    return y
 
 
 def _refine_extremum(x, i, fs, find_max):
@@ -145,15 +148,14 @@ def _crossings(x, starts, stops, levels, rising):
     return out
 
 
-def segment_beats(filtered: PpgRecord) -> BeatTable:
-    """Detect pulses in a band-passed record and measure per-beat features.
+def segment_beats(record: PpgRecord) -> BeatTable:
+    """Band-pass the raw `record`, detect its pulses, measure per-beat features and flag artifacts.
 
-    Returns the beats with no artifact rule set. Beats whose level crossings
-    cannot be measured (e.g. a decay truncated at the record edge) are dropped.
-    Raises :class:`InsufficientSignalError` if fewer than 3 beats remain.
+    Beats whose level crossings cannot be measured (e.g. a decay truncated at
+    the record edge) are dropped. Raises :class:`InsufficientSignalError` if
+    fewer than 3 beats remain, and whatever :func:`bandpass` raises.
     """
-    x = filtered.samples
-    fs = filtered.fs
+    x, fs = bandpass(record), record.fs
     distance = max(1, int(round(REFRACTORY_S * fs)))
     candidates, proms = _sigkernels.find_peaks(x, distance)
     if candidates.size == 0:
@@ -192,7 +194,7 @@ def segment_beats(filtered: PpgRecord) -> BeatTable:
     t_peak = t_peak[keep]
     if t_peak.size < 3:
         raise InsufficientSignalError(f"only {t_peak.size} beats detected, need >= 3")
-    return BeatTable(
+    beats = BeatTable(
         t_foot=t_foot[keep],
         v_foot=v_foot[keep],
         t_peak=t_peak,
@@ -202,6 +204,7 @@ def segment_beats(filtered: PpgRecord) -> BeatTable:
         period=np.concatenate(([np.nan], np.diff(t_peak))),
         rules=np.zeros(t_peak.size, dtype=np.uint8),
     )
+    return flag_artifacts(beats, record)
 
 
 def _clip_runs(raw: np.ndarray) -> np.ndarray:

@@ -41,8 +41,9 @@ ALL_KINDS = tuple(RivKind)
 class RivTable:
     """The five feature series of one record, rows in ALL_KINDS order.
 
-    ``values`` is (5, samples) on the grid t0 + j / RIV_FS; ``artifact`` is
-    the one artifact mask that all five rows share.
+    ``values`` is (5, samples) on the grid t0 + j * GRID_STEP_S, the times
+    :func:`extract` interpolates at; ``artifact`` is the one artifact mask
+    that all five rows share.
     """
 
     t0: float
@@ -51,7 +52,7 @@ class RivTable:
 
     @property
     def times(self) -> np.ndarray:
-        return self.t0 + np.arange(self.values.shape[-1]) / RIV_FS
+        return self.t0 + np.arange(self.values.shape[-1]) * GRID_STEP_S
 
 
 def extract(beats: BeatTable, t_end: float) -> RivTable:

@@ -225,8 +225,8 @@ def rate_windows(rivs: RivTable, duration_s: float) -> EstimateTable:
     residual sum times n_window / nfft, clipped to [0, 1]. Zero-padding
     spreads each spectral feature over nfft / n_window bins, which would
     shrink the ratio by that factor; rescaled to the native resolution, a
-    lone native-resolution peak scores about 1 and the 0.13 default gate
-    keeps its meaning whatever the padding.
+    lone native-resolution peak scores about 1 and the default gate,
+    ``rrcif.DEFAULT_THRESHOLD``, keeps its meaning whatever the padding.
     """
     start_s = window_starts(duration_s)
     i0, window_reason = _window_rows(rivs, start_s)

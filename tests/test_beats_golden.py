@@ -1,9 +1,9 @@
 """Per-beat columns pinned from two golden records.
 
-Every column of ``flag_artifacts(segment_beats(bandpass(r)), record=r)`` for
-the ``clean12`` and ``clipped`` records of ``test_golden``, compared exactly,
-NaN equal to NaN (the first beat has no period). The pinned ``artifact``
-column is ``rules != 0``: whether any artifact rule fired.
+Every column of ``segment_beats(r)`` for the ``clean12`` and ``clipped``
+records of ``test_golden``, compared exactly, NaN equal to NaN (the first
+beat has no period). The pinned ``artifact`` column is ``rules != 0``:
+whether any artifact rule fired.
 
 ``tests/data/beats_golden.npz`` was written by running this module as a
 script; rewrite it only for a deliberate change of behaviour::
@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rrcif.preprocess import bandpass, flag_artifacts, segment_beats
+from rrcif.preprocess import segment_beats
 
 from test_golden import build
 
@@ -26,7 +26,7 @@ COLUMNS = ("t_foot", "v_foot", "t_peak", "v_peak", "width50", "rise25_75", "peri
 
 
 def observe(record):
-    beats = flag_artifacts(segment_beats(bandpass(record)), record=record)
+    beats = segment_beats(record)
     return {name: getattr(beats, name) for name in COLUMNS[:-1]} | {"artifact": beats.rules != 0}
 
 

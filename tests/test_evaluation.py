@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import rankdata
 
-from rrcif import DEFAULT_THRESHOLD, METHODS
+from rrcif import DEFAULT_THRESHOLD, METHODS, evaluation
 from rrcif.evaluation import (
     _midranks,
     _nan_quartiles,
@@ -293,6 +293,15 @@ def test_report_defaults_to_every_method_at_the_default_threshold():
     for method in METHODS:
         np.testing.assert_array_equal(scores[method], want_scores[method])
     assert summary == want_summary
+
+
+def test_report_and_sweep_align_each_reference_once(monkeypatch):
+    aligned, real = [], evaluation.reference_at
+    monkeypatch.setattr(evaluation, "reference_at", lambda ref, starts: aligned.append(ref) or real(ref, starts))
+    subjects = _bonferroni_subjects()
+    report(subjects)
+    sweep(subjects)
+    assert aligned == [reference for _, reference in subjects] * 2
 
 
 def test_report_fewer_than_six_subjects_tests_nothing():

@@ -42,7 +42,7 @@ from conftest import edit_beat, make_beats, make_synth, ramp_record
 def _tone_gain_db(freq_hz, fs=100.0, duration=120.0):
     t = np.arange(0, duration, 1 / fs)
     x = np.sin(2 * np.pi * freq_hz * t)
-    y = bandpass(PpgRecord("tone", fs, x + 2.0)).samples
+    y = bandpass(PpgRecord("tone", fs, x + 2.0))
     core = slice(int(10 * fs), int(-10 * fs))  # skip filter edge transients
     return 10 * np.log10(np.mean(y[core] ** 2) / np.mean(x[core] ** 2))
 
@@ -58,7 +58,7 @@ def test_bandpass_cardiac_preserved():
 def test_bandpass_constant_is_zero():
     # 3.3 is not exactly representable, so subtracting the mean leaves a
     # rounding residue of about 1e-16, above MIN_ABS_FILTERED
-    out = bandpass(PpgRecord("c", 100.0, np.full(4000, 3.3))).samples
+    out = bandpass(PpgRecord("c", 100.0, np.full(4000, 3.3)))
     np.testing.assert_allclose(out, 0.0, atol=1e-12)
 
 
@@ -70,7 +70,7 @@ def test_bandpass_exact_constant_rejected(value):
 
 def test_bandpass_removes_dc():
     record, _ = make_synth(duration=120.0)
-    out = bandpass(record).samples
+    out = bandpass(record)
     assert abs(np.mean(out)) <= 1e-6 * np.std(out)
     assert out.size == record.samples.size
 
@@ -82,7 +82,7 @@ def test_bandpass_low_fs_rejected():
 
 def test_bandpass_fs_above_maximum_rejected():
     tone = np.sin(2 * np.pi * 1.2 * np.arange(3000) / MAX_FS_HZ)
-    assert np.all(np.isfinite(bandpass(PpgRecord("x", MAX_FS_HZ, tone)).samples))
+    assert np.all(np.isfinite(bandpass(PpgRecord("x", MAX_FS_HZ, tone))))
     # at 1e9 Hz sosfiltfilt itself fails with a singular matrix
     with pytest.raises(UnsupportedRateError, match="10000 Hz maximum"):
         bandpass(PpgRecord("x", 1e9, tone))
@@ -90,25 +90,25 @@ def test_bandpass_fs_above_maximum_rejected():
 
 def test_segment_beat_count_matches_heart_rate():
     record, _ = make_synth(rr=15.0, hr=80.0, duration=60.0, depths=(0.0,) * 5, noise=0.0)
-    beats = segment_beats(bandpass(record))
+    beats = segment_beats(record)
     assert abs(len(beats) - 80) <= 1
 
 
 def test_segment_periods_without_frequency_modulation():
     record, _ = make_synth(rr=15.0, hr=80.0, duration=60.0, depths=(0.1, 0.1, 0.0, 0.1, 0.1), noise=0.0)
-    beats = segment_beats(bandpass(record))
+    beats = segment_beats(record)
     np.testing.assert_allclose(beats.period[1:], 0.75, rtol=0.01)
 
 
 def test_segment_flatline_errors():
     with pytest.raises(InsufficientSignalError):
-        segment_beats(bandpass(PpgRecord("flat", 100.0, np.full(6000, 1.0))))
+        segment_beats(PpgRecord("flat", 100.0, np.full(6000, 1.0)))
 
 
 def test_segment_single_step_has_no_peaks():
     # the band-passed step has no interior local maximum for find_peaks to take
     with pytest.raises(InsufficientSignalError, match="^no pulse peaks detected$"):
-        segment_beats(bandpass(PpgRecord("step", 100.0, np.r_[np.zeros(21), 1.0])))
+        segment_beats(PpgRecord("step", 100.0, np.r_[np.zeros(21), 1.0]))
 
 
 def test_segment_beat_invariants_fuzz():
@@ -121,7 +121,7 @@ def test_segment_beat_invariants_fuzz():
             depths=tuple(rng.uniform(0, 0.2, 5)), noise=rng.uniform(0, 0.05),
             seed=int(rng.integers(1e6)),
         )
-        beats = segment_beats(bandpass(record))
+        beats = segment_beats(record)
         assert np.all(np.diff(beats.t_peak) > 0)
         assert np.all(beats.t_foot < beats.t_peak)
         assert np.all(beats.v_peak > beats.v_foot)
@@ -132,15 +132,14 @@ def test_segment_beat_invariants_fuzz():
 def test_segmentation_stable_under_small_noise():
     base, _ = make_synth(duration=120.0, noise=0.0, seed=5)
     noisy, _ = make_synth(duration=120.0, noise=0.01, seed=5)
-    n0 = len(segment_beats(bandpass(base)))
-    n1 = len(segment_beats(bandpass(noisy)))
+    n0 = len(segment_beats(base))
+    n1 = len(segment_beats(noisy))
     assert abs(n1 - n0) <= max(1, round(0.02 * n0))
 
 
 def test_flag_artifacts_clean_synthetic():
     record, _ = make_synth(duration=120.0)
-    beats = flag_artifacts(segment_beats(bandpass(record)), record=record)
-    assert not beats.rules.any()
+    assert not segment_beats(record).rules.any()
 
 
 def test_flag_artifacts_injected_amplitude():
@@ -171,8 +170,7 @@ def test_flag_artifacts_clipping_run():
     i0 = int(30.0 * record.fs)
     samples[i0 : i0 + 40] = hi  # saturated plateau, well past CLIP_RUN
     clipped_record = PpgRecord(record.id, record.fs, samples)
-    beats = segment_beats(bandpass(clipped_record))
-    flagged = flag_artifacts(beats, record=clipped_record)
+    flagged = segment_beats(clipped_record)
     spanning = (flagged.t_foot <= 30.0) & (30.0 <= flagged.t_foot + 1.5)
     assert flagged.rules[spanning].any()
 
@@ -245,9 +243,9 @@ def _cross_down_loop(x, i0, i1, level, fs):
     return (j + (x[j] - level) / (x[j] - x[j + 1])) / fs
 
 
-def _segment_beats_loop(filtered):
+def _segment_beats_loop(record):
     """Per-beat rows in BEAT_COLUMNS order, None for the first beat's period."""
-    x, fs = filtered.samples, filtered.fs
+    x, fs = bandpass(record), record.fs
     candidates, props = find_peaks(x, distance=max(1, int(round(REFRACTORY_S * fs))), prominence=0)
     if candidates.size == 0:
         raise InsufficientSignalError("no pulse peaks detected")
@@ -367,21 +365,19 @@ def _stress_record(seed, fs, rr, hr_over_rr, hrv, noise, bursts, clip_quantile):
 @given(**STRESS)
 def test_array_beats_match_loop_oracles(seed, fs, rr, hr_over_rr, hrv, noise, bursts, clip_quantile):
     record = _stress_record(seed, fs, rr, hr_over_rr, hrv, noise, bursts, clip_quantile)
-    filtered = bandpass(record)
-    beats = _outcome(segment_beats, filtered)
-    rows = _outcome(_segment_beats_loop, filtered)
+    beats = _outcome(segment_beats, record)
+    rows = _outcome(_segment_beats_loop, record)
     if isinstance(rows, str):
         assert beats == rows
         return
-    _assert_table(beats, rows, [0] * len(rows))
-    _assert_table(flag_artifacts(beats, record=record), rows, _flag_artifacts_loop(beats, record))
+    _assert_table(beats, rows, _flag_artifacts_loop(beats, record))
 
 
 @settings(max_examples=30, deadline=None)
 @given(**STRESS)
 def test_beat_table_invariants(seed, fs, rr, hr_over_rr, hrv, noise, bursts, clip_quantile):
     record = _stress_record(seed, fs, rr, hr_over_rr, hrv, noise, bursts, clip_quantile)
-    beats = _outcome(segment_beats, bandpass(record))
+    beats = _outcome(segment_beats, record)
     if isinstance(beats, str):
         return
     assert {getattr(beats, name).shape for name in (*BEAT_COLUMNS, "rules")} == {(len(beats),)}
@@ -390,10 +386,10 @@ def test_beat_table_invariants(seed, fs, rr, hr_over_rr, hrv, noise, bursts, cli
     assert np.array_equal(beats.period[1:], np.diff(beats.t_peak))
     assert np.all(beats.t_foot < beats.t_peak)
     assert np.all(beats.v_peak > beats.v_foot)
-    once = flag_artifacts(beats, record=record)
-    assert np.array_equal(flag_artifacts(once, record=record).rules, once.rules)
+    again = flag_artifacts(beats, record=record)
+    assert np.array_equal(again.rules, beats.rules)
     for name in BEAT_COLUMNS:
-        assert np.array_equal(getattr(once, name), getattr(beats, name), equal_nan=True), name
+        assert np.array_equal(getattr(again, name), getattr(beats, name), equal_nan=True), name
 
 
 # a small alphabet makes flat and linear triples, so zero curvature and ties are common
@@ -495,7 +491,7 @@ class _NoExtensionLoader:
 def test_scipy_signal_fallback_gives_the_same_output(monkeypatch, fs):
     record, _ = make_synth(duration=60.0, fs=fs, noise=0.05, seed=4)
     filtered = bandpass(record)
-    beats = segment_beats(filtered)
+    beats = segment_beats(record)
     calls = []
     for name in ("butter", "sosfiltfilt", "find_peaks"):
         def spy(*args, _name=name, _real=getattr(scipy.signal, name), **kwargs):
@@ -508,12 +504,12 @@ def test_scipy_signal_fallback_gives_the_same_output(monkeypatch, fs):
             patch.setattr(importlib.machinery, "ExtensionFileLoader", _NoExtensionLoader)
             importlib.reload(_sigkernels)
         fallback = bandpass(record)
-        fallback_beats = segment_beats(fallback)
+        fallback_beats = segment_beats(record)
     finally:
         importlib.reload(_sigkernels)
-    assert calls == ["butter", "sosfiltfilt", "find_peaks"]
-    _same_bits(fallback.samples, filtered.samples)
+    assert calls == ["butter", "sosfiltfilt", "butter", "sosfiltfilt", "find_peaks"]
+    _same_bits(fallback, filtered)
     for name in (*BEAT_COLUMNS, "rules"):
         _same_bits(getattr(fallback_beats, name), getattr(beats, name))
-    segment_beats(bandpass(record))
-    assert len(calls) == 3  # the reload restored the compiled path
+    segment_beats(record)
+    assert len(calls) == 5  # the reload restored the compiled path

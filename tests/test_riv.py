@@ -6,7 +6,7 @@ import pytest
 
 from rrcif import DEFAULT_THRESHOLD
 from rrcif.errors import InsufficientSignalError
-from rrcif.preprocess import RULE_AMPLITUDE, RULE_CLIPPING, RULE_PERIOD, bandpass, segment_beats
+from rrcif.preprocess import RULE_AMPLITUDE, RULE_CLIPPING, RULE_PERIOD, segment_beats
 from rrcif.riv import ALL_KINDS, GRID_STEP_S, RivKind, extract
 from rrcif.spectral import rate_windows
 
@@ -29,6 +29,18 @@ def test_grid_step_and_extent():
     np.testing.assert_allclose(np.diff(times), GRID_STEP_S, rtol=0, atol=1e-12)
     assert abs(times[0] - beats.t_peak[0]) < GRID_STEP_S + 1e-12
     assert abs(times[-1] - beats.t_peak[-1]) < GRID_STEP_S + 1e-12
+
+
+def test_times_are_the_grid_the_rows_sit_on():
+    # re-interpolating each row's knots at `times` gives the row back, bit for bit
+    record, _ = make_synth(duration=120.0, seed=1)
+    beats = segment_beats(record)
+    rivs = extract(beats, record.duration_s)
+    features = (beats.v_peak, beats.v_peak - beats.v_foot, beats.period, beats.width50, beats.rise25_75)
+    for kind, feature, row in zip(ALL_KINDS, features, rivs.values):
+        knots = (beats.rules == 0) & np.isfinite(feature)
+        got = np.interp(rivs.times, beats.t_peak[knots], feature[knots])
+        np.testing.assert_array_equal(got, row, err_msg=kind.name, strict=True)
 
 
 def test_interpolation_passes_through_knots():
@@ -151,7 +163,7 @@ def test_single_feature_modulation_isolates_one_series():
 def test_waveform_single_modulation_series_content():
     """Amplitude-only waveform: RIAV sinusoidal at rr/60, RIFV constant to 1%."""
     record, _ = make_synth(rr=20.0, hr=80.0, duration=240.0, depths=(0.0, 0.2, 0.0, 0.0, 0.0), noise=0.0)
-    beats = segment_beats(bandpass(record))
+    beats = segment_beats(record)
     rivs = extract(beats, beats.t_peak[-1])
     rr, ni, reason = (column[RIAV] for column in _window_estimates(rivs))
     assert reason == "none"
