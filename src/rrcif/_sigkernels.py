@@ -3,9 +3,11 @@
 The glue is ported from scipy 1.17's ``_filter_design.py``, ``_signaltools.py``
 and ``_peak_finding.py`` (BSD-3-Clause; Copyright (c) 2001-2002 Enthought, Inc.
 2003, SciPy Developers), cut to the one way rrcif calls ``butter``,
-``sosfiltfilt`` and ``find_peaks``. If the extensions cannot be loaded, the
-fallback at the end of this module uses scipy's public functions instead. See
-README's process model for why, and for what each command loads.
+``sosfiltfilt`` and ``find_peaks``. It keeps the pole placement and pairing,
+``_cplxreal``, the initial state, the odd edge extension and the peak glue; each
+section's numerator is ``np.poly`` over the band-pass's fixed zeros at +1 and -1.
+If the extensions cannot be loaded, the fallback at the end uses scipy's public
+functions. See README's process model for why, and for what each command loads.
 """
 
 from __future__ import annotations
@@ -53,17 +55,6 @@ def _load_kernels():
     return functions
 
 
-def _poly(roots):
-    """Polynomial coefficients with the given roots, real when they come in conjugate pairs."""
-    roots = np.asarray(roots)
-    a = np.ones((1,), dtype=roots.dtype)
-    for root in roots:
-        a = np.convolve(a, np.stack((np.ones_like(root), -root)), mode="full")
-    if np.iscomplexobj(a) and np.all(np.sort(roots.imag) == np.sort(roots.conj().imag)):
-        a = a.real.copy()
-    return a
-
-
 def _cplxreal(z):
     """(one of each conjugate pair, the real values) of `z`, both sorted by real part."""
     tol = 100 * np.finfo(np.float64).eps
@@ -81,15 +72,14 @@ def bandpass_sos(order, band, fs):
     # buttap, then lp2bp_zpk: each low-pass pole becomes two band-pass poles, and `order` zeros sit at 0
     p = (-np.exp(1j * np.pi * np.arange(-order + 1, order, 2, dtype=np.float64) / (2 * order)) * bw / 2).astype(np.complex128)
     p = np.concatenate((p + np.sqrt(p**2 - wo**2), p - np.sqrt(p**2 - wo**2)))
-    z = np.zeros(order, dtype=np.complex128)
-    # bilinear_zpk at fs = 2: the `order` zeros at infinity map to -1
-    k = 1.0 * bw**order * np.real(np.prod(4.0 - z) / np.prod(4.0 - p))
-    z = np.sort(np.concatenate(((4.0 + z) / (4.0 - z), -np.ones(order))).real)  # every zero is +1 or -1
+    # bilinear_zpk at fs = 2: the `order` zeros at 0 map to +1, the `order` zeros at infinity to -1
+    z = np.repeat([-1.0, 1.0], order)
+    k = bw**order * np.real(4.0**order / np.prod(4.0 - p))
     p = np.concatenate(_cplxreal((4.0 + p) / (4.0 - p)))
     # zpk2sos, "nearest" pairing: the pole nearest the unit circle goes in the last section,
-    # with its conjugate (or the next such real pole) and the two zeros nearest it; every zero is real
-    sos = np.zeros(((len(z) + 1) // 2, 6))
-    for si in range(len(sos) - 1, -1, -1):
+    # with its conjugate (or the next such real pole) and the two zeros nearest it
+    sos = np.zeros((order, 6))
+    for si in range(order - 1, -1, -1):
         i = np.argmin(np.abs(1 - np.abs(p)))
         p1, p = p[i], np.delete(p, i)
         if np.isreal(p1):
@@ -98,12 +88,9 @@ def bandpass_sos(order, band, fs):
             p2, p = p[i], np.delete(p, i)
         else:
             p2 = p1.conj()
-        zeros = []
-        for _ in range(2):
-            i = np.argsort(np.abs(z - p1))[0]
-            zeros.append(z[i])
-            z = np.delete(z, i)
-        sos[si] = np.concatenate((_poly(zeros), _poly([p1, p2])))
+        nearest = np.argsort(np.abs(z - p1))[:2]
+        sos[si] = np.concatenate((np.poly(z[nearest]), np.poly([p1, p2])))
+        z = np.delete(z, nearest)
     sos[0][:3] *= k
     return sos
 

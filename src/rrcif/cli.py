@@ -301,7 +301,9 @@ def _cmd_synth(args, parser):
         seed=args.seed,
     )
     record, reference = signal_io.synthesize(spec)
-    out = Path(args.out).with_suffix(".csv")
+    out = Path(args.out)
+    if out.suffix.lower() != ".csv":  # a dotted prefix such as s1.5 keeps its dot
+        out = out.with_name(out.name + ".csv")
     ref_out = signal_io.reference_path(out)
     out.parent.mkdir(parents=True, exist_ok=True)
     provenance = _header("synth", rr=spec.rr, hr=spec.hr, duration=spec.duration_s, fs=spec.fs,

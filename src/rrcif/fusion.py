@@ -73,6 +73,8 @@ def cif(rr, ni, t) -> FusionResult:
     contributor is "below_t" when some noise index is finite, else "unrated".
     `t` may be an array of thresholds, which become the leading axes of the
     result. Raises :class:`EmptyFusionError` when the rows hold no pairs at all.
+    Raises ValueError when t or a noise index lies outside [0, 1], and when a
+    finite noise index sits beside a non-finite rate, which could not be scored.
     """
     rr = np.asarray(rr, dtype=float)
     ni = np.asarray(ni, dtype=float)
@@ -83,6 +85,8 @@ def cif(rr, ni, t) -> FusionResult:
         raise ValueError(f"threshold t must lie in [0, 1], got {t}")
     if np.any((ni < 0) | (ni > 1)):
         raise ValueError("noise indices must lie in [0, 1]")
+    if np.any(np.isfinite(ni) & ~np.isfinite(rr)):
+        raise ValueError("a rate beside a finite noise index must be finite")
     use = ni >= t.reshape(t.shape + (1,) * ni.ndim)
     p = np.where(use, 1.0 / np.maximum(1.0 - ni, COVARIANCE_FLOOR), 0.0)
     q = p * p
@@ -103,8 +107,11 @@ def smart_fusion(rr, kinds: tuple[RivKind, ...]) -> FusionResult:
     A row is dropped when any of `kinds` is unrated ("member_unrated"), or
     when the sample standard deviation (ddof=1) of their rates exceeds the
     4 breaths/min limit ("sd_exceeded"). Noise indices are ignored.
+    Raises ValueError when the rows are not the five variations wide.
     """
-    rr = np.asarray(rr, dtype=float)
+    rr = np.atleast_1d(np.asarray(rr, dtype=float))
+    if rr.shape[-1] != len(ALL_KINDS):
+        raise ValueError(f"rows must hold the {len(ALL_KINDS)} variations, got rows of width {rr.shape[-1]}")
     member = np.array([kind in kinds for kind in ALL_KINDS])
     rates = rr[..., member]
     with np.errstate(invalid="ignore"):

@@ -112,6 +112,15 @@ def test_synth_out_without_file_name_exit_64(tmp_path, capsys, monkeypatch, out)
     assert list(tmp_path.iterdir()) == []
 
 
+def test_synth_out_keeps_a_dotted_prefix(tmp_path):
+    # the record is <prefix>.csv, so s1.0 and s1.5 name two records, not one written twice
+    argv = ["synth", "--rr", "15", "--hr", "70", "--duration", "40", "--out"]
+    for out in ("s1.0", "s1.5", "x.csv", "y.CSV"):
+        assert main([*argv, str(tmp_path / out)]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "s1.0.csv", "s1.0_ref.csv", "s1.5.csv", "s1.5_ref.csv", "x.csv", "x_ref.csv", "y.CSV", "y_ref.CSV"]
+
+
 def test_estimate_sf3_contributors_subset(tmp_path):
     rec_path = _write_subject(tmp_path, "s1")
     out = tmp_path / "est.csv"

@@ -215,6 +215,22 @@ def test_gate_parameter_error():
             cif([20.0], [ni], 0.13)
 
 
+@pytest.mark.parametrize("rate", [np.inf, -np.inf, np.nan])
+def test_cif_rejects_a_non_finite_rate_beside_a_finite_noise_index(rate):
+    # retained, it would fuse to a non-finite rate and score an RMSE of NaN at retention 1
+    rr = np.full((2, 5), 12.0)
+    rr[1, 0] = rate
+    with pytest.raises(ValueError, match="a rate beside a finite noise index must be finite"):
+        cif(rr, np.full((2, 5), 0.5), 0.13)
+    assert cif(rr, np.where(np.isfinite(rr), 0.5, np.nan), 0.13).retained.all()  # an unrated pair is NaN in both
+
+
+@pytest.mark.parametrize("width", [3, 4, 6])
+def test_smart_fusion_rejects_rows_that_are_not_five_wide(width):
+    with pytest.raises(ValueError, match=f"rows must hold the 5 variations, got rows of width {width}"):
+        smart_fusion(np.full((2, width), 12.0), SF3)
+
+
 def test_threshold_grid_matches_single_calls():
     rng = np.random.default_rng(41)
     rr = rng.uniform(4, 65, (30, 5))

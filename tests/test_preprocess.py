@@ -461,6 +461,15 @@ def test_kernels_refuse_an_extension_they_do_not_know(monkeypatch, kernels, mess
 @example(fs=MIN_FS_HZ, extra=1, step=0.0, runs=[], seed=1, distance=1)
 @example(fs=MAX_FS_HZ, extra=1, step=0.5, runs=[], seed=2, distance=3)
 @example(fs=100.0, extra=1, step=0.0, runs=[(0.0, 60)], seed=3, distance=2)  # a constant record
+# the rates records are commonly taken at; 100 Hz is the gated workloads', 300 Hz CapnoBase's
+@example(fs=100.0, extra=2000, step=0.0, runs=[], seed=10, distance=30)
+@example(fs=125.0, extra=1500, step=0.05, runs=[(0.5, 20)], seed=11, distance=37)
+@example(fs=128.0, extra=1000, step=0.0, runs=[], seed=12, distance=38)
+@example(fs=250.0, extra=2000, step=0.5, runs=[], seed=13, distance=40)
+@example(fs=256.0, extra=700, step=0.0, runs=[(0.2, 60)], seed=14, distance=1)
+@example(fs=300.0, extra=2000, step=0.0, runs=[], seed=15, distance=40)
+@example(fs=500.0, extra=2000, step=0.05, runs=[], seed=16, distance=25)
+@example(fs=1000.0, extra=2000, step=0.0, runs=[(0.9, 60)], seed=17, distance=40)
 def test_kernels_equal_scipy_signal_bit_for_bit(fs, extra, step, runs, seed, distance):
     sos = _sigkernels.bandpass_sos(FILTER_ORDER, BAND_HZ, fs)
     _same_bits(sos, scipy.signal.butter(FILTER_ORDER, BAND_HZ, btype="bandpass", output="sos", fs=fs))
