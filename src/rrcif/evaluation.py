@@ -6,8 +6,10 @@ Reference alignment: each analysis window scores against the mean of the
 reference samples falling inside it, or the value interpolated at the window
 center when none do. Interpolation holds the end values, so a window with no
 sample whose center lies before the first reference time, or past the last,
-scores against the first, or the last, rate. Percentiles interpolate linearly between order
-statistics. Agreement statistics pool the retained windows of all subjects.
+scores against the first, or the last, rate. Medians take ``np.median``'s
+arithmetic over the non-NaN values, so `report`'s median RMSE at t is
+`sweep`'s; the quartiles take ``np.nanpercentile``'s. Agreement statistics
+pool the retained windows of all subjects.
 """
 
 from __future__ import annotations
@@ -107,23 +109,23 @@ def sweep(subjects: list[tuple[EstimateTable, ReferenceRr]], t_grid=T_GRID_DEFAU
     rmse, retention = map(np.array, zip(*(scores for _, _, *scores in _fuse_and_score(_aligned(subjects), "cif", t_grid))))
     return [
         SweepRow(t=float(t), rmse_p25=float(p25), rmse_median=float(med), rmse_p75=float(p75), retention_median=float(r))
-        for t, (p25, med, p75), r in zip(t_grid, _nan_quartiles(rmse).T, _median(retention))
+        for t, (p25, p75), med, r in zip(t_grid, _nan_quartiles(rmse).T, _median(rmse), _median(retention))
     ]
 
 
 def _nan_quartiles(x: np.ndarray) -> np.ndarray:
-    """25th, 50th and 75th percentiles along axis 0 of the non-NaN values of
-    2-D ``x``; NaN where a column has none (a threshold no subject retains).
+    """25th and 75th percentiles along axis 0 of the non-NaN values of 2-D
+    ``x``; NaN where a column has none (a threshold no subject retains).
 
-    ``np.nanpercentile(x, (25, 50, 75), axis=0)`` computed as it computes
-    it, so bit-equal to it where no -0.0 ties with 0.0 (an RMSE is never
-    -0.0): between order statistics i and i + 1 it interpolates from the
-    lower one below weight 0.5 and from the upper one from 0.5 on.
-    ``np.nanpercentile`` itself loads ``numpy.ma``.
+    ``np.nanpercentile(x, (25, 75), axis=0)`` computed as it computes it, so
+    bit-equal to it where no -0.0 ties with 0.0 (an RMSE is never -0.0):
+    between order statistics i and i + 1 it interpolates from the lower one
+    below weight 0.5 and from the upper one from 0.5 on. ``np.nanpercentile``
+    itself loads ``numpy.ma``.
     """
     ordered = np.sort(x, axis=0)  # NaN sorts last
     count = np.count_nonzero(~np.isnan(x), axis=0)
-    pos = (count - 1) * np.array([[0.25], [0.5], [0.75]])
+    pos = (count - 1) * np.array([[0.25], [0.75]])
     lo = np.maximum(np.floor(pos), 0).astype(int)
     gamma = pos - lo
     below = np.take_along_axis(ordered, lo, axis=0)
@@ -150,8 +152,8 @@ def report(subjects: list[tuple[EstimateTable, ReferenceRr]], methods=METHODS, t
     for method in methods:
         fusions, ref_rates, rmse, retention = zip(*_fuse_and_score(aligned, method, t))
         rmse, retention = scores[method] = np.array(rmse), np.array(retention)
-        scored = rmse[~np.isnan(rmse)]
-        rmse_median = float(_median(scored)) if scored.size else None
+        rmse_median = float(_median(rmse))
+        rmse_median = None if math.isnan(rmse_median) else rmse_median
         summary["methods"][method] = {"rmse_median": rmse_median, "retention_median": float(_median(retention))}
         if method == "cif":  # its retained windows, pooled for the agreement
             est = np.concatenate([f.rr_fusion[f.retained] for f in fusions])

@@ -164,6 +164,8 @@ def segment_beats(record: PpgRecord) -> BeatTable:
     ref = float(_median(proms))  # until a peak is accepted
     recent: deque[float] = deque(maxlen=PROMINENCE_WINDOW)
     accepted: list[int] = []
+    # a Python loop, not _median over windows: which prominences the median
+    # holds depends on every acceptance before it
     for idx, prom in zip(candidates, proms):
         if recent:  # the median of the sorted deque, with np.median's arithmetic
             s = sorted(recent)
@@ -216,16 +218,9 @@ def _clip_runs(raw: np.ndarray) -> np.ndarray:
 
 
 def _running_median(values: np.ndarray) -> np.ndarray:
-    """Median of the non-NaN values among the previous ARTIFACT_WINDOW, per position; NaN where none.
-
-    The same arithmetic as ``np.median``: the middle value, or the mean of the
-    two middle values.
-    """
+    """Median of the non-NaN values among the previous ARTIFACT_WINDOW, per position; NaN where none."""
     padded = np.concatenate((np.full(ARTIFACT_WINDOW, np.nan), values))
-    s = np.sort(sliding_window_view(padded, ARTIFACT_WINDOW)[: values.size], axis=1)  # NaN sorts last
-    count = np.count_nonzero(~np.isnan(s), axis=1)
-    rows = np.arange(values.size)
-    return (s[rows, (count - 1) // 2] + s[rows, count // 2]) / 2
+    return _median(sliding_window_view(padded, ARTIFACT_WINDOW)[: values.size], axis=1)
 
 
 def _deviates(values: np.ndarray, med: np.ndarray) -> np.ndarray:

@@ -2,11 +2,12 @@
 
 File formats
 ------------
-PPG CSV        header ``t,ppg``; ``t`` in seconds, strictly increasing with a
-               uniform step (tolerance 1e-6 of the step); UTF-8 with or
-               without a BOM, LF or CRLF. Error line numbers count the
+PPG CSV        header ``t,ppg``; ``t`` in seconds from 0, strictly increasing
+               with a uniform step (tolerance 1e-6 of the step); UTF-8 with
+               or without a BOM, LF or CRLF. Error line numbers count the
                provenance comment and blank lines.
-Reference CSV  header ``t,rr``; ``t`` in seconds, ``rr`` in breaths/min.
+Reference CSV  header ``t,rr``; ``t`` in seconds from the record's first
+               sample, ``rr`` in breaths/min.
 Record JSON    object with ``id``, ``fs``, ``samples`` and an optional
                ``reference`` object holding ``t`` and ``rr`` arrays.
 
@@ -44,17 +45,16 @@ _COMPRESSED_SUFFIXES = (".bz2", ".gz", ".lzma", ".xz")
 
 
 def _median(values: np.ndarray, axis: int = 0) -> np.ndarray:
-    """``np.median`` along a non-empty ``axis``, computed as it computes it:
-    the mean of the middle value, or of the two middle values, of a
-    partition; NaN where any value is NaN. ``np.median`` itself loads
+    """Median of the non-NaN values along a non-empty ``axis``; NaN where
+    there are none. The arithmetic is ``np.median``'s: the middle value, or
+    the mean of the two middle values. ``np.nanmedian`` itself loads
     ``numpy.ma``.
     """
-    size = values.shape[axis]
-    high = size // 2
-    low = high if size % 2 else high - 1
-    part = np.partition(values, [low, high, -1], axis=axis)  # NaN sorts last
-    middle = np.mean(np.take(part, range(low, high + 1), axis=axis), axis=axis)
-    return np.where(np.isnan(np.take(part, -1, axis=axis)), np.nan, middle)
+    ordered = np.sort(values, axis=axis)  # NaN sorts last
+    count = np.count_nonzero(~np.isnan(ordered), axis=axis, keepdims=True)
+    # with no value left, index -1 takes a NaN
+    low, high = (np.take_along_axis(ordered, i, axis=axis) for i in ((count - 1) // 2, count // 2))
+    return np.where(count % 2, high, (low + high) / 2).squeeze(axis)
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -328,6 +328,8 @@ def read_record(path) -> PpgRecord:
         raise ValidationError(f"{path}: timestamp step {step} is not finite")
     if np.max(np.abs(dt - step)) > STEP_TOLERANCE * step:
         raise ValidationError(f"{path}: non-uniform sampling (step {step:g} s, max deviation {np.max(np.abs(dt - step)):g} s)")
+    if abs(data[0, 0]) > STEP_TOLERANCE * step:  # window, beat and reference times all count from the first sample
+        raise ValidationError(f"{path}: t must start at 0, got first timestamp {float(data[0, 0])!r} s")
     return PpgRecord(id=path.stem, fs=1.0 / step, samples=data[:, 1])
 
 

@@ -183,28 +183,30 @@ def test_criterion_5_cif_beats_sf5_without_rifv():
 # 6. paper-number reproduction on the benchmark dataset (conditional)
 
 
-def test_criterion_6_benchmark_reproduction(capsys):
+def test_criterion_6_benchmark_reproduction(tmp_path):
     dataset = os.environ.get("RRCIF_CAPNOBASE_DIR")
     if not dataset or not os.path.isdir(dataset):
         print("[acceptance] 6 benchmark reproduction: SKIP (set RRCIF_CAPNOBASE_DIR to the exported dataset)")
         pytest.skip("benchmark dataset not supplied")
     from rrcif.cli import main
 
-    out_dir = os.path.join(dataset, "_rrcif_report")
-    code = main(["benchmark", dataset, "--t", "0.13", "--out", out_dir])
+    out_dir = tmp_path / "report"  # never inside the dataset
+    code = main(["benchmark", dataset, "--t", "0.13", "--out", str(out_dir)])
     assert code == 0
-    report = json.loads(open(os.path.join(out_dir, "report.json")).read())
+    report = json.loads((out_dir / "report.json").read_text())
     cif = report["methods"]["cif"]
     agreement = report.get("agreement_cif", {})
     comparisons = [
-        ("median RMSE", cif["rmse_median"], abs(cif["rmse_median"] - 1.4) <= 0.5, "paper 1.4 +- 0.5"),
-        ("median retention", cif["retention_median"], cif["retention_median"] >= 0.85, "paper 0.90, gate >= 0.85"),
-        ("pooled r", agreement.get("r"), (agreement.get("r") or 0) >= 0.90, "paper 0.94, gate >= 0.90"),
-        ("bias", agreement.get("bias"), abs((agreement.get("bias") or 99) - 0.3) <= 1.0, "paper 0.3 +- 1.0"),
+        ("median RMSE", cif["rmse_median"], lambda v: abs(v - 1.4) <= 0.5, "paper 1.4 +- 0.5"),
+        ("median retention", cif["retention_median"], lambda v: v >= 0.85, "paper 0.90, gate >= 0.85"),
+        ("pooled r", agreement.get("r"), lambda v: v >= 0.90, "paper 0.94, gate >= 0.90"),
+        ("bias", agreement.get("bias"), lambda v: abs(v - 0.3) <= 1.0, "paper 0.3 +- 1.0"),
     ]
-    deviations = [name for name, _, ok, _ in comparisons if not ok]
-    for name, value, ok, note in comparisons:
-        print(f"[acceptance] 6 benchmark {name}: {value} ({'ok' if ok else 'DEVIATION'}; {note})")
+    # a missing value (no retained CIF window, no pooled agreement) is a deviation
+    ok = {name: value is not None and passes(value) for name, value, passes, _ in comparisons}
+    deviations = [name for name in ok if not ok[name]]
+    for name, value, _, note in comparisons:
+        print(f"[acceptance] 6 benchmark {name}: {value} ({'ok' if ok[name] else 'DEVIATION'}; {note})")
     # preprocessing internals are reimplemented, so deviations are logged, not failed
     _check("6 benchmark reproduction", True, f"deviations: {deviations or 'none'}")
 

@@ -501,6 +501,26 @@ def test_benchmark_skips_fs_above_maximum(tmp_path, capsys):
     assert json.loads((tmp_path / "out" / "report.json").read_text())["skipped"] == ["fast.json"]
 
 
+def test_a_record_whose_clock_does_not_start_at_zero_is_skipped(tmp_path, capsys):
+    # scored as it stood, every window of "late" would meet the 30/min samples at 0 and 500 s
+    _write_subject(tmp_path, "s1")
+    record, _ = make_synth(rr=15.0, duration=120.0)
+    times = 1000.0 + np.arange(record.samples.size) / record.fs
+    (tmp_path / "late.csv").write_text("t,ppg\n" + "".join(f"{t!r},{v!r}\n" for t, v in zip(times.tolist(), record.samples.tolist())))
+    ref_times = [0.0, 500.0, *np.arange(1000.0, 1121.0, 2.0).tolist()]
+    (tmp_path / "late_ref.csv").write_text(
+        "t,rr\n" + "".join(f"{t!r},{30.0 if t < 1000 else 15.0}\n" for t in ref_times)
+    )
+    out_dir = tmp_path / "out"
+    assert main(["benchmark", str(tmp_path), "--out", str(out_dir)]) == 0
+    warnings = [line for line in capsys.readouterr().err.splitlines() if line.startswith("warning:")]
+    assert len(warnings) == 1 and warnings[0].startswith("warning: skipping late.csv: ")
+    assert "t must start at 0, got first timestamp 1000.0 s" in warnings[0]
+    report = json.loads((out_dir / "report.json").read_text())
+    assert report["skipped"] == ["late.csv"] and report["subjects"] == 1
+    assert main(["estimate", str(tmp_path / "late.csv")]) == 2
+
+
 def test_estimate_nan_timestamp_exit_2(tmp_path, capsys):
     path = tmp_path / "nan_t.csv"
     path.write_text("t,ppg\n" + "".join(f"{'nan' if i == 50 else i / 100},{(i % 7) / 7:.3f}\n" for i in range(3000)))

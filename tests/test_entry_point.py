@@ -7,6 +7,7 @@ path of `run` and the lifetime of the worker processes.
 
 import ast
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -311,6 +312,22 @@ def test_source_tree_version_matches_pyproject():
     )
     assert rrcif.__version__ == cli.VERSION == expanded
     assert imported == "False"
+
+
+def test_a_failing_property_under_the_pytest_settings_prints_its_example(tmp_path):
+    # the settings make a DeprecationWarning an error; reporting a failure, hypothesis
+    # may import libcst, which warns, and that must not end the session with INTERNALERROR
+    shutil.copy(Path(SRC).parent / "pyproject.toml", tmp_path)
+    (tmp_path / "test_fails.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\ndef test_fails(n):\n    assert n < 0\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "test_fails.py"],
+        cwd=tmp_path, env=_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 1, result.stdout + result.stderr
+    assert "Falsifying example" in result.stdout
 
 
 def test_help_exit_0():

@@ -236,15 +236,14 @@ def _assert_same_bits(got, want):
     )
 )
 def test_sweep_statistics_are_numpys(x):
-    # sweep's quartiles and medians without np.nanpercentile and np.median, bit for bit on
+    # sweep's quartiles and medians without np.nanpercentile and np.nanmedian, bit for bit on
     # what an RMSE or a retention can be: NaN, or a float >= 0 that is not -0.0
     x = np.array(x).T  # (subjects, thresholds)
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # an all-NaN column
-        want = np.nanpercentile(x, (25, 50, 75), axis=0)
-    _assert_same_bits(_nan_quartiles(x), want)
-    _assert_same_bits(_median(x, axis=0), np.median(x, axis=0))
-    _assert_same_bits(_median(x, axis=1), np.median(x, axis=1))
+        warnings.simplefilter("ignore", RuntimeWarning)  # an all-NaN column or row
+        _assert_same_bits(_nan_quartiles(x), np.nanpercentile(x, (25, 75), axis=0))
+        _assert_same_bits(_median(x, axis=0), np.nanmedian(x, axis=0))
+        _assert_same_bits(_median(x, axis=1), np.nanmedian(x, axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +301,21 @@ def test_report_and_sweep_align_each_reference_once(monkeypatch):
     report(subjects)
     sweep(subjects)
     assert aligned == [reference for _, reference in subjects] * 2
+
+
+@pytest.mark.parametrize(
+    "subjects",
+    [
+        # RMSEs 0.4000000000000001 and 2.0: np.median gives 1.2, np.nanpercentile 1.2000000000000002
+        [_subject([[0.9] * 5] * 10, [rate] * 5, duration=50.0, ref_rate=0.5) for rate in (0.9, 2.5)],
+        _bonferroni_subjects(),  # from t = 0.06 on, the last subject's CIF RMSE is NaN
+    ],
+)
+def test_report_and_sweep_give_the_same_median_rmse(subjects):
+    for row in sweep(subjects):
+        cif_summary = report(subjects, ["cif"], row.t)[1]["methods"]["cif"]
+        assert cif_summary["rmse_median"] == row.rmse_median
+        assert cif_summary["retention_median"] == row.retention_median
 
 
 def test_report_fewer_than_six_subjects_tests_nothing():

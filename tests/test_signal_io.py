@@ -76,6 +76,17 @@ def test_read_record_nonuniform_step(tmp_path):
         read_record(path)
 
 
+@pytest.mark.parametrize("t0", [1000.0, 0.01, -0.01, 1e-7])
+def test_read_record_clock_must_start_at_zero(tmp_path, t0):
+    # window and beat times count from the first sample, as reference times do
+    path = tmp_path / "late.csv"
+    path.write_text("t,ppg\n" + "".join(f"{t0 + i / 100},{i % 7}\n" for i in range(300)))
+    with pytest.raises(ValidationError, match=f"t must start at 0, got first timestamp {t0!r} s"):
+        read_record(path)
+    path.write_text("t,ppg\n" + "".join(f"{1e-9 + i / 100},{i % 7}\n" for i in range(300)))
+    assert read_record(path).fs == pytest.approx(100.0)  # within STEP_TOLERANCE of a step
+
+
 def test_read_record_decreasing_time(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("t,ppg\n0.0,1\n0.02,1\n0.01,1\n")
